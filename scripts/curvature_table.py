@@ -10,7 +10,7 @@ Usage: python scripts/curvature_table.py [--dims 2,3,4] [--trials N] [--seed S]
 
 import argparse
 
-from wyinfo.curvature import scalar_curvature, wy_scal1_constant
+from wyinfo.curvature import scal1_shift, scalar_curvature
 from wyinfo.linalg import random_density, rng_from
 from wyinfo.monotone import catalog
 
@@ -30,7 +30,7 @@ def main():
     print(header)
     print("-" * len(header))
     for n in dims:
-        row = f"{n:>3} {wy_scal1_constant(n):>10.3f}"
+        row = f"{n:>3} {scal1_shift(n):>10.3f}"
         states = [random_density(n, int(rng_from(args.seed, n, t).integers(2**63)))
                   for t in range(args.trials)]
         for e in entries:

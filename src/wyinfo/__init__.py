@@ -7,6 +7,8 @@ path through the square-root sphere embedding, relative g-entropy Hessians,
 and the dual-pair characterization of pull-back metrics.
 """
 
+__version__ = "0.1.0"  # read by suites (report "version") and pyproject.toml
+
 from .classical import (
     ScoreVector,
     bhattacharyya_distance,
@@ -26,7 +28,6 @@ from .curvature import (
     scal_aux_terms,
     scalar_curvature,
     wy_aux_closed_forms,
-    wy_scal1_constant,
 )
 from .divergence import (
     HessianResult,
@@ -95,5 +96,3 @@ from .monotone import (
     skew_information,
 )
 from .suites import SuiteConfig, SuiteReport, default_config, run_suite
-
-__version__ = "0.1.0"

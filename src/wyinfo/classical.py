@@ -23,6 +23,8 @@ def probability_vector(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or len(p) < 2:
         raise InvariantViolation("simplex-shape", f"shape {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise InvariantViolation("finite", "probability vector has NaN or infinite entries")
     if abs(float(np.sum(p)) - 1.0) > SIMPLEX_ATOL:
         raise InvariantViolation("simplex-sum", f"sum {float(np.sum(p)):.15f}")
     if np.any(p <= 0.0):

@@ -172,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tolerance", action="append", metavar="NAME=VAL",
                    help="override a named check tolerance (repeatable)")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify)
 
     return parser

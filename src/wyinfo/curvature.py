@@ -159,13 +159,9 @@ def wy_aux_closed_forms(x: float, y: float, z: float):
 
 
 def scal1_shift(n: int) -> float:
-    """Curvature shift between the positive cone and its trace-one slice."""
+    """Curvature shift between the positive cone and its trace-one slice; also
+    the constant trace-one curvature of the skew-information metric."""
     return 0.25 * (n**2 - 1) * (n**2 - 2)
-
-
-def wy_scal1_constant(n: int) -> float:
-    """Constant trace-one curvature of the skew-information metric."""
-    return scal1_shift(n)
 
 
 @dataclass

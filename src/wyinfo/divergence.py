@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, InvariantViolation, StepTooLargeError
-from .linalg import spectral_decompose
+from .linalg import matrix_function, spectral_decompose
 from .monotone import MonotoneFunctionEntry, metric_eval
 
 # |x - 1| window where f_g switches to its removable-singularity series.
@@ -76,8 +76,7 @@ def relative_modular_apply(rho, sigma, g: Callable, x) -> np.ndarray:
 
 def relative_g_entropy(rho, sigma, g: OperatorConvexG) -> float:
     """H_g(rho, sigma) = Tr(sqrt(rho) g(Delta)(sqrt(rho))); zero at rho = sigma."""
-    lam, u = spectral_decompose(rho)
-    root = (u * np.sqrt(np.maximum(lam, 0.0))) @ u.conj().T
+    root = matrix_function(rho, np.sqrt)
     return float(np.real(np.trace(root @ relative_modular_apply(rho, sigma, g.g, root))))
 
 
@@ -166,8 +165,7 @@ def hessian_check(g: OperatorConvexG, rho, a, b, step: float = 1e-3) -> HessianR
 
 def bures_distance(rho, sigma) -> float:
     """sqrt(2 - 2 Tr(sqrt(rho) sigma sqrt(rho))^(1/2); fidelity-based comparator."""
-    lam, u = spectral_decompose(rho)
-    root = (u * np.sqrt(np.maximum(lam, 0.0))) @ u.conj().T
+    root = matrix_function(rho, np.sqrt)
     inner = root @ np.asarray(sigma, dtype=complex) @ root
     w = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
     fid_root = float(np.sum(np.sqrt(np.maximum(w, 0.0))))

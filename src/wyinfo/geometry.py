@@ -22,13 +22,16 @@ from .linalg import (
     apply_kernel_superop,
     hs_inner,
     matrix_function,
+    on_spectrum_grid,
     spectral_decompose,
-    tangent_split,
 )
 from .monotone import MonotoneFunctionEntry, sampled_operator_monotonicity
 
 # Window for clamping arccos arguments; amounts beyond it indicate a bug.
 CLAMP_WINDOW = 1e-12
+# Matrix entries per block of stacked samples in path_length (256 samples at
+# n = 3): stacking every sample of a long path at once raises peak memory.
+PATH_BLOCK_ENTRIES = 2304
 
 
 def _sqrt_kernel(x, y):
@@ -88,6 +91,19 @@ def wy_geodesic(rho, sigma) -> GeodesicPath:
     return GeodesicPath(ra, rb, sample)
 
 
+def _velocities(states: np.ndarray, lo: int, hi: int, h: float) -> np.ndarray:
+    """Velocities of the path samples lo..hi-1 (see path_length)."""
+    last = len(states) - 1
+    v = np.empty((hi - lo, *states.shape[1:]), dtype=complex)
+    a, b = max(lo, 1), min(hi, last)
+    v[a - lo:b - lo] = (states[a + 1:b + 1] - states[a - 1:b - 1]) / (2.0 * h)
+    if lo == 0:
+        v[0] = (-3.0 * states[0] + 4.0 * states[1] - states[2]) / (2.0 * h)
+    if hi == last + 1:
+        v[-1] = (3.0 * states[-1] - 4.0 * states[-2] + states[-3]) / (2.0 * h)
+    return v
+
+
 def path_length(entry: MonotoneFunctionEntry, path, steps: int = 1000) -> float:
     """Riemannian length of a density path by the trapezoid rule.
 
@@ -99,25 +115,29 @@ def path_length(entry: MonotoneFunctionEntry, path, steps: int = 1000) -> float:
     sampler = path.sampler if isinstance(path, GeodesicPath) else path
     h = 1.0 / steps
     ts = np.linspace(0.0, 1.0, steps + 1)
-    states = [np.asarray(sampler(float(t)), dtype=complex) for t in ts]
+    first = np.asarray(sampler(float(ts[0])), dtype=complex)
+    states = np.empty((steps + 1, *first.shape), dtype=complex)
+    states[0] = first
+    for k in range(1, steps + 1):
+        states[k] = sampler(float(ts[k]))
+    tr = np.trace(states, axis1=-2, axis2=-1).real
+    off = np.flatnonzero(np.abs(tr - 1.0) > 1e-10)
+    if off.size:
+        raise InvariantViolation("density-sample", f"trace {tr[off[0]]:.12f} at t={ts[off[0]]}")
     speeds = np.empty(steps + 1)
-    for k, t in enumerate(ts):
-        g = states[k]
-        tr = float(np.trace(g).real)
-        if abs(tr - 1.0) > 1e-10:
-            raise InvariantViolation("density-sample", f"trace {tr:.12f} at t={t}")
-        if k == 0:
-            v = (-3.0 * states[0] + 4.0 * states[1] - states[2]) / (2.0 * h)
-        elif k == steps:
-            v = (3.0 * states[-1] - 4.0 * states[-2] + states[-3]) / (2.0 * h)
-        else:
-            v = (states[k + 1] - states[k - 1]) / (2.0 * h)
-        w, u = spectral_decompose(g)
-        if w[0] <= -1e-12:
-            raise InvariantViolation("density-sample", f"eigenvalue {w[0]:.3e} at t={t}")
-        vt = u.conj().T @ v @ u
-        kmat = np.asarray(entry.c(w[:, None], w[None, :]), dtype=float)
-        speeds[k] = np.sqrt(max(float(np.real(np.sum(kmat * np.abs(vt) ** 2))), 0.0))
+    rows = max(1, PATH_BLOCK_ENTRIES // first.size)
+    for lo in range(0, steps + 1, rows):
+        block = slice(lo, lo + rows)
+        w, u = spectral_decompose(states[block])
+        neg = np.flatnonzero(w[:, 0] <= -1e-12)
+        if neg.size:
+            k = neg[0]
+            raise InvariantViolation("density-sample",
+                                     f"eigenvalue {w[k, 0]:.3e} at t={ts[lo + k]}")
+        vt = u.conj().swapaxes(-1, -2) @ _velocities(states, lo, lo + len(w), h) @ u
+        kmat = np.asarray(on_spectrum_grid(entry.c, u.shape, w[:, :, None], w[:, None, :]),
+                          dtype=float)
+        speeds[block] = np.sqrt(np.maximum(np.sum(kmat * np.abs(vt) ** 2, axis=(-2, -1)), 0.0))
     return float(h * (np.sum(speeds) - 0.5 * (speeds[0] + speeds[-1])))
 
 
@@ -159,12 +179,8 @@ def double_sqrt_function() -> C1Function:
 
 
 def general_pullback_differential(phi: C1Function, rho, a) -> np.ndarray:
-    """D phi at rho: phi'(rho) A_c + i[phi(rho), U] via the tangent split."""
-    split = tangent_split(rho, a)
-    dphi_rho = matrix_function(rho, phi.deriv)
-    phi_rho = matrix_function(rho, phi.fn)
-    out = dphi_rho @ split.commuting + 1j * (phi_rho @ split.generator - split.generator @ phi_rho)
-    return 0.5 * (out + out.conj().T)
+    """D phi at rho applied to A: the difference quotient of phi as a kernel (Daleckii-Krein)."""
+    return apply_kernel_superop(rho, lambda x, y: _difference_quotient(phi, x, y), a)
 
 
 def _difference_quotient(f: C1Function, a, b):

@@ -2,7 +2,9 @@
 
 Spectral decomposition, scalar functional calculus, kernel superoperators,
 the commuting/commutator tangent decomposition, Kraus channels, and seeded
-random generators for states, tangents and channels.
+random generators for states, tangents and channels.  The spectral functions
+take one matrix (n, n) or a stack (..., n, n); each slice of a stack gives
+the same bits as the slice on its own.
 
 Matrices are plain complex ndarrays; the validators below enforce the
 structural invariants at construction/IO boundaries.  All functions are pure
@@ -43,6 +45,8 @@ def assert_hermitian(a, atol: float = HERMITICITY_ATOL, name: str = "matrix") ->
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvariantViolation("square", f"{name} has shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise InvariantViolation("finite", f"{name} has NaN or infinite entries")
     if a.size:
         asym = float(np.max(np.abs(a - a.conj().T)))
         if asym > atol:
@@ -81,7 +85,7 @@ class SpectralDecomposition(NamedTuple):
 
 
 def spectral_decompose(h) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
+    """Eigendecomposition of Hermitian matrices, eigenvalues ascending."""
     h = np.asarray(h, dtype=complex)
     try:
         w, u = np.linalg.eigh(h)
@@ -90,39 +94,40 @@ def spectral_decompose(h) -> SpectralDecomposition:
     return SpectralDecomposition(w, u)
 
 
-def _eval_scalar(phi: Callable, w: np.ndarray) -> np.ndarray:
+def on_spectrum_grid(fn: Callable, shape: tuple, *grids) -> np.ndarray:
+    """fn(*grids) broadcast to `shape`; fn must be numpy-vectorized (one call per grid)."""
+    out = np.asarray(fn(*grids))
+    if out.shape == shape:
+        return out
     try:
-        out = np.asarray(phi(w))
-        if out.shape != w.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        out = np.asarray([phi(x) for x in w])
-    return out
+        return np.broadcast_to(out, shape)
+    except ValueError:
+        raise InvariantViolation(
+            "vectorized", f"{fn!r} gave shape {out.shape} on a grid of shape {shape}") from None
 
 
 def matrix_function(h, phi: Callable) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix: U diag(phi(w)) U^dag."""
+    """Apply a scalar function to Hermitian matrices: U diag(phi(w)) U^dag."""
     w, u = spectral_decompose(h)
     with np.errstate(all="ignore"):
-        fw = _eval_scalar(phi, w)
-    if not np.all(np.isfinite(fw)):
+        fw = on_spectrum_grid(phi, w.shape, w)
+    if not np.isfinite(fw).all():
         bad = w[~np.isfinite(np.asarray(fw, dtype=complex).real)]
         raise DomainError(f"scalar function undefined on eigenvalues {bad}")
-    return (u * fw) @ u.conj().T
+    return (u * fw[..., None, :]) @ u.conj().swapaxes(-1, -2)
 
 
 def apply_kernel_superop(rho, kernel: Callable, x) -> np.ndarray:
     """Apply k(L_rho, R_rho) to X: entrywise k(w_i, w_j) in the eigenbasis of rho."""
     w, u = spectral_decompose(rho)
-    xt = u.conj().T @ np.asarray(x, dtype=complex) @ u
+    uh = u.conj().swapaxes(-1, -2)
+    xt = uh @ np.asarray(x, dtype=complex) @ u
     with np.errstate(all="ignore"):
-        try:
-            k = np.asarray(kernel(w[:, None], w[None, :]), dtype=float)
-        except (TypeError, ValueError):
-            k = np.asarray([[kernel(a, b) for b in w] for a in w], dtype=float)
-    if not np.all(np.isfinite(k)):
+        k = np.asarray(on_spectrum_grid(kernel, u.shape, w[..., :, None], w[..., None, :]),
+                       dtype=float)
+    if not np.isfinite(k).all():
         raise DomainError("kernel not finite on the spectrum grid")
-    return u @ (k * xt) @ u.conj().T
+    return u @ (k * xt) @ uh
 
 
 def hs_inner(a, b) -> float:
@@ -196,6 +201,8 @@ class KrausChannel:
             if k.shape != (self.output_dim, self.input_dim):
                 raise InvariantViolation(
                     "kraus-shape", f"{k.shape} != ({self.output_dim}, {self.input_dim})")
+            if not np.all(np.isfinite(k)):
+                raise InvariantViolation("finite", "Kraus operator has NaN or infinite entries")
         s = sum(k.conj().T @ k for k in ks)
         resid = float(np.max(np.abs(s - np.eye(self.input_dim))))
         if resid > 1e-10:
@@ -221,14 +228,9 @@ def _complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndar
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via phase-corrected QR of a Ginibre matrix."""
-    q, r = np.linalg.qr(_complex_gaussian(rng, n, n))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
-def _haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+def haar_unitary(rows: int, rng: np.random.Generator, cols: int | None = None) -> np.ndarray:
+    """Haar unitary, or Haar rows x cols isometry, by phase-corrected QR of a Ginibre matrix."""
+    cols = rows if cols is None else cols
     if rows < cols:
         raise InvariantViolation("isometry-dims", f"{rows} rows < {cols} cols")
     q, r = np.linalg.qr(_complex_gaussian(rng, rows, cols))
@@ -265,7 +267,7 @@ def random_kraus_channel(n_in: int, n_out: int, env_dim: int, seed: int) -> Krau
     """Channel from a Haar-random isometry C^n_in -> C^n_out (x) C^env, env traced out."""
     if env_dim < 1:
         raise InvariantViolation("dimension", f"env_dim={env_dim} < 1")
-    v = _haar_isometry(n_out * env_dim, n_in, rng_from(seed))
+    v = haar_unitary(n_out * env_dim, rng_from(seed), cols=n_in)
     v3 = v.reshape(n_out, env_dim, n_in)
     kraus = tuple(v3[:, e, :] for e in range(env_dim))
     return KrausChannel(kraus=kraus, input_dim=n_in, output_dim=n_out)

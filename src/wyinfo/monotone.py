@@ -224,9 +224,8 @@ def sampled_operator_monotonicity(
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         p = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         a = g.conj().T @ g
-        b = a + p.conj().T @ p
-        fa = matrix_function(0.5 * (a + a.conj().T), entry.f)
-        fb = matrix_function(0.5 * (b + b.conj().T), entry.f)
+        pair = np.stack([a, a + p.conj().T @ p])
+        fa, fb = matrix_function(0.5 * (pair + pair.conj().swapaxes(-1, -2)), entry.f)
         margin = float(np.linalg.eigvalsh(fb - fa)[0])
         worst = min(worst, margin)
         if margin < -slack:

@@ -7,14 +7,15 @@ are deterministic functions of (suite, config).
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Sequence
 
 import numpy as np
 
-from . import classical
-from .curvature import scalar_curvature, wy_scal1_constant
+from . import __version__, classical
+from .curvature import scal1_shift, scalar_curvature
 from .divergence import alpha_parameter, g_catalog, g_entry, hessian_check
 from .errors import InvariantViolation
 from .geometry import (
@@ -36,8 +37,6 @@ from .monotone import (
     skew_identity_residual,
     skew_information,
 )
-
-VERSION = "0.1.0"
 
 
 @dataclass
@@ -84,7 +83,7 @@ class SuiteReport:
             "suite": self.suite,
             "passed": self.passed,
             "checks": [c.as_dict() for c in self.checks],
-            "version": VERSION,
+            "version": __version__,
             "config": {
                 "n_values": list(self.config.n_values),
                 "trials": self.config.trials,
@@ -98,9 +97,15 @@ class SuiteReport:
 
 
 class _Checks:
+    """The check rows of one suite run, with its tolerance overrides and trial seeds."""
+
     def __init__(self, cfg: SuiteConfig):
         self.cfg = cfg
         self.rows: list = []
+
+    def seed(self, *stream: int) -> int:
+        """A seed for one trial, derived from the config seed and stream indices."""
+        return int(rng_from(self.cfg.seed, *stream).integers(2**63))
 
     def tol(self, name: str, default: float) -> float:
         return float(self.cfg.tolerances.get(name, default))
@@ -123,102 +128,71 @@ class _Checks:
                                      actual >= bound))
 
 
-def _finish(name: str, cfg: SuiteConfig, checks: _Checks, t0: float) -> SuiteReport:
-    return SuiteReport(name, all(c.passed for c in checks.rows), checks.rows,
-                       time.perf_counter() - t0, cfg)
+SUITES: Dict[str, Callable[[SuiteConfig], SuiteReport]] = {}
+
+
+def _suite(name: str):
+    """Register body(cfg, checks, **kwargs) in SUITES as a timed cfg -> SuiteReport runner."""
+
+    def wrap(body):
+        @functools.wraps(body)
+        def run(cfg: SuiteConfig, **kwargs) -> SuiteReport:
+            t0 = time.perf_counter()
+            checks = _Checks(cfg)
+            body(cfg, checks, **kwargs)
+            return SuiteReport(name, all(c.passed for c in checks.rows), checks.rows,
+                               time.perf_counter() - t0, cfg)
+
+        SUITES[name] = run
+        return run
+
+    return wrap
 
 
 # ---------------------------------------------------------------------------
 # Suites
 # ---------------------------------------------------------------------------
 
-def run_wy_curvature(cfg: SuiteConfig) -> SuiteReport:
+@_suite("wy-curvature")
+def run_wy_curvature(cfg: SuiteConfig, checks: _Checks):
     """Generic triple-sum engine reproduces the constant wy curvature."""
-    t0 = time.perf_counter()
-    checks = _Checks(cfg)
     wy = catalog_entry("wy")
     for n in cfg.n_values:
-        expected = wy_scal1_constant(n)
+        expected = scal1_shift(n)
         worst = expected
         for t in range(cfg.trials):
-            seed = int(rng_from(cfg.seed, n, t).integers(2**63))
+            seed = checks.seed(n, t)
             rep = scalar_curvature(wy, random_density(n, seed))
             if abs(rep.scal1 - expected) > abs(worst - expected):
                 worst = rep.scal1
         checks.close(f"scal1-constant-n{n}", expected, worst, 1e-6, relative=True)
-    return _finish("wy-curvature", cfg, checks, t0)
 
 
-def run_pullback(cfg: SuiteConfig) -> SuiteReport:
+@_suite("pullback")
+def run_pullback(cfg: SuiteConfig, checks: _Checks):
     """Pushed-forward Hilbert-Schmidt product equals the wy metric."""
-    t0 = time.perf_counter()
-    checks = _Checks(cfg)
     wy = catalog_entry("wy")
     worst = 0.0
     dims = [n for n in cfg.n_values if n <= 5] or [2]
     for t in range(cfg.trials):
         n = dims[t % len(dims)]
-        rho = random_density(n, int(rng_from(cfg.seed, t, 0).integers(2**63)))
-        a = random_tangent(n, int(rng_from(cfg.seed, t, 1).integers(2**63)))
-        b = random_tangent(n, int(rng_from(cfg.seed, t, 2).integers(2**63)))
+        rho = random_density(n, checks.seed(t, 0))
+        a = random_tangent(n, checks.seed(t, 1))
+        b = random_tangent(n, checks.seed(t, 2))
         gm = metric_eval(wy, rho, a, b)
         worst = max(worst, abs(pullback_metric(rho, a, b) - gm) / (1.0 + abs(gm)))
     checks.below("pullback-equals-wy", worst, 1e-10)
-    return _finish("pullback", cfg, checks, t0)
 
 
-def _random_commuting_pair(n: int, seed: int):
-    rng = rng_from(seed)
-    def floored(p):
-        p = (1.0 - 1e-2) * p + 1e-2 / n
-        return np.diag(p / p.sum()).astype(complex)
-    return floored(rng.dirichlet(np.ones(n))), floored(rng.dirichlet(np.ones(n)))
-
-
-def run_geodesic_length(cfg: SuiteConfig, steps: int = 10_000) -> SuiteReport:
-    """Integrated wy length of the closed-form geodesic equals the distance."""
-    t0 = time.perf_counter()
-    checks = _Checks(cfg)
-    wy = catalog_entry("wy")
-    worst = 0.0
-    dims = list(cfg.n_values) or [2]
-    for t in range(cfg.trials):
-        n = dims[t % len(dims)]
-        seed = int(rng_from(cfg.seed, t).integers(2**63))
-        if t % 2 == 0:
-            rho, sig = random_density(n, seed), random_density(n, seed + 1)
-        else:
-            rho, sig = _random_commuting_pair(n, seed)
-        d = wy_distance_audit(rho, sig)[0]
-        length = path_length(wy, wy_geodesic(rho, sig), steps=steps)
-        worst = max(worst, abs(length - d) / d)
-    checks.below("length-matches-distance", worst, 1e-4)
-    # Order-2 convergence on a few pairs at coarse step counts.
-    ratios = []
-    for t in range(min(cfg.trials, 3)):
-        n = dims[t % len(dims)]
-        seed = int(rng_from(cfg.seed, 1000 + t).integers(2**63))
-        rho, sig = random_density(n, seed), random_density(n, seed + 1)
-        d = wy_distance_audit(rho, sig)[0]
-        path = wy_geodesic(rho, sig)
-        e_coarse = abs(path_length(wy, path, steps=100) - d)
-        e_fine = abs(path_length(wy, path, steps=200) - d)
-        if e_fine > 0:
-            ratios.append(e_coarse / e_fine)
-    checks.close("step-halving-ratio", 4.0, min(ratios) if ratios else 0.0, 1.6)
-    return _finish("geodesic-length", cfg, checks, t0)
-
-
-def run_hessian(cfg: SuiteConfig, step: float = 1e-3, floor: float = 5e-2) -> SuiteReport:
+@_suite("hessian")
+def run_hessian(cfg: SuiteConfig, checks: _Checks, step: float = 1e-3, floor: float = 5e-2):
     """Finite-difference entropy Hessian matches the induced metric kernel."""
-    t0 = time.perf_counter()
-    checks = _Checks(cfg)
     dims = [n for n in cfg.n_values if n <= 4] or [2]
     for gi, g in enumerate(g_catalog()):
         worst = 0.0
         for t in range(cfg.trials):
             n = dims[t % len(dims)]
-            seed = int(rng_from(cfg.seed, gi, t).integers(2**63))
+            seed = checks.seed(gi, t)
             rho = random_density(n, seed)
             rho = (1.0 - n * floor) * rho + floor * np.eye(n)
             a = random_tangent(n, seed + 1)
@@ -227,13 +201,11 @@ def run_hessian(cfg: SuiteConfig, step: float = 1e-3, floor: float = 5e-2) -> Su
             b /= np.linalg.norm(b)
             worst = max(worst, hessian_check(g, rho, a, b, step=step).residual)
         checks.below(f"hessian-{g.id}", worst, 1e-4)
-    return _finish("hessian", cfg, checks, t0)
 
 
-def run_monotonicity(cfg: SuiteConfig) -> SuiteReport:
+@_suite("monotonicity")
+def run_monotonicity(cfg: SuiteConfig, checks: _Checks):
     """Every catalog metric contracts under random stochastic maps."""
-    t0 = time.perf_counter()
-    checks = _Checks(cfg)
     dims = [n for n in cfg.n_values if n <= 3] or [2]
     for ei, entry in enumerate(catalog()):
         violations = 0
@@ -241,7 +213,7 @@ def run_monotonicity(cfg: SuiteConfig) -> SuiteReport:
         worst = 0.0
         for t in range(cfg.trials):
             n = dims[t % len(dims)]
-            seed = int(rng_from(cfg.seed, ei, t).integers(2**63))
+            seed = checks.seed(ei, t)
             env = 1 + t % (n * n)
             channel = random_kraus_channel(n, n, env, seed)
             rho = random_density(n, seed + 1)
@@ -256,16 +228,56 @@ def run_monotonicity(cfg: SuiteConfig) -> SuiteReport:
                 violations += 1
         checks.below(f"contraction-violations-{entry.id}", float(violations), 0.0)
         checks.below(f"contraction-skipped-{entry.id}", float(skipped), float(cfg.trials))
-    return _finish("monotonicity", cfg, checks, t0)
+
+
+def _floored_dirichlet(rng: np.random.Generator, n: int) -> np.ndarray:
+    p = (1.0 - 1e-2) * rng.dirichlet(np.ones(n)) + 1e-2 / n
+    return p / p.sum()
+
+
+def _random_commuting_pair(n: int, seed: int):
+    rng = rng_from(seed)
+    return tuple(np.diag(_floored_dirichlet(rng, n)).astype(complex) for _ in range(2))
+
+
+@_suite("geodesic-length")
+def run_geodesic_length(cfg: SuiteConfig, checks: _Checks, steps: int = 10_000):
+    """Integrated wy length of the closed-form geodesic equals the distance."""
+    wy = catalog_entry("wy")
+    worst = 0.0
+    dims = list(cfg.n_values) or [2]
+    for t in range(cfg.trials):
+        n = dims[t % len(dims)]
+        seed = checks.seed(t)
+        if t % 2 == 0:
+            rho, sig = random_density(n, seed), random_density(n, seed + 1)
+        else:
+            rho, sig = _random_commuting_pair(n, seed)
+        d = wy_distance_audit(rho, sig)[0]
+        length = path_length(wy, wy_geodesic(rho, sig), steps=steps)
+        worst = max(worst, abs(length - d) / d)
+    checks.below("length-matches-distance", worst, 1e-4)
+    # Order-2 convergence on a few pairs at coarse step counts.
+    ratios = []
+    for t in range(min(cfg.trials, 3)):
+        n = dims[t % len(dims)]
+        seed = checks.seed(1000 + t)
+        rho, sig = random_density(n, seed), random_density(n, seed + 1)
+        d = wy_distance_audit(rho, sig)[0]
+        path = wy_geodesic(rho, sig)
+        e_coarse = abs(path_length(wy, path, steps=100) - d)
+        e_fine = abs(path_length(wy, path, steps=200) - d)
+        if e_fine > 0:
+            ratios.append(e_coarse / e_fine)
+    checks.close("step-halving-ratio", 4.0, min(ratios) if ratios else 0.0, 1.6)
 
 
 DUAL_PAIR_GRID = (-1.0, -0.5, 0.25, 0.5, 0.75, 1.5, 2.0)
 
 
-def run_dual_pairs(cfg: SuiteConfig) -> SuiteReport:
+@_suite("dual-pairs")
+def run_dual_pairs(cfg: SuiteConfig, checks: _Checks):
     """Only the square-root power pair induces a valid symmetric metric kernel."""
-    t0 = time.perf_counter()
-    checks = _Checks(cfg)
     n = min(cfg.n_values) if cfg.n_values else 3
     passing = []
     margins = {}
@@ -279,13 +291,11 @@ def run_dual_pairs(cfg: SuiteConfig) -> SuiteReport:
     checks.close("passing-p", 0.5, passing[0] if passing else np.nan, 0.0)
     checks.at_least("symmetry-margin-p-1", margins[-1.0], 1e-2)
     checks.at_least("symmetry-margin-p2", margins[2.0], 1e-2)
-    return _finish("dual-pairs", cfg, checks, t0)
 
 
-def run_classical(cfg: SuiteConfig) -> SuiteReport:
+@_suite("classical")
+def run_classical(cfg: SuiteConfig, checks: _Checks):
     """Simplex geometry: diagonal embedding, sphere pull-back, transport duality."""
-    t0 = time.perf_counter()
-    checks = _Checks(cfg)
     wy = catalog_entry("wy")
     worst_embed = 0.0
     worst_metric = 0.0
@@ -295,11 +305,7 @@ def run_classical(cfg: SuiteConfig) -> SuiteReport:
     for t in range(cfg.trials):
         n = dims[t % len(dims)]
         rng = rng_from(cfg.seed, t)
-        def draw_p():
-            p = rng.dirichlet(np.ones(n))
-            p = (1.0 - 1e-2) * p + 1e-2 / n
-            return p / p.sum()
-        p, q = draw_p(), draw_p()
+        p, q = _floored_dirichlet(rng, n), _floored_dirichlet(rng, n)
         worst_embed = max(worst_embed, abs(
             wy_distance_audit(np.diag(p).astype(complex), np.diag(q).astype(complex))[0]
             - classical.bhattacharyya_distance(p, q)))
@@ -323,46 +329,40 @@ def run_classical(cfg: SuiteConfig) -> SuiteReport:
     checks.below("diagonal-metric", worst_metric, 1e-11)
     checks.below("sphere-pullback", worst_pull, 1e-12)
     checks.below("transport-duality", worst_dual, 1e-12)
-    return _finish("classical", cfg, checks, t0)
 
 
-def run_skew_identity(cfg: SuiteConfig) -> SuiteReport:
+@_suite("skew-identity")
+def run_skew_identity(cfg: SuiteConfig, checks: _Checks):
     """Metric norm of i[rho, A] equals four times the skew information."""
-    t0 = time.perf_counter()
-    checks = _Checks(cfg)
     dims = [n for n in cfg.n_values if n <= 5] or [2]
     worst = 0.0
     for t in range(cfg.trials):
         n = dims[t % len(dims)]
-        seed = int(rng_from(cfg.seed, t).integers(2**63))
+        seed = checks.seed(t)
         rho = random_density(n, seed)
         a = random_tangent(n, seed + 1)
         resid = skew_identity_residual(rho, a)
         worst = max(worst, resid / (1.0 + 4.0 * abs(skew_information(rho, a))))
     checks.below("skew-identity", worst, 1e-9)
-    return _finish("skew-identity", cfg, checks, t0)
 
 
-def run_alpha(cfg: SuiteConfig) -> SuiteReport:
+@_suite("alpha")
+def run_alpha(cfg: SuiteConfig, checks: _Checks):
     """Connection parameters of the catalog convex functions."""
-    t0 = time.perf_counter()
-    checks = _Checks(cfg)
     checks.close("alpha-g_wy", 0.0, alpha_parameter(g_entry("g_wy")), 1e-12)
     checks.close("alpha-g_umegaki", -1.0, alpha_parameter(g_entry("g_umegaki")), 1e-12)
-    return _finish("alpha", cfg, checks, t0)
 
 
-def run_distance_bound(cfg: SuiteConfig) -> SuiteReport:
+@_suite("distance-bound")
+def run_distance_bound(cfg: SuiteConfig, checks: _Checks):
     """wy distance never exceeds 2 pi; arccos clamping stays in its window."""
-    t0 = time.perf_counter()
-    checks = _Checks(cfg)
     dims = list(cfg.n_values) or [2]
     worst_d = 0.0
     worst_clamp = 0.0
     clamp_events = 0
     for t in range(cfg.trials):
         n = dims[t % len(dims)]
-        seed = int(rng_from(cfg.seed, t).integers(2**63))
+        seed = checks.seed(t)
         d, clamp = wy_distance_audit(random_density(n, seed), random_density(n, seed + 1))
         worst_d = max(worst_d, d)
         worst_clamp = max(worst_clamp, clamp)
@@ -370,21 +370,7 @@ def run_distance_bound(cfg: SuiteConfig) -> SuiteReport:
     checks.below("distance-bound", worst_d, 2.0 * np.pi)
     checks.below("clamp-max", worst_clamp, CLAMP_WINDOW)
     checks.below("clamp-events", float(clamp_events), float(cfg.trials))
-    return _finish("distance-bound", cfg, checks, t0)
 
-
-SUITES: Dict[str, Callable[[SuiteConfig], SuiteReport]] = {
-    "wy-curvature": run_wy_curvature,
-    "pullback": run_pullback,
-    "hessian": run_hessian,
-    "monotonicity": run_monotonicity,
-    "geodesic-length": run_geodesic_length,
-    "dual-pairs": run_dual_pairs,
-    "classical": run_classical,
-    "skew-identity": run_skew_identity,
-    "alpha": run_alpha,
-    "distance-bound": run_distance_bound,
-}
 
 SUITE_DEFAULTS: Dict[str, dict] = {
     "wy-curvature": {"n_values": (2, 3, 4), "trials": 20},

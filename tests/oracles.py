@@ -1,8 +1,9 @@
 """Independent numerical oracles used by the tests.
 
 These stay deliberately separate from the library code paths they check:
-curvature from raw metric samples via coordinate finite differences, and a
-plain classical Kullback-Leibler sum.
+curvature from raw metric samples via coordinate finite differences, a
+plain classical Kullback-Leibler sum, and the per-sample path-length loop
+that the batched `path_length` must reproduce bit for bit.
 """
 
 import numpy as np
@@ -87,3 +88,23 @@ def classical_g_divergence(p, q, g):
     p = np.asarray(p, float)
     q = np.asarray(q, float)
     return float(np.sum(p * g(q / p)))
+
+
+def path_length_per_sample(entry, sampler, steps):
+    """Trapezoid length with one eigendecomposition and contraction per sample."""
+    h = 1.0 / steps
+    ts = np.linspace(0.0, 1.0, steps + 1)
+    states = [np.asarray(sampler(float(t)), dtype=complex) for t in ts]
+    speeds = np.empty(steps + 1)
+    for k in range(steps + 1):
+        if k == 0:
+            v = (-3.0 * states[0] + 4.0 * states[1] - states[2]) / (2.0 * h)
+        elif k == steps:
+            v = (3.0 * states[-1] - 4.0 * states[-2] + states[-3]) / (2.0 * h)
+        else:
+            v = (states[k + 1] - states[k - 1]) / (2.0 * h)
+        w, u = np.linalg.eigh(states[k])
+        vt = u.conj().T @ v @ u
+        kmat = np.asarray(entry.c(w[:, None], w[None, :]), dtype=float)
+        speeds[k] = np.sqrt(max(float(np.real(np.sum(kmat * np.abs(vt) ** 2))), 0.0))
+    return float(h * (np.sum(speeds) - 0.5 * (speeds[0] + speeds[-1])))

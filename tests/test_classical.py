@@ -39,6 +39,12 @@ def test_probability_vector_rejects_boundary():
         classical.probability_vector([0.5, 0.4])
 
 
+def test_probability_vector_rejects_non_finite():
+    with pytest.raises(InvariantViolation) as exc:
+        classical.probability_vector([np.nan, 0.5])
+    assert exc.value.invariant == "finite"
+
+
 def test_score_vector_must_be_centered():
     with pytest.raises(InvariantViolation):
         classical.ScoreVector(np.array([1.0, 1.0]), np.array([0.5, 0.5]))

@@ -119,6 +119,16 @@ def test_distance_validation_failure_exit_2(tmp_path, state_files):
     assert "unit-trace" in res.stderr
 
 
+def test_distance_non_finite_state_exit_2(tmp_path, state_files):
+    a, _ = state_files
+    bad = tmp_path / "nan.json"
+    nan = float("nan")
+    bad.write_text(json.dumps({"n": 2, "re": [[0.5, nan], [nan, 0.5]], "im": [[0, 0], [0, 0]]}))
+    res = run_cli("distance", str(bad), a)
+    assert res.returncode == 2
+    assert "finite" in res.stderr
+
+
 def test_distance_malformed_file_exit_2(tmp_path, state_files):
     a, _ = state_files
     bad = tmp_path / "bad.json"

@@ -5,10 +5,10 @@ import pytest
 
 from oracles import fd_scalar_curvature, traceless_hermitian_basis
 from wyinfo.curvature import (
+    scal1_shift,
     scal_aux_terms,
     scalar_curvature,
     wy_aux_closed_forms,
-    wy_scal1_constant,
 )
 from wyinfo.linalg import random_density, random_unitary
 from wyinfo.monotone import catalog, catalog_entry, metric_eval
@@ -92,7 +92,7 @@ def test_symmetrized_combination_vanishes_to_machine_precision():
 def test_wy_curvature_constant_all_dims():
     wy = catalog_entry("wy")
     for n in (2, 3, 4):
-        expected = wy_scal1_constant(n)
+        expected = scal1_shift(n)
         for trial in range(20):
             rep = scalar_curvature(wy, random_density(n, 100 * n + trial))
             assert abs(rep.scal1 - expected) <= 1e-6 * n**4
@@ -106,7 +106,7 @@ def test_wy_curvature_near_degenerate_spectra():
         for eps in (1e-2, 1e-5, 1e-9):
             rho = (1.0 - eps) * np.eye(n) / n + eps * base
             rep = scalar_curvature(wy, rho)
-            assert abs(rep.scal1 - wy_scal1_constant(n)) <= 1e-6 * n**4
+            assert abs(rep.scal1 - scal1_shift(n)) <= 1e-6 * n**4
 
 
 def test_wy_constancy_across_all_gap_scales():

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import path_length_per_sample
+
 from wyinfo.errors import InvariantViolation
 from wyinfo.geometry import (
     double_sqrt_function,
@@ -206,10 +208,23 @@ def test_path_length_second_order_convergence():
 
 def test_path_length_rejects_bad_sample():
     rho = random_density(2, 42)
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation) as exc:
         path_length(WY, lambda t: rho * (1.0 + 0.1 * t), steps=100)
+    assert exc.value.invariant == "density-sample"
+    negative = np.diag([1.5, -0.5]).astype(complex)
+    with pytest.raises(InvariantViolation) as exc:
+        path_length(WY, lambda t: rho if t < 0.5 else negative, steps=1000)
+    assert exc.value.invariant == "density-sample"
+    assert "eigenvalue" in str(exc.value)
     with pytest.raises(InvariantViolation):
         path_length(WY, lambda t: rho, steps=10)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("steps", [100, 1000, 1001])
+def test_path_length_equals_per_sample_reference(n, steps):
+    path = wy_geodesic(random_density(n, 60 + n), random_density(n, 70 + n))
+    assert path_length(WY, path, steps=steps) == path_length_per_sample(WY, path.sampler, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +249,19 @@ def test_general_pullback_matches_kernel_formulation():
         via_kernel = pullback_differential(rho, a)
         worst = max(worst, np.max(np.abs(via_split - via_kernel)))
     assert worst <= 1e-9
+
+
+def test_general_pullback_stable_at_small_eigenvalue_gap():
+    # a gap just above the degeneracy threshold, where dividing by the gap
+    # loses half the digits
+    phi = double_sqrt_function()
+    u = random_unitary(3, 7)
+    a = random_tangent(3, 8)
+    w = np.array([0.3, 0.3 + 2e-8, 0.4 - 2e-8])
+    rho = (u * w) @ u.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    diff = general_pullback_differential(phi, rho, a) - pullback_differential(rho, a)
+    assert np.max(np.abs(diff)) <= 1e-12
 
 
 def test_general_pullback_commuting_log():

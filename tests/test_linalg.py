@@ -50,6 +50,17 @@ def test_assert_density_rejects_trace_and_positivity():
     assert exc.value.invariant == "strict-positivity"
 
 
+def test_validators_reject_non_finite_entries():
+    nan_off = np.array([[0.5, np.nan], [np.nan, 0.5]], dtype=complex)
+    for check in (assert_hermitian, assert_density, assert_tangent):
+        with pytest.raises(InvariantViolation) as exc:
+            check(nan_off)
+        assert exc.value.invariant == "finite"
+    with pytest.raises(InvariantViolation) as exc:
+        assert_tangent(np.diag([np.inf, -np.inf]))
+    assert exc.value.invariant == "finite"
+
+
 def test_assert_tangent_rejects_trace():
     with pytest.raises(InvariantViolation) as exc:
         assert_tangent(np.eye(2))
@@ -103,6 +114,33 @@ def test_matrix_function_domain_error():
     rho = np.diag([0.5, 0.5]).astype(complex)
     with pytest.raises(DomainError):
         matrix_function(rho, lambda x: np.log(x - 0.5))
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_stacked_spectral_core_matches_slices_bitwise(n):
+    rhos = np.stack([random_density(n, 10 * n + k) for k in range(5)])
+    xs = np.stack([random_tangent(n, 20 * n + k) for k in range(5)])
+    kernel = catalog_entry("bkm").c
+    w, u = spectral_decompose(rhos)
+    roots = matrix_function(rhos, np.sqrt)
+    out = apply_kernel_superop(rhos, kernel, xs)
+    for k in range(5):
+        wk, uk = spectral_decompose(rhos[k])
+        assert np.array_equal(w[k], wk) and np.array_equal(u[k], uk)
+        assert np.array_equal(roots[k], matrix_function(rhos[k], np.sqrt))
+        assert np.array_equal(out[k], apply_kernel_superop(rhos[k], kernel, xs[k]))
+
+
+def test_spectral_callables_must_broadcast():
+    rho = random_density(3, 0)
+    calls = (
+        lambda: matrix_function(rho, lambda x: np.ones(4)),
+        lambda: apply_kernel_superop(rho, lambda a, b: np.ones((2, 2)), rho),
+    )
+    for call in calls:
+        with pytest.raises(InvariantViolation) as exc:
+            call()
+        assert exc.value.invariant == "vectorized"
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +268,12 @@ def test_random_kraus_channel_isometry_residual():
         ch = random_kraus_channel(2, 2, 2, seed)
         s = sum(k.conj().T @ k for k in ch.kraus)
         assert np.max(np.abs(s - np.eye(2))) <= 1e-10
+
+
+def test_kraus_channel_rejects_non_finite():
+    with pytest.raises(InvariantViolation) as exc:
+        KrausChannel(kraus=(np.diag([1.0, np.nan]),), input_dim=2, output_dim=2)
+    assert exc.value.invariant == "finite"
 
 
 def test_kraus_channel_rejects_non_trace_preserving():
