@@ -1,13 +1,23 @@
 #!/usr/bin/env python3
 """Run every verification suite at its default scale and print a summary table.
 
+Each suite runs through `wyinfo verify`'s own entry point; the sha256 column
+is the digest of that command's exact stdout, so two commits give the same
+digest exactly when their reports are byte-identical.
+
 Usage: python scripts/verify_all.py [--seed N] [--fast]
 """
 
 import argparse
+import contextlib
+import hashlib
+import io
+import json
 import sys
+import time
 
-from wyinfo.suites import SUITES, default_config, run_suite
+from wyinfo import cli
+from wyinfo.suites import SUITES
 
 FAST_TRIALS = {"monotonicity": 50, "distance-bound": 500, "geodesic-length": 4,
                "hessian": 10, "pullback": 20, "dual-pairs": 50}
@@ -20,19 +30,28 @@ def main():
                         help="reduced trial counts for a quick sanity pass")
     args = parser.parse_args()
 
-    print(f"{'suite':<18} {'status':<6} {'time':>8}  worst check")
-    print("-" * 72)
+    print(f"{'suite':<18} {'status':<6} {'time':>8}  {'sha256 of stdout':<64}  worst check")
+    print("-" * 140)
     all_ok = True
     for name in SUITES:
-        trials = FAST_TRIALS.get(name) if args.fast else None
-        report = run_suite(default_config(name, seed=args.seed, trials=trials))
-        all_ok &= report.passed
-        worst = max(report.checks,
-                    key=lambda c: abs(c.actual - c.expected) / (abs(c.tolerance) + 1e-300))
-        status = "ok" if report.passed else "FAIL"
-        print(f"{name:<18} {status:<6} {report.wall_time:>7.2f}s  "
-              f"{worst.name}: actual={worst.actual:.3e} tol={worst.tolerance:.1e}")
-    print("-" * 72)
+        argv = ["verify", name, "--seed", str(args.seed)]
+        if args.fast and name in FAST_TRIALS:
+            argv += ["--trials", str(FAST_TRIALS[name])]
+        out = io.StringIO()
+        t0 = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        elapsed = time.perf_counter() - t0
+        stdout = out.getvalue()
+        all_ok &= code == 0
+        checks = json.loads(stdout)["checks"]
+        worst = max(checks,
+                    key=lambda c: abs(c["actual"] - c["expected"]) / (abs(c["tolerance"]) + 1e-300))
+        digest = hashlib.sha256(stdout.encode()).hexdigest()
+        status = "ok" if code == 0 else "FAIL"
+        print(f"{name:<18} {status:<6} {elapsed:>7.2f}s  {digest}  "
+              f"{worst['name']}: actual={worst['actual']:.3e} tol={worst['tolerance']:.1e}")
+    print("-" * 140)
     print("all suites passed" if all_ok else "FAILURES above")
     return 0 if all_ok else 1
 

@@ -79,7 +79,7 @@ def cmd_geodesic(args) -> int:
     sigma = matio.load_density(args.file_b)
     path = wy_geodesic(rho, sigma)
     ts = [k / (args.samples - 1) for k in range(args.samples)]
-    states = [path.sampler(t) for t in ts]
+    states = path.sampler(np.asarray(ts))
     print(_dump({"t": ts, "states": [matio.matrix_to_obj(s) for s in states]}))
     return 0
 

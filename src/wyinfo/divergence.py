@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, InvariantViolation, StepTooLargeError
-from .linalg import matrix_function, spectral_decompose
+from .linalg import matrix_function, spectral_decompose, spectral_function
 from .monotone import MonotoneFunctionEntry, metric_eval
 
 # |x - 1| window where f_g switches to its removable-singularity series.
@@ -64,7 +64,12 @@ def g_entry(g_id: str) -> OperatorConvexG:
 
 def relative_modular_apply(rho, sigma, g: Callable, x) -> np.ndarray:
     """g(L_sigma R_rho^{-1}) applied to X: entrywise g(mu_i / lambda_j) in mixed bases."""
-    lam, u = spectral_decompose(rho)
+    return _modular_apply(spectral_decompose(rho), sigma, g, x)
+
+
+def _modular_apply(rho_decomposition, sigma, g: Callable, x) -> np.ndarray:
+    """relative_modular_apply with the eigendecomposition of rho already made."""
+    lam, u = rho_decomposition
     mu, v = spectral_decompose(sigma)
     xt = v.conj().T @ np.asarray(x, dtype=complex) @ u
     with np.errstate(all="ignore"):
@@ -76,8 +81,9 @@ def relative_modular_apply(rho, sigma, g: Callable, x) -> np.ndarray:
 
 def relative_g_entropy(rho, sigma, g: OperatorConvexG) -> float:
     """H_g(rho, sigma) = Tr(sqrt(rho) g(Delta)(sqrt(rho))); zero at rho = sigma."""
-    root = matrix_function(rho, np.sqrt)
-    return float(np.real(np.trace(root @ relative_modular_apply(rho, sigma, g.g, root))))
+    rho_decomposition = spectral_decompose(rho)
+    root = spectral_function(rho_decomposition, np.sqrt)
+    return float(np.real(np.trace(root @ _modular_apply(rho_decomposition, sigma, g.g, root))))
 
 
 def monotone_from_convex(g: OperatorConvexG) -> MonotoneFunctionEntry:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .linalg import (
+    BLOCK_ENTRIES,
     apply_kernel_superop,
     hs_inner,
     matrix_function,
@@ -29,9 +30,6 @@ from .monotone import MonotoneFunctionEntry, sampled_operator_monotonicity
 
 # Window for clamping arccos arguments; amounts beyond it indicate a bug.
 CLAMP_WINDOW = 1e-12
-# Matrix entries per block of stacked samples in path_length (256 samples at
-# n = 3): stacking every sample of a long path at once raises peak memory.
-PATH_BLOCK_ENTRIES = 2304
 
 
 def _sqrt_kernel(x, y):
@@ -54,14 +52,21 @@ def pullback_metric(rho, a, b) -> float:
 
 
 def wy_distance_audit(rho, sigma):
-    """(distance, clamp_amount): 2 arccos Tr(sqrt(rho) sqrt(sigma)) with clamping audit."""
-    arg = float(np.real(np.trace(
-        matrix_function(rho, np.sqrt) @ matrix_function(sigma, np.sqrt))))
-    clamped = min(1.0, max(-1.0, arg))
-    return 2.0 * float(np.arccos(clamped)), abs(arg - clamped)
+    """(distance, clamp_amount): 2 arccos Tr(sqrt(rho) sqrt(sigma)) with clamping audit.
+
+    Two states give two floats; two stacks (..., n, n) give two arrays over
+    the stack, each entry the same bits as its pair alone.
+    """
+    prod = matrix_function(rho, np.sqrt) @ matrix_function(sigma, np.sqrt)
+    arg = np.real(np.trace(prod, axis1=-2, axis2=-1))
+    clamped = np.minimum(1.0, np.maximum(-1.0, arg))
+    dist, amount = 2.0 * np.arccos(clamped), np.abs(arg - clamped)
+    if np.ndim(dist):
+        return dist, amount
+    return float(dist), float(amount)
 
 
-def wy_distance(rho, sigma) -> float:
+def wy_distance(rho, sigma):
     """Geodesic distance of the skew-information metric; at most 2 pi."""
     return wy_distance_audit(rho, sigma)[0]
 
@@ -70,23 +75,26 @@ def wy_distance(rho, sigma) -> float:
 class GeodesicPath:
     endpoint_a: np.ndarray
     endpoint_b: np.ndarray
-    sampler: Callable  # t in [0, 1] -> density matrix
+    sampler: Callable  # t in [0, 1] -> density matrix; an array of t -> a stack
 
 
 def wy_geodesic(rho, sigma) -> GeodesicPath:
     """Geodesic t -> M(t)^2 / Tr M(t)^2 with M(t) = (1-t) sqrt(rho) + t sqrt(sigma).
 
     Normalized so every sample has unit trace; endpoints reproduce the inputs.
+    The sampler takes one t, giving (n, n), or an array of t, giving the
+    stack (..., n, n) whose slices are the same bits as one-t samples.
     """
     ra = np.asarray(rho, dtype=complex)
     rb = np.asarray(sigma, dtype=complex)
     sa = matrix_function(ra, np.sqrt)
     sb = matrix_function(rb, np.sqrt)
 
-    def sample(t: float) -> np.ndarray:
+    def sample(t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)[..., None, None]
         m = (1.0 - t) * sa + t * sb
         m2 = m @ m
-        return m2 / np.trace(m2).real
+        return m2 / np.trace(m2, axis1=-2, axis2=-1).real[..., None, None]
 
     return GeodesicPath(ra, rb, sample)
 
@@ -109,23 +117,26 @@ def path_length(entry: MonotoneFunctionEntry, path, steps: int = 1000) -> float:
 
     Velocities come from central differences on the sample grid (one-sided,
     second order, at the ends).  Doubling `steps` shrinks the error by ~4x.
+    A GeodesicPath's sampler is called on blocks of t; any other `path` is
+    a callable t -> density matrix, called once per grid point.
     """
     if steps < 100:
         raise InvariantViolation("steps", f"{steps} < 100")
-    sampler = path.sampler if isinstance(path, GeodesicPath) else path
+    sampler = path.sampler if isinstance(path, GeodesicPath) else (
+        lambda block: [path(float(t)) for t in block])
     h = 1.0 / steps
     ts = np.linspace(0.0, 1.0, steps + 1)
-    first = np.asarray(sampler(float(ts[0])), dtype=complex)
-    states = np.empty((steps + 1, *first.shape), dtype=complex)
-    states[0] = first
-    for k in range(1, steps + 1):
-        states[k] = sampler(float(ts[k]))
+    first = np.asarray(sampler(ts[:1]), dtype=complex)
+    rows = max(1, BLOCK_ENTRIES // first[0].size)
+    states = np.empty((steps + 1, *first.shape[1:]), dtype=complex)
+    states[0] = first[0]
+    for lo in range(1, steps + 1, rows):
+        states[lo:lo + rows] = sampler(ts[lo:lo + rows])
     tr = np.trace(states, axis1=-2, axis2=-1).real
     off = np.flatnonzero(np.abs(tr - 1.0) > 1e-10)
     if off.size:
         raise InvariantViolation("density-sample", f"trace {tr[off[0]]:.12f} at t={ts[off[0]]}")
     speeds = np.empty(steps + 1)
-    rows = max(1, PATH_BLOCK_ENTRIES // first.size)
     for lo in range(0, steps + 1, rows):
         block = slice(lo, lo + rows)
         w, u = spectral_decompose(states[block])

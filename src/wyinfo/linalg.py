@@ -28,6 +28,9 @@ DEGENERACY_GAP_RTOL = 1e-8
 # random_density mixes with I/n at this weight so spectra stay away from the
 # boundary of the positive cone.
 DENSITY_FLOOR_EPS = 1e-3
+# Matrix entries per block when a long run of samples or trials is stacked
+# (256 matrices at n = 3): stacking all of them at once raises peak memory.
+BLOCK_ENTRIES = 2304
 
 
 def rng_from(seed: int, *stream: int) -> np.random.Generator:
@@ -108,7 +111,12 @@ def on_spectrum_grid(fn: Callable, shape: tuple, *grids) -> np.ndarray:
 
 def matrix_function(h, phi: Callable) -> np.ndarray:
     """Apply a scalar function to Hermitian matrices: U diag(phi(w)) U^dag."""
-    w, u = spectral_decompose(h)
+    return spectral_function(spectral_decompose(h), phi)
+
+
+def spectral_function(decomposition: SpectralDecomposition, phi: Callable) -> np.ndarray:
+    """U diag(phi(w)) U^dag from a decomposition already made (see matrix_function)."""
+    w, u = decomposition
     with np.errstate(all="ignore"):
         fw = on_spectrum_grid(phi, w.shape, w)
     if not np.isfinite(fw).all():
@@ -238,15 +246,22 @@ def haar_unitary(rows: int, rng: np.random.Generator, cols: int | None = None) -
     return q * (d / np.abs(d))
 
 
-def random_density(n: int, seed: int, floor_eps: float = DENSITY_FLOOR_EPS) -> np.ndarray:
-    """Wishart-style random density, mixed with I/n so eigenvalues >= floor_eps/n."""
+def random_density(n: int, seed, floor_eps: float = DENSITY_FLOOR_EPS) -> np.ndarray:
+    """Wishart-style random density, mixed with I/n so eigenvalues >= floor_eps/n.
+
+    One seed gives one state (n, n); a sequence of seeds gives a stack
+    (k, n, n) whose slice i is, bit for bit, the state of seed i alone.
+    """
     if n < 2:
         raise InvariantViolation("dimension", f"n={n} < 2")
-    g = _complex_gaussian(rng_from(seed), n, n)
-    rho = g @ g.conj().T
-    rho /= np.trace(rho).real
+    if np.ndim(seed):
+        g = np.stack([_complex_gaussian(rng_from(s), n, n) for s in seed])
+    else:
+        g = _complex_gaussian(rng_from(seed), n, n)
+    rho = g @ g.conj().swapaxes(-1, -2)
+    rho /= np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
     rho = (1.0 - floor_eps) * rho + floor_eps * np.eye(n) / n
-    return 0.5 * (rho + rho.conj().T)
+    return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
 
 
 def random_unitary(n: int, seed: int) -> np.ndarray:

@@ -2,11 +2,15 @@
 
 These stay deliberately separate from the library code paths they check:
 curvature from raw metric samples via coordinate finite differences, a
-plain classical Kullback-Leibler sum, and the per-sample path-length loop
-that the batched `path_length` must reproduce bit for bit.
+plain classical Kullback-Leibler sum, the per-sample path-length loop that
+the batched `path_length` must reproduce bit for bit, and the per-pair
+distance-bound loop that the block-drawn suite must reproduce likewise.
 """
 
 import numpy as np
+
+from wyinfo.geometry import wy_distance_audit
+from wyinfo.linalg import random_density, rng_from
 
 
 def traceless_hermitian_basis(n: int):
@@ -108,3 +112,19 @@ def path_length_per_sample(entry, sampler, steps):
         kmat = np.asarray(entry.c(w[:, None], w[None, :]), dtype=float)
         speeds[k] = np.sqrt(max(float(np.real(np.sum(kmat * np.abs(vt) ** 2))), 0.0))
     return float(h * (np.sum(speeds) - 0.5 * (speeds[0] + speeds[-1])))
+
+
+def distance_bound_per_pair(cfg):
+    """(worst distance, worst clamp, clamp events) of the distance-bound suite, pair by pair."""
+    dims = list(cfg.n_values) or [2]
+    worst_d = 0.0
+    worst_clamp = 0.0
+    clamp_events = 0
+    for t in range(cfg.trials):
+        n = dims[t % len(dims)]
+        seed = int(rng_from(cfg.seed, t).integers(2**63))
+        d, clamp = wy_distance_audit(random_density(n, seed), random_density(n, seed + 1))
+        worst_d = max(worst_d, d)
+        worst_clamp = max(worst_clamp, clamp)
+        clamp_events += clamp > 0.0
+    return worst_d, worst_clamp, clamp_events

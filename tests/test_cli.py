@@ -8,6 +8,7 @@ import pytest
 
 from wyinfo import matio
 from wyinfo.errors import InvariantViolation
+from wyinfo.geometry import wy_geodesic
 from wyinfo.linalg import random_density, random_tangent
 
 
@@ -145,6 +146,19 @@ def test_geodesic_two_samples_are_endpoints(state_files, tmp_path):
     assert payload["t"] == [0.0, 1.0]
     first = matio.obj_to_matrix(payload["states"][0])
     assert np.allclose(first, np.diag([0.9, 0.1]), atol=1e-10)
+
+
+def test_geodesic_output_equals_per_t_samples(tmp_path):
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    matio.save_matrix(a, random_density(3, 5))
+    matio.save_matrix(b, random_density(3, 6))
+    res = run_cli("geodesic", str(a), str(b), "--samples", "7")
+    assert res.returncode == 0
+    path = wy_geodesic(matio.load_density(str(a)), matio.load_density(str(b)))
+    ts = [k / 6 for k in range(7)]
+    expected = {"t": ts, "states": [matio.matrix_to_obj(path.sampler(t)) for t in ts]}
+    assert res.stdout == json.dumps(expected, separators=(", ", ": ")) + "\n"
 
 
 def test_geodesic_rejects_single_sample(state_files):

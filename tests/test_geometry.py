@@ -136,6 +136,19 @@ def test_distance_triangle_inequality_sampled():
         assert wy_distance(rho, tau) <= wy_distance(rho, sig) + wy_distance(sig, tau) + 1e-9
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_wy_distance_audit_stack_equals_per_pair(n):
+    rhos = random_density(n, list(range(12)))
+    sigmas = random_density(n, list(range(100, 112)))
+    sigmas[:4] = rhos[:4]  # equal pairs, where the arccos argument can need clamping
+    dist, clamp = wy_distance_audit(rhos, sigmas)
+    pairs = [wy_distance_audit(r, s) for r, s in zip(rhos, sigmas)]
+    assert all(isinstance(v, float) for pair in pairs for v in pair)
+    assert np.all(dist == [d for d, _ in pairs])
+    assert np.all(clamp == [c for _, c in pairs])
+    assert np.all(wy_distance(rhos, sigmas) == dist)
+
+
 def test_distance_bounded_by_two_pi():
     for trial in range(200):
         d = wy_distance(random_density(2, trial), random_density(2, trial + 1))
@@ -156,6 +169,16 @@ def test_geodesic_endpoints_and_trace():
         g = path.sampler(float(t))
         assert abs(np.trace(g).real - 1.0) <= 1e-10
         assert np.linalg.eigvalsh(g)[0] > -1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_geodesic_sampler_stack_equals_per_t(n):
+    path = wy_geodesic(random_density(n, 80 + n), random_density(n, 90 + n))
+    ts = np.concatenate((np.linspace(0.0, 1.0, 33), np.random.default_rng(n).random(7)))
+    stack = path.sampler(ts)
+    assert stack.shape == (len(ts), n, n)
+    assert np.all(stack == np.stack([path.sampler(float(t)) for t in ts]))
+    assert np.all(path.sampler(ts.reshape(5, 8)) == stack.reshape(5, 8, n, n))
 
 
 def test_geodesic_constant_for_equal_endpoints():

@@ -250,6 +250,15 @@ def test_random_generators_deterministic():
     assert all(np.array_equal(x, y) for x, y in zip(ka.kraus, kb.kraus))
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_random_density_seed_sequence_equals_per_seed(n):
+    # Python-int seeds up to and past 2**63, which int64 cannot hold
+    seeds = [0, 1, 7, 2**32, 2**63 - 1, 2**63, 2**64 - 1]
+    stack = random_density(n, seeds)
+    assert stack.shape == (len(seeds), n, n)
+    assert np.all(stack == np.stack([random_density(n, s) for s in seeds]))
+
+
 def test_random_density_floor_and_validity():
     for seed in range(100):
         rho = random_density(3, seed)

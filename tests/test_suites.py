@@ -1,5 +1,7 @@
 import pytest
 
+from oracles import distance_bound_per_pair
+
 from wyinfo.errors import InvariantViolation
 from wyinfo.suites import SUITES, SuiteConfig, default_config, run_suite
 
@@ -25,6 +27,14 @@ def test_all_registered_suites_pass_at_smoke_scale():
             report = run_suite(SuiteConfig(suite=name, seed=1, **kwargs))
         assert report.passed, f"{name}: {[c.as_dict() for c in report.checks if not c.passed]}"
         assert report.suite == name
+
+
+@pytest.mark.parametrize("seed, n_values", [(0, None), (1, None), (2, None), (0, (5,))])
+def test_distance_bound_equals_per_pair_reference(seed, n_values):
+    # (5,) puts 200 trials in three blocks of one dimension
+    cfg = default_config("distance-bound", seed=seed, n_values=n_values, trials=200)
+    report = run_suite(cfg)
+    assert tuple(c.actual for c in report.checks) == distance_bound_per_pair(cfg)
 
 
 def test_unknown_suite_raises():
