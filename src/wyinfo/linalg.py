@@ -138,13 +138,17 @@ def apply_kernel_superop(rho, kernel: Callable, x) -> np.ndarray:
     return u @ (k * xt) @ uh
 
 
-def hs_inner(a, b) -> float:
-    """Hilbert-Schmidt inner product Tr(A^dag B); real for Hermitian arguments."""
+def hs_inner(a, b):
+    """Hilbert-Schmidt inner product Tr(A^dag B); real for Hermitian arguments.
+
+    Two matrices give a float; two stacks (..., n, n) give an array over the stack.
+    """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise InvariantViolation("shape-match", f"{a.shape} vs {b.shape}")
-    return float(np.real(np.sum(a.conj() * b)))
+    ip = np.real(np.sum(a.conj() * b, axis=(-2, -1)))
+    return float(ip) if ip.ndim == 0 else ip
 
 
 def hs_norm(a) -> float:
@@ -194,38 +198,57 @@ def tangent_split(rho, a) -> TangentSplit:
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A trace-preserving completely positive map given by Kraus matrices."""
+    """A trace-preserving completely positive map given by Kraus matrices.
 
-    kraus: tuple
+    ``kraus`` holds the r Kraus matrices as an array (r, out, in); a stack
+    (..., r, out, in) is a stack of channels with the same Kraus count, and
+    every channel in it is validated.
+    """
+
+    kraus: np.ndarray
     input_dim: int
     output_dim: int
 
     def __post_init__(self):
-        ks = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
+        try:
+            ks = np.asarray(self.kraus, dtype=complex)
+        except ValueError:  # ragged: Kraus matrices of different shapes
+            raise InvariantViolation("kraus-shape", "Kraus matrices differ in shape") from None
         object.__setattr__(self, "kraus", ks)
-        if not ks:
+        if ks.shape == (0,) or (ks.ndim >= 3 and ks.shape[-3] == 0):
             raise InvariantViolation("kraus-nonempty", "no Kraus operators")
-        for k in ks:
-            if k.shape != (self.output_dim, self.input_dim):
-                raise InvariantViolation(
-                    "kraus-shape", f"{k.shape} != ({self.output_dim}, {self.input_dim})")
-            if not np.all(np.isfinite(k)):
-                raise InvariantViolation("finite", "Kraus operator has NaN or infinite entries")
-        s = sum(k.conj().T @ k for k in ks)
-        resid = float(np.max(np.abs(s - np.eye(self.input_dim))))
-        if resid > 1e-10:
-            raise InvariantViolation("trace-preserving", f"sum K^dag K residual {resid:.3e}")
+        if ks.ndim < 3 or ks.shape[-2:] != (self.output_dim, self.input_dim):
+            raise InvariantViolation(
+                "kraus-shape", f"{ks.shape} is not (..., r, {self.output_dim}, {self.input_dim})")
+        bad = ~np.isfinite(ks).all(axis=(-3, -2, -1))
+        if bad.any():
+            raise InvariantViolation(
+                "finite", f"Kraus operator has NaN or infinite entries{_where(bad)}")
+        s = np.sum(ks.conj().swapaxes(-1, -2) @ ks, axis=-3)
+        resid = np.max(np.abs(s - np.eye(self.input_dim)), axis=(-2, -1))
+        bad = resid > 1e-10
+        if bad.any():
+            raise InvariantViolation(
+                "trace-preserving",
+                f"sum K^dag K residual {float(np.max(resid)):.3e}{_where(bad)}")
+
+
+def _where(bad: np.ndarray) -> str:
+    """' in channel (i, ...)' naming the first flagged channel of a stack; '' for one channel."""
+    return f" in channel {tuple(int(i) for i in np.argwhere(bad)[0])}" if bad.ndim else ""
 
 
 def apply_channel(channel: KrausChannel, x) -> np.ndarray:
-    """Apply the channel: sum_i K_i X K_i^dag."""
+    """Apply the channel: sum_i K_i X K_i^dag, summed in Kraus order.
+
+    A stack of channels and a stack of matrices broadcast over their leading
+    dimensions; each slice gives the same bits as its channel and matrix alone.
+    """
     x = np.asarray(x, dtype=complex)
-    if x.shape != (channel.input_dim, channel.input_dim):
+    if x.shape[-2:] != (channel.input_dim, channel.input_dim):
         raise InvariantViolation("shape-match", f"{x.shape} vs input dim {channel.input_dim}")
-    out = np.zeros((channel.output_dim, channel.output_dim), dtype=complex)
-    for k in channel.kraus:
-        out += k @ x @ k.conj().T
-    return out
+    kraus = np.moveaxis(channel.kraus, -3, 0)
+    return sum(k @ x @ k.conj().swapaxes(-1, -2) for k in kraus)
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +259,31 @@ def _complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndar
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
+def _seeded_gaussian(seed, rows: int, cols: int) -> np.ndarray:
+    """One complex Gaussian (rows, cols) per seed, each from its own rng_from stream.
+
+    One seed gives one matrix; a sequence of seeds gives the stack (k, rows, cols).
+    Seeds stay Python ints, so any 64-bit seed works.
+    """
+    if np.ndim(seed):
+        return np.stack([_complex_gaussian(rng_from(s), rows, cols) for s in seed])
+    return _complex_gaussian(rng_from(seed), rows, cols)
+
+
+def _haar_from_gaussian(g: np.ndarray) -> np.ndarray:
+    """Phase-corrected Q of the QR of Ginibre matrices g (..., rows, cols): Haar isometries."""
+    rows, cols = g.shape[-2:]
+    if rows < cols:
+        raise InvariantViolation("isometry-dims", f"{rows} rows < {cols} cols")
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
 def haar_unitary(rows: int, rng: np.random.Generator, cols: int | None = None) -> np.ndarray:
     """Haar unitary, or Haar rows x cols isometry, by phase-corrected QR of a Ginibre matrix."""
     cols = rows if cols is None else cols
-    if rows < cols:
-        raise InvariantViolation("isometry-dims", f"{rows} rows < {cols} cols")
-    q, r = np.linalg.qr(_complex_gaussian(rng, rows, cols))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _haar_from_gaussian(_complex_gaussian(rng, rows, cols))
 
 
 def random_density(n: int, seed, floor_eps: float = DENSITY_FLOOR_EPS) -> np.ndarray:
@@ -254,10 +294,7 @@ def random_density(n: int, seed, floor_eps: float = DENSITY_FLOOR_EPS) -> np.nda
     """
     if n < 2:
         raise InvariantViolation("dimension", f"n={n} < 2")
-    if np.ndim(seed):
-        g = np.stack([_complex_gaussian(rng_from(s), n, n) for s in seed])
-    else:
-        g = _complex_gaussian(rng_from(seed), n, n)
+    g = _seeded_gaussian(seed, n, n)
     rho = g @ g.conj().swapaxes(-1, -2)
     rho /= np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
     rho = (1.0 - floor_eps) * rho + floor_eps * np.eye(n) / n
@@ -268,21 +305,29 @@ def random_unitary(n: int, seed: int) -> np.ndarray:
     return haar_unitary(n, rng_from(seed))
 
 
-def random_tangent(n: int, seed: int) -> np.ndarray:
-    """Gaussian Hermitian matrix projected onto trace zero."""
+def random_tangent(n: int, seed) -> np.ndarray:
+    """Gaussian Hermitian matrix projected onto trace zero.
+
+    One seed gives one tangent; a sequence of seeds gives a stack, as for
+    random_density.
+    """
     if n < 2:
         raise InvariantViolation("dimension", f"n={n} < 2")
-    m = _complex_gaussian(rng_from(seed), n, n)
-    h = 0.5 * (m + m.conj().T)
-    h -= (np.trace(h).real / n) * np.eye(n)
+    m = _seeded_gaussian(seed, n, n)
+    h = 0.5 * (m + m.conj().swapaxes(-1, -2))
+    h -= (np.trace(h, axis1=-2, axis2=-1).real / n)[..., None, None] * np.eye(n)
     return h
 
 
-def random_kraus_channel(n_in: int, n_out: int, env_dim: int, seed: int) -> KrausChannel:
-    """Channel from a Haar-random isometry C^n_in -> C^n_out (x) C^env, env traced out."""
+def random_kraus_channel(n_in: int, n_out: int, env_dim: int, seed) -> KrausChannel:
+    """Channel from a Haar-random isometry C^n_in -> C^n_out (x) C^env, env traced out.
+
+    One seed gives one channel with Kraus array (env_dim, n_out, n_in); a
+    sequence of seeds gives a stack of channels (k, env_dim, n_out, n_in),
+    slice i the same bits as the channel of seed i alone.
+    """
     if env_dim < 1:
         raise InvariantViolation("dimension", f"env_dim={env_dim} < 1")
-    v = haar_unitary(n_out * env_dim, rng_from(seed), cols=n_in)
-    v3 = v.reshape(n_out, env_dim, n_in)
-    kraus = tuple(v3[:, e, :] for e in range(env_dim))
+    v = _haar_from_gaussian(_seeded_gaussian(seed, n_out * env_dim, n_in))
+    kraus = v.reshape(*v.shape[:-2], n_out, env_dim, n_in).swapaxes(-3, -2)
     return KrausChannel(kraus=kraus, input_dim=n_in, output_dim=n_out)

@@ -17,7 +17,9 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .linalg import (
+    BLOCK_ENTRIES,
     KrausChannel,
+    _complex_gaussian,
     apply_channel,
     apply_kernel_superop,
     commutator,
@@ -165,8 +167,11 @@ def catalog_entry(function_id: str) -> MonotoneFunctionEntry:
 # Metric evaluation
 # ---------------------------------------------------------------------------
 
-def metric_eval(entry: MonotoneFunctionEntry, rho, a, b) -> float:
-    """Monotone metric <A, B> at rho: Tr(A c(L_rho, R_rho)(B))."""
+def metric_eval(entry: MonotoneFunctionEntry, rho, a, b):
+    """Monotone metric <A, B> at rho: Tr(A c(L_rho, R_rho)(B)).
+
+    A float for one state; stacks of states and tangents give an array.
+    """
     return hs_inner(a, apply_kernel_superop(rho, entry.c, b))
 
 
@@ -213,28 +218,36 @@ def sampled_operator_monotonicity(
     """Check f(A) <= f(B) on random pairs 0 <= A <= B, B = A + P^dag P.
 
     A violation is the smallest eigenvalue of f(B) - f(A) dipping below
-    -slack; violations are counted, never raised.
+    -slack; violations are counted, never raised.  Trial t draws its pair
+    from rng_from(seed, t); the trials are evaluated in stacked blocks.
     """
     if trials < 1:
         raise InvariantViolation("trials", f"{trials} < 1")
     violations = 0
     worst = np.inf
-    for t in range(trials):
-        rng = rng_from(seed, t)
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        p = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        a = g.conj().T @ g
-        pair = np.stack([a, a + p.conj().T @ p])
-        fa, fb = matrix_function(0.5 * (pair + pair.conj().swapaxes(-1, -2)), entry.f)
-        margin = float(np.linalg.eigvalsh(fb - fa)[0])
-        worst = min(worst, margin)
-        if margin < -slack:
-            violations += 1
+    rows = max(1, BLOCK_ENTRIES // (2 * n * n))
+    for lo in range(0, trials, rows):
+        rngs = [rng_from(seed, t) for t in range(lo, min(trials, lo + rows))]
+        # G then P from each trial's stream: (trials, 2, n, n)
+        gp = np.stack([[_complex_gaussian(rng, n, n) for _ in range(2)] for rng in rngs])
+        g, p = gp[:, 0], gp[:, 1]
+        a = g.conj().swapaxes(-1, -2) @ g
+        pair = np.stack([a, a + p.conj().swapaxes(-1, -2) @ p], axis=1)
+        f = matrix_function(0.5 * (pair + pair.conj().swapaxes(-1, -2)), entry.f)
+        margins = np.linalg.eigvalsh(f[:, 1] - f[:, 0])[:, 0]
+        worst = min(worst, float(np.min(margins)))
+        violations += int(np.count_nonzero(margins < -slack))
     return MonotonicityReport(entry.id, trials, violations, worst)
 
 
 @dataclass
 class ContractionResult:
+    """Metric values before and after a channel.
+
+    For stacks every field is an array over the stack, and ``skipped`` holds
+    None or the reason for each slice.
+    """
+
     g_before: float
     g_after: float
     refloored: bool = False
@@ -253,20 +266,28 @@ def contraction_check(
 
     If the mapped state loses strict positivity it is re-floored by mixing
     with I/n (recorded); if even that fails the check is skipped with reason.
+    A stack of channels, states and tangents is checked slice by slice, each
+    slice re-floored or skipped on its own, with the same bits as alone.
     """
     g_before = metric_eval(entry, rho, a, a)
     rho_out = apply_channel(channel, rho)
-    rho_out = 0.5 * (rho_out + rho_out.conj().T)
+    rho_out = 0.5 * (rho_out + rho_out.conj().swapaxes(-1, -2))
     a_out = apply_channel(channel, a)
-    a_out = 0.5 * (a_out + a_out.conj().T)
-    refloored = False
-    lo = float(np.linalg.eigvalsh(rho_out)[0])
-    if lo < min_eigenvalue:
+    a_out = 0.5 * (a_out + a_out.conj().swapaxes(-1, -2))
+    refloored = np.linalg.eigvalsh(rho_out)[..., 0] < min_eigenvalue
+    skipped = np.zeros_like(refloored)
+    if refloored.any():
         m = channel.output_dim
-        rho_out = (1.0 - refloor_eps) * rho_out + refloor_eps * np.eye(m) / m
-        refloored = True
-        lo = float(np.linalg.eigvalsh(rho_out)[0])
-        if lo <= 0.0:
-            return ContractionResult(g_before, np.nan, refloored, "output not full rank")
-    g_after = metric_eval(entry, rho_out, a_out, a_out)
-    return ContractionResult(g_before, g_after, refloored)
+        floored = (1.0 - refloor_eps) * rho_out + refloor_eps * np.eye(m) / m
+        rho_out = np.where(refloored[..., None, None], floored, rho_out)
+        skipped = refloored & (np.linalg.eigvalsh(rho_out)[..., 0] <= 0.0)
+    reason = "output not full rank"
+    if not refloored.shape:
+        if skipped:
+            return ContractionResult(g_before, np.nan, True, reason)
+        return ContractionResult(g_before, metric_eval(entry, rho_out, a_out, a_out),
+                                 bool(refloored))
+    g_after = np.full(refloored.shape, np.nan)
+    keep = ~skipped
+    g_after[keep] = metric_eval(entry, rho_out[keep], a_out[keep], a_out[keep])
+    return ContractionResult(g_before, g_after, refloored, np.where(skipped, reason, None))

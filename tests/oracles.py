@@ -3,14 +3,22 @@
 These stay deliberately separate from the library code paths they check:
 curvature from raw metric samples via coordinate finite differences, a
 plain classical Kullback-Leibler sum, the per-sample path-length loop that
-the batched `path_length` must reproduce bit for bit, and the per-pair
-distance-bound loop that the block-drawn suite must reproduce likewise.
+the batched `path_length` must reproduce bit for bit, and the per-pair and
+per-trial loops that the block-drawn distance-bound and monotonicity suites
+and the stacked `sampled_operator_monotonicity` must reproduce likewise.
 """
 
 import numpy as np
 
 from wyinfo.geometry import wy_distance_audit
-from wyinfo.linalg import random_density, rng_from
+from wyinfo.linalg import (
+    matrix_function,
+    random_density,
+    random_kraus_channel,
+    random_tangent,
+    rng_from,
+)
+from wyinfo.monotone import catalog, contraction_check
 
 
 def traceless_hermitian_basis(n: int):
@@ -128,3 +136,45 @@ def distance_bound_per_pair(cfg):
         worst_clamp = max(worst_clamp, clamp)
         clamp_events += clamp > 0.0
     return worst_d, worst_clamp, clamp_events
+
+
+def monotonicity_per_trial(cfg):
+    """(violations, skipped) per catalog entry of the monotonicity suite, trial by trial."""
+    dims = [n for n in cfg.n_values if n <= 3] or [2]
+    out = []
+    for ei, entry in enumerate(catalog()):
+        violations = 0
+        skipped = 0
+        for t in range(cfg.trials):
+            n = dims[t % len(dims)]
+            seed = int(rng_from(cfg.seed, ei, t).integers(2**63))
+            env = 1 + t % (n * n)
+            channel = random_kraus_channel(n, n, env, seed)
+            rho = random_density(n, seed + 1)
+            a = random_tangent(n, seed + 2)
+            res = contraction_check(entry, channel, rho, a)
+            if res.skipped:
+                skipped += 1
+                continue
+            if res.g_after - res.g_before - 1e-9 * (1.0 + res.g_before) > 0:
+                violations += 1
+        out += [float(violations), float(skipped)]
+    return tuple(out)
+
+
+def sampled_monotonicity_per_trial(entry, trials, n, seed, slack=1e-9):
+    """(violations, worst margin) of `sampled_operator_monotonicity`, one pair at a time."""
+    violations = 0
+    worst = np.inf
+    for t in range(trials):
+        rng = rng_from(seed, t)
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        p = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a = g.conj().T @ g
+        pair = np.stack([a, a + p.conj().T @ p])
+        fa, fb = matrix_function(0.5 * (pair + pair.conj().swapaxes(-1, -2)), entry.f)
+        margin = float(np.linalg.eigvalsh(fb - fa)[0])
+        worst = min(worst, margin)
+        if margin < -slack:
+            violations += 1
+    return violations, worst

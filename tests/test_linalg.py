@@ -20,7 +20,7 @@ from wyinfo.linalg import (
     spectral_decompose,
     tangent_split,
 )
-from wyinfo.monotone import catalog_entry
+from wyinfo.monotone import catalog_entry, metric_eval
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -259,6 +259,40 @@ def test_random_density_seed_sequence_equals_per_seed(n):
     assert np.all(stack == np.stack([random_density(n, s) for s in seeds]))
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_seeded_stacks_equal_per_seed(n):
+    seeds = [0, 7, 2**32, 2**63, 2**64 - 1]
+    tangents = random_tangent(n, seeds)
+    channels = random_kraus_channel(n, n + 1, 3, seeds)
+    assert tangents.shape == (len(seeds), n, n)
+    assert channels.kraus.shape == (len(seeds), 3, n + 1, n)
+    for k, s in enumerate(seeds):
+        assert np.array_equal(tangents[k], random_tangent(n, s))
+        assert np.array_equal(channels.kraus[k], random_kraus_channel(n, n + 1, 3, s).kraus)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_channel_and_metric_stacks_match_slices_bitwise(n):
+    seeds = [30 * n + k for k in range(4)]
+    channels = random_kraus_channel(n, n, 3, seeds)
+    rhos = random_density(n, seeds)
+    xs = random_tangent(n, [s + 1 for s in seeds])
+    ys = random_tangent(n, [s + 2 for s in seeds])
+    out = apply_channel(channels, rhos)
+    one_channel = apply_channel(random_kraus_channel(n, n, 3, seeds[0]), rhos)
+    bkm = catalog_entry("bkm")
+    g = metric_eval(bkm, rhos, xs, ys)
+    assert g.shape == (len(seeds),)
+    for k, s in enumerate(seeds):
+        channel = random_kraus_channel(n, n, 3, s)
+        in_order = sum(m @ rhos[k] @ m.conj().T for m in channel.kraus)
+        assert np.array_equal(out[k], in_order)
+        assert np.array_equal(out[k], apply_channel(channel, rhos[k]))
+        assert np.array_equal(one_channel[k],
+                              apply_channel(random_kraus_channel(n, n, 3, seeds[0]), rhos[k]))
+        assert g[k] == metric_eval(bkm, rhos[k], xs[k], ys[k])
+
+
 def test_random_density_floor_and_validity():
     for seed in range(100):
         rho = random_density(3, seed)
@@ -289,6 +323,48 @@ def test_kraus_channel_rejects_non_trace_preserving():
     with pytest.raises(InvariantViolation) as exc:
         KrausChannel(kraus=(np.eye(2) * 0.5,), input_dim=2, output_dim=2)
     assert exc.value.invariant == "trace-preserving"
+
+
+def _channel_stack():
+    return random_kraus_channel(3, 2, 2, [1, 2, 3, 4]).kraus.copy()  # (4, 2, 2, 3)
+
+
+def test_kraus_stack_rejects_one_non_trace_preserving_channel():
+    kraus = _channel_stack()
+    KrausChannel(kraus, input_dim=3, output_dim=2)
+    kraus[2, 1] *= 1.0 + 1e-9
+    with pytest.raises(InvariantViolation) as exc:
+        KrausChannel(kraus, input_dim=3, output_dim=2)
+    assert exc.value.invariant == "trace-preserving"
+    assert "channel (2,)" in str(exc.value)
+
+
+def test_kraus_stack_rejects_one_non_finite_channel():
+    kraus = _channel_stack()
+    kraus[3, 0, 1, 2] = np.nan
+    with pytest.raises(InvariantViolation) as exc:
+        KrausChannel(kraus, input_dim=3, output_dim=2)
+    assert exc.value.invariant == "finite"
+    assert "channel (3,)" in str(exc.value)
+
+
+@pytest.mark.parametrize("kraus, dims", [
+    (_channel_stack(), (2, 3)),                   # trailing (out, in) swapped
+    (_channel_stack()[..., :2], (3, 2)),          # trailing in cut short
+    (np.eye(2), (2, 2)),                          # one matrix, no Kraus axis
+    ((np.eye(2), np.eye(3)), (2, 2)),             # ragged Kraus matrices
+])
+def test_kraus_stack_rejects_wrong_shape(kraus, dims):
+    with pytest.raises(InvariantViolation) as exc:
+        KrausChannel(kraus, input_dim=dims[0], output_dim=dims[1])
+    assert exc.value.invariant == "kraus-shape"
+
+
+def test_kraus_channel_rejects_empty():
+    for kraus in ((), np.zeros((3, 0, 2, 2))):
+        with pytest.raises(InvariantViolation) as exc:
+            KrausChannel(kraus, input_dim=2, output_dim=2)
+        assert exc.value.invariant == "kraus-nonempty"
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import sampled_monotonicity_per_trial
 from wyinfo.linalg import (
     KrausChannel,
     hs_inner,
@@ -240,6 +241,9 @@ def test_skew_identity_residual_random():
 # Sampled operator monotonicity
 # ---------------------------------------------------------------------------
 
+SQUARE = MonotoneFunctionEntry("square-fixture", lambda x: np.asarray(x, float) ** 2)
+
+
 def test_monotonicity_identity_function():
     entry = MonotoneFunctionEntry("identity-fixture", lambda x: np.asarray(x, float))
     report = sampled_operator_monotonicity(entry, trials=100, n=3, seed=0)
@@ -253,10 +257,19 @@ def test_monotonicity_wy_catalog():
 
 
 def test_monotonicity_square_counterexample():
-    entry = MonotoneFunctionEntry("square-fixture", lambda x: np.asarray(x, float) ** 2)
-    report = sampled_operator_monotonicity(entry, trials=500, n=3, seed=2)
+    report = sampled_operator_monotonicity(SQUARE, trials=500, n=3, seed=2)
     assert report.violations >= 1
     assert report.worst_margin < -1e-9
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("entry", [*catalog(), SQUARE], ids=lambda e: e.id)
+def test_sampled_monotonicity_equals_per_trial_reference(entry, n):
+    # 300 trials span two blocks at n = 2, three at n = 3 and five at n = 4
+    report = sampled_operator_monotonicity(entry, trials=300, n=n, seed=11)
+    violations, worst = sampled_monotonicity_per_trial(entry, 300, n, 11)
+    assert report.violations == violations
+    assert report.worst_margin == worst
 
 
 def test_monotonicity_report_shape():
@@ -306,13 +319,68 @@ def test_contraction_random_channels_never_expand():
             assert res.g_after <= res.g_before + 1e-9 * (1.0 + res.g_before)
 
 
-def test_contraction_refloors_near_singular_output():
-    gamma = 1.0 - 1e-14
+def _amplitude_damping(gamma=1.0 - 1e-14):
     kraus = (
         np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]], dtype=complex),
         np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex),
     )
-    ch = KrausChannel(kraus=kraus, input_dim=2, output_dim=2)
+    return KrausChannel(kraus=kraus, input_dim=2, output_dim=2)
+
+
+def test_contraction_refloors_near_singular_output():
+    ch = _amplitude_damping()
     res = contraction_check(catalog_entry("wy"), ch, random_density(2, 3), random_tangent(2, 4))
     assert res.refloored
     assert np.isfinite(res.g_after)
+
+
+def _stacked(channels):
+    return KrausChannel(np.stack([c.kraus for c in channels]),
+                        channels[0].input_dim, channels[0].output_dim)
+
+
+def _assert_stack_matches_slices(entry, channels, rhos, tangents):
+    res = contraction_check(entry, _stacked(channels), rhos, tangents)
+    for k, ch in enumerate(channels):
+        one = contraction_check(entry, ch, rhos[k], tangents[k])
+        assert (res.g_before[k], res.g_after[k]) == (one.g_before, one.g_after)
+        assert (res.refloored[k], res.skipped[k]) == (one.refloored, one.skipped)
+    return res
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.id)
+def test_contraction_stack_matches_slices_bitwise(entry, n):
+    seeds = [100 * n + k for k in range(4)]
+    channels = [random_kraus_channel(n, n, 3, s) for s in seeds]
+    rhos = random_density(n, [s + 1 for s in seeds])
+    tangents = random_tangent(n, [s + 2 for s in seeds])
+    res = _assert_stack_matches_slices(entry, channels, rhos, tangents)
+    assert not res.refloored.any()
+
+
+@pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.id)
+def test_contraction_stack_refloors_only_the_damped_slice(entry):
+    channels = [random_kraus_channel(2, 2, 2, 8), _amplitude_damping()]
+    rhos = np.stack([random_density(2, 3)] * 2)
+    tangents = np.stack([random_tangent(2, 4)] * 2)
+    res = _assert_stack_matches_slices(entry, channels, rhos, tangents)
+    assert res.refloored.tolist() == [False, True]
+    assert res.skipped.tolist() == [None, None]
+
+
+def test_contraction_stack_skips_only_the_rank_deficient_slice():
+    # full damping maps every state to |0><0|; with a zero re-floor weight
+    # that output stays singular, so only its slice is skipped
+    channels = [random_kraus_channel(2, 2, 2, 8), _amplitude_damping(gamma=1.0)]
+    ch = _stacked(channels)
+    rhos = np.stack([random_density(2, 3)] * 2)
+    tangents = np.stack([random_tangent(2, 4)] * 2)
+    wy = catalog_entry("wy")
+    res = contraction_check(wy, ch, rhos, tangents, refloor_eps=0.0)
+    assert res.refloored.tolist() == [False, True]
+    assert res.skipped.tolist() == [None, "output not full rank"]
+    assert res.g_after[0] == contraction_check(wy, channels[0], rhos[0], tangents[0]).g_after
+    assert np.isnan(res.g_after[1])
+    alone = contraction_check(wy, channels[1], rhos[1], tangents[1], refloor_eps=0.0)
+    assert alone.skipped == "output not full rank" and np.isnan(alone.g_after)

@@ -1,8 +1,12 @@
+import numpy as np
 import pytest
 
-from oracles import distance_bound_per_pair
+import oracles
+from oracles import distance_bound_per_pair, monotonicity_per_trial
 
+from wyinfo import suites
 from wyinfo.errors import InvariantViolation
+from wyinfo.monotone import contraction_check
 from wyinfo.suites import SUITES, SuiteConfig, default_config, run_suite
 
 
@@ -35,6 +39,33 @@ def test_distance_bound_equals_per_pair_reference(seed, n_values):
     cfg = default_config("distance-bound", seed=seed, n_values=n_values, trials=200)
     report = run_suite(cfg)
     assert tuple(c.actual for c in report.checks) == distance_bound_per_pair(cfg)
+
+
+def _record_contractions(monkeypatch, module):
+    """Collect the (g_before, g_after) of every trial that module's contraction_check sees."""
+    seen = []
+
+    def record(*args, **kwargs):
+        res = contraction_check(*args, **kwargs)
+        seen.extend(zip(np.atleast_1d(res.g_before).tolist(), np.atleast_1d(res.g_after).tolist()))
+        return res
+
+    monkeypatch.setattr(module, "contraction_check", record)
+    return seen
+
+
+@pytest.mark.parametrize("seed, n_values, trials",
+                         [(0, None, 120), (1, None, 120), (2, None, 120), (0, (3,), 600)])
+def test_monotonicity_equals_per_trial_reference(monkeypatch, seed, n_values, trials):
+    # (3,) with 600 trials puts the 66 trials of the 9-Kraus group in three blocks
+    cfg = default_config("monotonicity", seed=seed, n_values=n_values, trials=trials)
+    stacked = _record_contractions(monkeypatch, suites)
+    per_trial = _record_contractions(monkeypatch, oracles)
+    report = run_suite(cfg)
+    assert tuple(c.actual for c in report.checks) == monotonicity_per_trial(cfg)
+    # the counts are all zero, so also compare every trial's metric values
+    assert len(stacked) == 4 * cfg.trials
+    assert sorted(stacked) == sorted(per_trial)
 
 
 def test_unknown_suite_raises():
