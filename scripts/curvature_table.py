@@ -11,7 +11,7 @@ Usage: python scripts/curvature_table.py [--dims 2,3,4] [--trials N] [--seed S]
 import argparse
 
 from wyinfo.curvature import scal1_shift, scalar_curvature
-from wyinfo.linalg import random_density, rng_from
+from wyinfo.linalg import random_density, trial_seeds
 from wyinfo.monotone import catalog
 
 
@@ -31,8 +31,7 @@ def main():
     print("-" * len(header))
     for n in dims:
         row = f"{n:>3} {scal1_shift(n):>10.3f}"
-        states = [random_density(n, int(rng_from(args.seed, n, t).integers(2**63)))
-                  for t in range(args.trials)]
+        states = random_density(n, trial_seeds([(args.seed, n, t) for t in range(args.trials)]))
         for e in entries:
             vals = [scalar_curvature(e, rho).scal1 for rho in states]
             row += f"  [{min(vals):>12.6f}, {max(vals):>12.6f}]"

@@ -39,6 +39,124 @@ def rng_from(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
 
 
+# numpy's SeedSequence hash (O'Neill's seed_seq, NEP 19) and PCG64's seeding
+# step (O'Neill 2014), ported to block arithmetic so that a whole block of
+# keys (seed, *stream) gets the PCG64 state rng_from(seed, *stream) starts
+# from.  The hash constants evolve independently of the data, so every key
+# of a group with the same number of entropy words shares them.
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """(count + 1) successive hash constants init * mult^i mod 2^32."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """seed_seq's hashmix of uint32 values with consts[:-1] and their successors consts[1:]."""
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return r ^ (r >> 16)
+
+
+def _seed_state_words(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(words).generate_state(4, uint64) for a block of keys with L words each.
+
+    entropy is (L, k) uint32, row j holding word j of every key; the result is
+    (k, 4) uint64, row i the state words of key i.
+    """
+    length = len(entropy)
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * max(length, _POOL_SIZE))[:, None]
+    head = entropy[:_POOL_SIZE]
+    pool = np.zeros((_POOL_SIZE, entropy.shape[1]), dtype=np.uint32)
+    pool[:len(head)] = head
+    pool = _hashmix(pool, consts[:_POOL_SIZE + 1])
+    c = _POOL_SIZE
+    # each source word mixes into every other pool word; the destinations
+    # of one source are independent, so they update together
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[c:c + len(dst) + 1]))
+        c += len(dst)
+    for src in range(_POOL_SIZE, length):
+        pool = _mix(pool, _hashmix(entropy[src], consts[c:c + _POOL_SIZE + 1]))
+        c += _POOL_SIZE
+    state = _hashmix(np.tile(pool, (2, 1)), _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)[:, None])
+    # uint64 word i is uint32 words 2i (low half) and 2i + 1 (high half)
+    return ((state[1::2].astype(np.uint64) << 32) | state[::2]).T
+
+
+def _pcg64_seedings(keys) -> list:
+    """(state, inc) of rng_from(*key)'s PCG64 for each key (seed, *stream) of a sequence.
+
+    Entries are masked to 64 bits as rng_from does.  A masked entry gives
+    SeedSequence its low 32-bit word, then its high word when that is
+    nonzero; keys are hashed in groups of equal word count, in key order.
+    """
+    if not keys:
+        return []
+    u = np.array([int(v) & _MASK64 for key in keys for v in key], dtype=np.uint64)
+    hi = u >> 32
+    two = hi != 0
+    words = np.stack([u, hi], axis=-1).astype(np.uint32)[np.stack([np.ones_like(two), two], -1)]
+    entry_starts = np.cumsum([0] + [len(key) for key in keys[:-1]])
+    lengths = np.add.reduceat(1 + two, entry_starts)
+    starts = np.cumsum(lengths) - lengths
+    out = [None] * len(keys)
+    for length in set(lengths.tolist()):
+        idx = np.flatnonzero(lengths == length)
+        entropy = words[starts[idx] + np.arange(length)[:, None]]
+        for i, (s_hi, s_lo, q_hi, q_lo) in zip(idx.tolist(), _seed_state_words(entropy).tolist()):
+            inc = ((q_hi << 65) | (q_lo << 1) | 1) & _MASK128
+            out[i] = ((((s_hi << 64) | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128, inc
+    return out
+
+
+def seeded_stack(keys, draw: Callable[[np.random.Generator], np.ndarray]) -> np.ndarray:
+    """np.stack([draw(rng_from(*key)) for key in keys]), bit for bit, without a Generator per key.
+
+    Each key's PCG64 state is written into one generator owned by this call.
+    """
+    gen = np.random.Generator(np.random.PCG64(0))
+    pcg = {"state": 0, "inc": 0}
+    bitgen_state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    out = []
+    for state, inc in _pcg64_seedings(keys):
+        pcg["state"], pcg["inc"] = state, inc
+        gen.bit_generator.state = bitgen_state
+        out.append(draw(gen))
+    return np.stack(out)
+
+
+def trial_seeds(keys) -> list:
+    """[int(rng_from(*key).integers(2**63)) for key in keys], bit for bit.
+
+    That integer is PCG64's first XSL-RR output shifted right by one, so no
+    Generator is built.
+    """
+    out = []
+    for state, inc in _pcg64_seedings(keys):
+        state = (state * _PCG64_MULT + inc) & _MASK128
+        x = (state >> 64) ^ (state & _MASK64)
+        rot = state >> 122
+        out.append(((x >> rot) | (x << (64 - rot)) & _MASK64) >> 1)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Validators
 # ---------------------------------------------------------------------------
@@ -151,8 +269,10 @@ def hs_inner(a, b):
     return float(ip) if ip.ndim == 0 else ip
 
 
-def hs_norm(a) -> float:
-    return float(np.sqrt(max(hs_inner(a, a), 0.0)))
+def hs_norm(a):
+    """Hilbert-Schmidt norm: a float for one matrix, an array over a stack (..., n, n)."""
+    norm = np.sqrt(np.maximum(hs_inner(a, a), 0.0))
+    return float(norm) if norm.ndim == 0 else norm
 
 
 def commutator(a, b) -> np.ndarray:
@@ -256,7 +376,9 @@ def apply_channel(channel: KrausChannel, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    """Real parts then imaginary parts, drawn in one call (the normals are sequential)."""
+    z = rng.standard_normal((2, rows, cols))
+    return z[0] + 1j * z[1]
 
 
 def _seeded_gaussian(seed, rows: int, cols: int) -> np.ndarray:
@@ -266,7 +388,8 @@ def _seeded_gaussian(seed, rows: int, cols: int) -> np.ndarray:
     Seeds stay Python ints, so any 64-bit seed works.
     """
     if np.ndim(seed):
-        return np.stack([_complex_gaussian(rng_from(s), rows, cols) for s in seed])
+        z = seeded_stack([(s,) for s in seed], lambda rng: rng.standard_normal((2, rows, cols)))
+        return z[:, 0] + 1j * z[:, 1]
     return _complex_gaussian(rng_from(seed), rows, cols)
 
 

@@ -19,13 +19,12 @@ from .errors import InvariantViolation
 from .linalg import (
     BLOCK_ENTRIES,
     KrausChannel,
-    _complex_gaussian,
     apply_channel,
     apply_kernel_superop,
     commutator,
     hs_inner,
     matrix_function,
-    rng_from,
+    seeded_stack,
 )
 
 # Relative |x - y| gap below which the Kubo-Mori kernel and its derivative
@@ -227,10 +226,10 @@ def sampled_operator_monotonicity(
     worst = np.inf
     rows = max(1, BLOCK_ENTRIES // (2 * n * n))
     for lo in range(0, trials, rows):
-        rngs = [rng_from(seed, t) for t in range(lo, min(trials, lo + rows))]
-        # G then P from each trial's stream: (trials, 2, n, n)
-        gp = np.stack([[_complex_gaussian(rng, n, n) for _ in range(2)] for rng in rngs])
-        g, p = gp[:, 0], gp[:, 1]
+        # G then P, real parts before imaginary, from each trial's stream: (trials, 2, 2, n, n)
+        z = seeded_stack([(seed, t) for t in range(lo, min(trials, lo + rows))],
+                         lambda rng: rng.standard_normal((2, 2, n, n)))
+        g, p = z[:, 0, 0] + 1j * z[:, 0, 1], z[:, 1, 0] + 1j * z[:, 1, 1]
         a = g.conj().swapaxes(-1, -2) @ g
         pair = np.stack([a, a + p.conj().swapaxes(-1, -2) @ p], axis=1)
         f = matrix_function(0.5 * (pair + pair.conj().swapaxes(-1, -2)), entry.f)

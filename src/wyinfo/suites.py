@@ -28,7 +28,14 @@ from .geometry import (
     wy_distance_audit,
     wy_geodesic,
 )
-from .linalg import BLOCK_ENTRIES, random_density, random_kraus_channel, random_tangent, rng_from
+from .linalg import (
+    BLOCK_ENTRIES,
+    random_density,
+    random_kraus_channel,
+    random_tangent,
+    rng_from,
+    trial_seeds,
+)
 from .monotone import (
     catalog,
     catalog_entry,
@@ -103,9 +110,9 @@ class _Checks:
         self.cfg = cfg
         self.rows: list = []
 
-    def seed(self, *stream: int) -> int:
-        """A seed for one trial, derived from the config seed and stream indices."""
-        return int(rng_from(self.cfg.seed, *stream).integers(2**63))
+    def seeds(self, streams) -> list:
+        """One seed per trial, int(rng_from(config seed, *stream).integers(2**63)) for each stream."""
+        return trial_seeds([(self.cfg.seed, *stream) for stream in streams])
 
     def tol(self, name: str, default: float) -> float:
         return float(self.cfg.tolerances.get(name, default))
@@ -160,8 +167,7 @@ def run_wy_curvature(cfg: SuiteConfig, checks: _Checks):
     for n in cfg.n_values:
         expected = scal1_shift(n)
         worst = expected
-        for t in range(cfg.trials):
-            seed = checks.seed(n, t)
+        for seed in checks.seeds((n, t) for t in range(cfg.trials)):
             rep = scalar_curvature(wy, random_density(n, seed))
             if abs(rep.scal1 - expected) > abs(worst - expected):
                 worst = rep.scal1
@@ -174,11 +180,12 @@ def run_pullback(cfg: SuiteConfig, checks: _Checks):
     wy = catalog_entry("wy")
     worst = 0.0
     dims = [n for n in cfg.n_values if n <= 5] or [2]
-    for t in range(cfg.trials):
+    seeds = [checks.seeds((t, j) for t in range(cfg.trials)) for j in range(3)]
+    for t, (rho_seed, a_seed, b_seed) in enumerate(zip(*seeds)):
         n = dims[t % len(dims)]
-        rho = random_density(n, checks.seed(t, 0))
-        a = random_tangent(n, checks.seed(t, 1))
-        b = random_tangent(n, checks.seed(t, 2))
+        rho = random_density(n, rho_seed)
+        a = random_tangent(n, a_seed)
+        b = random_tangent(n, b_seed)
         gm = metric_eval(wy, rho, a, b)
         worst = max(worst, abs(pullback_metric(rho, a, b) - gm) / (1.0 + abs(gm)))
     checks.below("pullback-equals-wy", worst, 1e-10)
@@ -190,9 +197,8 @@ def run_hessian(cfg: SuiteConfig, checks: _Checks, step: float = 1e-3, floor: fl
     dims = [n for n in cfg.n_values if n <= 4] or [2]
     for gi, g in enumerate(g_catalog()):
         worst = 0.0
-        for t in range(cfg.trials):
+        for t, seed in enumerate(checks.seeds((gi, t) for t in range(cfg.trials))):
             n = dims[t % len(dims)]
-            seed = checks.seed(gi, t)
             rho = random_density(n, seed)
             rho = (1.0 - n * floor) * rho + floor * np.eye(n)
             a = random_tangent(n, seed + 1)
@@ -217,10 +223,11 @@ def run_monotonicity(cfg: SuiteConfig, checks: _Checks):
     for ei, entry in enumerate(catalog()):
         violations = 0
         skipped = 0
+        trial_seed = checks.seeds((ei, t) for t in range(cfg.trials))
         for (n, env), trials in groups.items():
             rows = max(1, BLOCK_ENTRIES // (env * n * n))
             for lo in range(0, len(trials), rows):
-                seeds = [checks.seed(ei, t) for t in trials[lo:lo + rows]]
+                seeds = [trial_seed[t] for t in trials[lo:lo + rows]]
                 res = contraction_check(entry, random_kraus_channel(n, n, env, seeds),
                                         random_density(n, [s + 1 for s in seeds]),
                                         random_tangent(n, [s + 2 for s in seeds]))
@@ -248,9 +255,8 @@ def run_geodesic_length(cfg: SuiteConfig, checks: _Checks, steps: int = 10_000):
     wy = catalog_entry("wy")
     worst = 0.0
     dims = list(cfg.n_values) or [2]
-    for t in range(cfg.trials):
+    for t, seed in enumerate(checks.seeds((t,) for t in range(cfg.trials))):
         n = dims[t % len(dims)]
-        seed = checks.seed(t)
         if t % 2 == 0:
             rho, sig = random_density(n, seed), random_density(n, seed + 1)
         else:
@@ -261,9 +267,8 @@ def run_geodesic_length(cfg: SuiteConfig, checks: _Checks, steps: int = 10_000):
     checks.below("length-matches-distance", worst, 1e-4)
     # Order-2 convergence on a few pairs at coarse step counts.
     ratios = []
-    for t in range(min(cfg.trials, 3)):
+    for t, seed in enumerate(checks.seeds((1000 + t,) for t in range(min(cfg.trials, 3)))):
         n = dims[t % len(dims)]
-        seed = checks.seed(1000 + t)
         rho, sig = random_density(n, seed), random_density(n, seed + 1)
         d = wy_distance_audit(rho, sig)[0]
         path = wy_geodesic(rho, sig)
@@ -338,9 +343,8 @@ def run_skew_identity(cfg: SuiteConfig, checks: _Checks):
     """Metric norm of i[rho, A] equals four times the skew information."""
     dims = [n for n in cfg.n_values if n <= 5] or [2]
     worst = 0.0
-    for t in range(cfg.trials):
+    for t, seed in enumerate(checks.seeds((t,) for t in range(cfg.trials))):
         n = dims[t % len(dims)]
-        seed = checks.seed(t)
         rho = random_density(n, seed)
         a = random_tangent(n, seed + 1)
         resid = skew_identity_residual(rho, a)
@@ -363,12 +367,12 @@ def run_distance_bound(cfg: SuiteConfig, checks: _Checks):
     worst_clamp = 0.0
     clamp_events = 0
     # Trial t has dimension dims[t % len(dims)]; each dimension's trials are
-    # drawn and measured in stacked blocks.
+    # seeded, drawn and measured in stacked blocks.
     for i, n in enumerate(dims):
         trials = range(i, cfg.trials, len(dims))
         rows = max(1, BLOCK_ENTRIES // (n * n))
         for lo in range(0, len(trials), rows):
-            seeds = [checks.seed(t) for t in trials[lo:lo + rows]]
+            seeds = checks.seeds((t,) for t in trials[lo:lo + rows])
             d, clamp = wy_distance_audit(random_density(n, seeds),
                                          random_density(n, [s + 1 for s in seeds]))
             worst_d = max(worst_d, float(np.max(d)))

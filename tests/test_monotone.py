@@ -262,12 +262,14 @@ def test_monotonicity_square_counterexample():
     assert report.worst_margin < -1e-9
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-@pytest.mark.parametrize("entry", [*catalog(), SQUARE], ids=lambda e: e.id)
-def test_sampled_monotonicity_equals_per_trial_reference(entry, n):
+# seeds 2^32 + 5 and 2^64 - 1 make every trial key three 32-bit words long
+@pytest.mark.parametrize("entry, n, seed", [
+    pytest.param(e, n, seed, id=f"{e.id}-{n}" + ("" if seed == 11 else f"-seed{seed}"))
+    for seed in (11, 2**32 + 5, 2**64 - 1) for e in [*catalog(), SQUARE] for n in (2, 3, 4)])
+def test_sampled_monotonicity_equals_per_trial_reference(entry, n, seed):
     # 300 trials span two blocks at n = 2, three at n = 3 and five at n = 4
-    report = sampled_operator_monotonicity(entry, trials=300, n=n, seed=11)
-    violations, worst = sampled_monotonicity_per_trial(entry, 300, n, 11)
+    report = sampled_operator_monotonicity(entry, trials=300, n=n, seed=seed)
+    violations, worst = sampled_monotonicity_per_trial(entry, 300, n, seed)
     assert report.violations == violations
     assert report.worst_margin == worst
 

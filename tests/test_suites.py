@@ -33,7 +33,9 @@ def test_all_registered_suites_pass_at_smoke_scale():
         assert report.suite == name
 
 
-@pytest.mark.parametrize("seed, n_values", [(0, None), (1, None), (2, None), (0, (5,))])
+# config seeds 2^32 + 5 and 2^64 - 1 make every trial key three 32-bit words long
+@pytest.mark.parametrize("seed, n_values", [(0, None), (1, None), (2, None), (0, (5,)),
+                                            (2**32 + 5, None), (2**64 - 1, None)])
 def test_distance_bound_equals_per_pair_reference(seed, n_values):
     # (5,) puts 200 trials in three blocks of one dimension
     cfg = default_config("distance-bound", seed=seed, n_values=n_values, trials=200)
@@ -55,7 +57,8 @@ def _record_contractions(monkeypatch, module):
 
 
 @pytest.mark.parametrize("seed, n_values, trials",
-                         [(0, None, 120), (1, None, 120), (2, None, 120), (0, (3,), 600)])
+                         [(0, None, 120), (1, None, 120), (2, None, 120), (0, (3,), 600),
+                          (2**32 + 5, None, 120), (2**64 - 1, None, 120)])
 def test_monotonicity_equals_per_trial_reference(monkeypatch, seed, n_values, trials):
     # (3,) with 600 trials puts the 66 trials of the 9-Kraus group in three blocks
     cfg = default_config("monotonicity", seed=seed, n_values=n_values, trials=trials)
