@@ -13,7 +13,7 @@ import argparse
 
 import numpy as np
 
-from wyinfo.geometry import dual_pair_check, power_function, symmetry_margin
+from wyinfo.geometry import self_duality_scan, symmetry_margin
 
 
 def main():
@@ -27,13 +27,12 @@ def main():
     print(f"{'p':>6}  {'c>0':<5} {'f(1)=1':<7} {'symmetric':<10} "
           f"{'monotone-violations':<20} {'sym margin@10':>13}  pass")
     print("-" * 78)
-    for p in grid:
-        phi = power_function(float(p))
-        rep = dual_pair_check(phi, phi, trials=args.trials, n=3, seed=args.seed)
+    for row in self_duality_scan(grid, trials=args.trials, n=3, seed=args.seed):
+        rep = row["report"]
         margin = symmetry_margin(rep.induced_f, 10.0)
-        print(f"{p:>6.2f}  {str(rep.induced_c_valid):<5} {str(rep.f_normalized):<7} "
+        print(f"{row['p']:>6.2f}  {str(rep.induced_c_valid):<5} {str(rep.f_normalized):<7} "
               f"{str(rep.f_symmetric):<10} {rep.monotonicity_violations:<20d} "
-              f"{margin:>13.3e}  {'<-- passes' if rep.passes else ''}")
+              f"{margin:>13.3e}  {'<-- passes' if row['passes'] else ''}")
 
 
 if __name__ == "__main__":

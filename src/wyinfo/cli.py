@@ -117,7 +117,11 @@ def cmd_divergence(args) -> int:
 def cmd_verify(args) -> int:
     n_values = None
     if args.n:
-        n_values = tuple(int(tok) for tok in args.n.split(","))
+        try:
+            n_values = tuple(int(tok) for tok in args.n.split(","))
+        except ValueError:
+            raise InvariantViolation(
+                "n-flag", f"expected comma-separated integers, got '{args.n}'") from None
     cfg = default_config(args.suite, seed=args.seed, n_values=n_values,
                          trials=args.trials, tolerances=_parse_tolerances(args.tolerance))
     report = run_suite(cfg)

@@ -22,7 +22,7 @@ derivative of a closed-form auxiliary is required).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -173,13 +173,7 @@ class CurvatureReport:
     spectrum: list
 
     def as_dict(self) -> dict:
-        return {
-            "function_id": self.function_id,
-            "n": self.n,
-            "scal": self.scal,
-            "scal1": self.scal1,
-            "spectrum": list(self.spectrum),
-        }
+        return asdict(self)
 
 
 def scalar_curvature(entry: MonotoneFunctionEntry, rho) -> CurvatureReport:

@@ -9,13 +9,13 @@ which hessian_check verifies against a finite-difference stencil.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, InvariantViolation, StepTooLargeError
-from .linalg import matrix_function, spectral_decompose, spectral_function
+from .linalg import kernel_grid, matrix_function, spectral_decompose, spectral_function
 from .monotone import MonotoneFunctionEntry, metric_eval
 
 # |x - 1| window where f_g switches to its removable-singularity series.
@@ -72,11 +72,7 @@ def _modular_apply(rho_decomposition, sigma, g: Callable, x) -> np.ndarray:
     lam, u = rho_decomposition
     mu, v = spectral_decompose(sigma)
     xt = v.conj().T @ np.asarray(x, dtype=complex) @ u
-    with np.errstate(all="ignore"):
-        gm = np.asarray(g(mu[:, None] / lam[None, :]), dtype=float)
-    if not np.all(np.isfinite(gm)):
-        raise DomainError("g not finite on the spectrum ratio grid")
-    return v @ (gm * xt) @ u.conj().T
+    return v @ (kernel_grid(lambda m, l: g(m / l), mu, lam) * xt) @ u.conj().T
 
 
 def relative_g_entropy(rho, sigma, g: OperatorConvexG) -> float:
@@ -131,8 +127,7 @@ class HessianResult:
     step: float
 
     def as_dict(self) -> dict:
-        return {"numeric": self.numeric, "analytic": self.analytic,
-                "residual": self.residual, "step": self.step}
+        return asdict(self)
 
 
 def hessian_check(g: OperatorConvexG, rho, a, b, step: float = 1e-3) -> HessianResult:

@@ -13,17 +13,17 @@ pairs of functions, and the self-duality scan over the power family.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .errors import InvariantViolation
+from .errors import DomainError, InvariantViolation
 from .linalg import (
     BLOCK_ENTRIES,
     apply_kernel_superop,
     hs_inner,
+    kernel_grid,
     matrix_function,
-    on_spectrum_grid,
     spectral_decompose,
 )
 from .monotone import MonotoneFunctionEntry, sampled_operator_monotonicity
@@ -73,8 +73,6 @@ def wy_distance(rho, sigma):
 
 @dataclass
 class GeodesicPath:
-    endpoint_a: np.ndarray
-    endpoint_b: np.ndarray
     sampler: Callable  # t in [0, 1] -> density matrix; an array of t -> a stack
 
 
@@ -85,10 +83,8 @@ def wy_geodesic(rho, sigma) -> GeodesicPath:
     The sampler takes one t, giving (n, n), or an array of t, giving the
     stack (..., n, n) whose slices are the same bits as one-t samples.
     """
-    ra = np.asarray(rho, dtype=complex)
-    rb = np.asarray(sigma, dtype=complex)
-    sa = matrix_function(ra, np.sqrt)
-    sb = matrix_function(rb, np.sqrt)
+    sa = matrix_function(rho, np.sqrt)
+    sb = matrix_function(sigma, np.sqrt)
 
     def sample(t) -> np.ndarray:
         t = np.asarray(t, dtype=float)[..., None, None]
@@ -96,7 +92,7 @@ def wy_geodesic(rho, sigma) -> GeodesicPath:
         m2 = m @ m
         return m2 / np.trace(m2, axis1=-2, axis2=-1).real[..., None, None]
 
-    return GeodesicPath(ra, rb, sample)
+    return GeodesicPath(sample)
 
 
 def _velocities(states: np.ndarray, lo: int, hi: int, h: float) -> np.ndarray:
@@ -146,8 +142,7 @@ def path_length(entry: MonotoneFunctionEntry, path, steps: int = 1000) -> float:
             raise InvariantViolation("density-sample",
                                      f"eigenvalue {w[k, 0]:.3e} at t={ts[lo + k]}")
         vt = u.conj().swapaxes(-1, -2) @ _velocities(states, lo, lo + len(w), h) @ u
-        kmat = np.asarray(on_spectrum_grid(entry.c, u.shape, w[:, :, None], w[:, None, :]),
-                          dtype=float)
+        kmat = kernel_grid(entry.c, w, w)
         speeds[block] = np.sqrt(np.maximum(np.sum(kmat * np.abs(vt) ** 2, axis=(-2, -1)), 0.0))
     return float(h * (np.sum(speeds) - 0.5 * (speeds[0] + speeds[-1])))
 
@@ -205,19 +200,15 @@ def _difference_quotient(f: C1Function, a, b):
     return np.where(near, mid, direct)
 
 
-def pullback_condition_check(phi: C1Function, entry: MonotoneFunctionEntry,
-                             grid: Optional[np.ndarray] = None) -> float:
+def pullback_condition_check(phi: C1Function, entry: MonotoneFunctionEntry) -> float:
     """Max scaled residual of ((phi(x)-phi(y))/(x-y))^2 = c(x, y) over a log grid.
 
     Zero (to machine precision) exactly when the metric of `entry` is the
     pull-back of the ambient metric through phi.
     """
-    if grid is None:
-        grid = np.logspace(-2.0, 2.0, 100)
-    x = grid[:, None]
-    y = grid[None, :]
-    q = _difference_quotient(phi, x, y)
-    c = np.asarray(entry.c(x, y), dtype=float)
+    grid = np.logspace(-2.0, 2.0, 100)
+    q = kernel_grid(lambda x, y: _difference_quotient(phi, x, y), grid, grid)
+    c = kernel_grid(entry.c, grid, grid)
     resid = np.abs(q * q - c) / (1.0 + np.abs(c))
     return float(np.max(resid))
 
@@ -240,17 +231,6 @@ class DualPairReport:
         return (self.induced_c_valid and self.f_normalized and self.f_symmetric
                 and self.monotonicity_violations == 0)
 
-    def as_dict(self) -> dict:
-        return {
-            "phi_id": self.phi_id,
-            "chi_id": self.chi_id,
-            "induced_c_valid": self.induced_c_valid,
-            "f_normalized": self.f_normalized,
-            "f_symmetric": self.f_symmetric,
-            "monotonicity_violations": self.monotonicity_violations,
-            "symmetry_residual": self.symmetry_residual,
-        }
-
 
 def induced_kernel(phi: C1Function, chi: C1Function) -> Callable:
     """Product of the two difference quotients; a candidate metric kernel."""
@@ -266,25 +246,25 @@ def symmetry_margin(f: Callable, x: float) -> float:
     return float(abs(np.asarray(f(x)) - x * np.asarray(f(1.0 / x))))
 
 
-def dual_pair_check(phi: C1Function, chi: C1Function, grid: Optional[np.ndarray] = None,
-                    trials: int = 200, n: int = 3, seed: int = 0) -> DualPairReport:
+def dual_pair_check(phi: C1Function, chi: C1Function, trials: int = 200, n: int = 3,
+                    seed: int = 0) -> DualPairReport:
     """Test whether (phi, chi) induces a normalized symmetric monotone function.
 
     The induced kernel is the product of difference quotients; from it,
     f(t) = 1 / c(t, 1).  Reports normalization f(1) = 1, the symmetry
     f(x) = x f(1/x) on a log grid, and sampled operator monotonicity of f.
     """
-    if grid is None:
-        grid = np.logspace(-2.0, 2.0, 41)
+    grid = np.logspace(-2.0, 2.0, 41)
     c = induced_kernel(phi, chi)
 
     def f(t):
         with np.errstate(all="ignore"):
             return 1.0 / c(t, np.ones_like(np.asarray(t, dtype=float)))
 
-    with np.errstate(all="ignore"):
-        c_grid = np.asarray(c(grid[:, None], grid[None, :]), dtype=float)
-    c_valid = bool(np.all(np.isfinite(c_grid)) and np.all(c_grid > 0.0))
+    try:
+        c_valid = bool(np.all(kernel_grid(c, grid, grid) > 0.0))
+    except DomainError:
+        c_valid = False
 
     f1 = float(np.asarray(f(1.0)))
     normalized = bool(abs(f1 - 1.0) <= 1e-9)

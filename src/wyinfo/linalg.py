@@ -161,7 +161,7 @@ def trial_seeds(keys) -> list:
 # Validators
 # ---------------------------------------------------------------------------
 
-def assert_hermitian(a, atol: float = HERMITICITY_ATOL, name: str = "matrix") -> np.ndarray:
+def assert_hermitian(a, name: str = "matrix") -> np.ndarray:
     """Validate and return ``a`` as a square complex Hermitian ndarray."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -170,8 +170,9 @@ def assert_hermitian(a, atol: float = HERMITICITY_ATOL, name: str = "matrix") ->
         raise InvariantViolation("finite", f"{name} has NaN or infinite entries")
     if a.size:
         asym = float(np.max(np.abs(a - a.conj().T)))
-        if asym > atol:
-            raise InvariantViolation("hermitian", f"{name} asymmetry {asym:.3e} > {atol:.1e}")
+        if asym > HERMITICITY_ATOL:
+            raise InvariantViolation("hermitian",
+                                     f"{name} asymmetry {asym:.3e} > {HERMITICITY_ATOL:.1e}")
     return a
 
 
@@ -243,17 +244,25 @@ def spectral_function(decomposition: SpectralDecomposition, phi: Callable) -> np
     return (u * fw[..., None, :]) @ u.conj().swapaxes(-1, -2)
 
 
+def kernel_grid(kernel: Callable, left, right) -> np.ndarray:
+    """kernel(x_i, y_j) on the (..., n, m) grid of left (..., n) and right (..., m), as floats.
+
+    Raises DomainError where the kernel is not finite.
+    """
+    x, y = left[..., :, None], right[..., None, :]
+    with np.errstate(all="ignore"):
+        k = np.asarray(on_spectrum_grid(kernel, np.broadcast(x, y).shape, x, y), dtype=float)
+    if not np.isfinite(k).all():
+        raise DomainError("kernel not finite on the grid")
+    return k
+
+
 def apply_kernel_superop(rho, kernel: Callable, x) -> np.ndarray:
     """Apply k(L_rho, R_rho) to X: entrywise k(w_i, w_j) in the eigenbasis of rho."""
     w, u = spectral_decompose(rho)
     uh = u.conj().swapaxes(-1, -2)
     xt = uh @ np.asarray(x, dtype=complex) @ u
-    with np.errstate(all="ignore"):
-        k = np.asarray(on_spectrum_grid(kernel, u.shape, w[..., :, None], w[..., None, :]),
-                       dtype=float)
-    if not np.isfinite(k).all():
-        raise DomainError("kernel not finite on the spectrum grid")
-    return u @ (k * xt) @ uh
+    return u @ (kernel_grid(kernel, w, w) * xt) @ uh
 
 
 def hs_inner(a, b):
@@ -403,14 +412,13 @@ def _haar_from_gaussian(g: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
-def haar_unitary(rows: int, rng: np.random.Generator, cols: int | None = None) -> np.ndarray:
-    """Haar unitary, or Haar rows x cols isometry, by phase-corrected QR of a Ginibre matrix."""
-    cols = rows if cols is None else cols
-    return _haar_from_gaussian(_complex_gaussian(rng, rows, cols))
+def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar unitary by phase-corrected QR of a Ginibre matrix."""
+    return _haar_from_gaussian(_complex_gaussian(rng, n, n))
 
 
-def random_density(n: int, seed, floor_eps: float = DENSITY_FLOOR_EPS) -> np.ndarray:
-    """Wishart-style random density, mixed with I/n so eigenvalues >= floor_eps/n.
+def random_density(n: int, seed) -> np.ndarray:
+    """Wishart-style random density, mixed with I/n so eigenvalues >= DENSITY_FLOOR_EPS/n.
 
     One seed gives one state (n, n); a sequence of seeds gives a stack
     (k, n, n) whose slice i is, bit for bit, the state of seed i alone.
@@ -420,7 +428,7 @@ def random_density(n: int, seed, floor_eps: float = DENSITY_FLOOR_EPS) -> np.nda
     g = _seeded_gaussian(seed, n, n)
     rho = g @ g.conj().swapaxes(-1, -2)
     rho /= np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
-    rho = (1.0 - floor_eps) * rho + floor_eps * np.eye(n) / n
+    rho = (1.0 - DENSITY_FLOOR_EPS) * rho + DENSITY_FLOOR_EPS * np.eye(n) / n
     return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
 
 

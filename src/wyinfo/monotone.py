@@ -10,7 +10,7 @@ derivative), "bkm" (Kubo-Mori), "rld" (right logarithmic derivative).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -202,22 +202,15 @@ class MonotonicityReport:
     skipped: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "function_id": self.function_id,
-            "trials": self.trials,
-            "violations": self.violations,
-            "worst_margin": self.worst_margin,
-            "skipped": self.skipped,
-        }
+        return asdict(self)
 
 
-def sampled_operator_monotonicity(
-    entry: MonotoneFunctionEntry, trials: int, n: int, seed: int, slack: float = 1e-9
-) -> MonotonicityReport:
+def sampled_operator_monotonicity(entry: MonotoneFunctionEntry, trials: int, n: int,
+                                  seed: int) -> MonotonicityReport:
     """Check f(A) <= f(B) on random pairs 0 <= A <= B, B = A + P^dag P.
 
     A violation is the smallest eigenvalue of f(B) - f(A) dipping below
-    -slack; violations are counted, never raised.  Trial t draws its pair
+    -1e-9; violations are counted, never raised.  Trial t draws its pair
     from rng_from(seed, t); the trials are evaluated in stacked blocks.
     """
     if trials < 1:
@@ -235,7 +228,7 @@ def sampled_operator_monotonicity(
         f = matrix_function(0.5 * (pair + pair.conj().swapaxes(-1, -2)), entry.f)
         margins = np.linalg.eigvalsh(f[:, 1] - f[:, 0])[:, 0]
         worst = min(worst, float(np.min(margins)))
-        violations += int(np.count_nonzero(margins < -slack))
+        violations += int(np.count_nonzero(margins < -1e-9))
     return MonotonicityReport(entry.id, trials, violations, worst)
 
 
@@ -253,18 +246,13 @@ class ContractionResult:
     skipped: Optional[str] = None
 
 
-def contraction_check(
-    entry: MonotoneFunctionEntry,
-    channel: KrausChannel,
-    rho,
-    a,
-    refloor_eps: float = 1e-3,
-    min_eigenvalue: float = 1e-10,
-) -> ContractionResult:
+def contraction_check(entry: MonotoneFunctionEntry, channel: KrausChannel, rho, a,
+                      refloor_eps: float = 1e-3) -> ContractionResult:
     """Metric values before/after a stochastic map; monotone metrics contract.
 
-    If the mapped state loses strict positivity it is re-floored by mixing
-    with I/n (recorded); if even that fails the check is skipped with reason.
+    If the mapped state's smallest eigenvalue falls below 1e-10 it is
+    re-floored by mixing with I/n (recorded); if even that fails the check is
+    skipped with reason.
     A stack of channels, states and tangents is checked slice by slice, each
     slice re-floored or skipped on its own, with the same bits as alone.
     """
@@ -273,7 +261,7 @@ def contraction_check(
     rho_out = 0.5 * (rho_out + rho_out.conj().swapaxes(-1, -2))
     a_out = apply_channel(channel, a)
     a_out = 0.5 * (a_out + a_out.conj().swapaxes(-1, -2))
-    refloored = np.linalg.eigvalsh(rho_out)[..., 0] < min_eigenvalue
+    refloored = np.linalg.eigvalsh(rho_out)[..., 0] < 1e-10
     skipped = np.zeros_like(refloored)
     if refloored.any():
         m = channel.output_dim

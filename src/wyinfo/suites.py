@@ -20,10 +20,9 @@ from .divergence import alpha_parameter, g_catalog, g_entry, hessian_check
 from .errors import InvariantViolation
 from .geometry import (
     CLAMP_WINDOW,
-    dual_pair_check,
     path_length,
-    power_function,
     pullback_metric,
+    self_duality_scan,
     symmetry_margin,
     wy_distance_audit,
     wy_geodesic,
@@ -83,10 +82,10 @@ class SuiteReport:
     wall_time: float
     config: SuiteConfig
 
-    def as_dict(self, include_wall_time: bool = False) -> dict:
-        # wall_time is excluded by default so identical (suite, config) runs
-        # serialize byte-identically.
-        out = {
+    def as_dict(self) -> dict:
+        # wall_time is left out so identical (suite, config) runs serialize
+        # byte-identically.
+        return {
             "suite": self.suite,
             "passed": self.passed,
             "checks": [c.as_dict() for c in self.checks],
@@ -98,9 +97,6 @@ class SuiteReport:
                 "tolerances": dict(sorted(self.config.tolerances.items())),
             },
         }
-        if include_wall_time:
-            out["wall_time"] = self.wall_time
-        return out
 
 
 class _Checks:
@@ -136,21 +132,26 @@ class _Checks:
 
 
 SUITES: Dict[str, Callable[[SuiteConfig], SuiteReport]] = {}
+SUITE_DEFAULTS: Dict[str, dict] = {}
 
 
-def _suite(name: str):
-    """Register body(cfg, checks, **kwargs) in SUITES as a timed cfg -> SuiteReport runner."""
+def _suite(name: str, *, n_values: tuple, trials: int):
+    """Register body(cfg, checks) in SUITES as a timed cfg -> SuiteReport runner.
+
+    The default n_values and trials go into SUITE_DEFAULTS under the same name.
+    """
 
     def wrap(body):
         @functools.wraps(body)
-        def run(cfg: SuiteConfig, **kwargs) -> SuiteReport:
+        def run(cfg: SuiteConfig) -> SuiteReport:
             t0 = time.perf_counter()
             checks = _Checks(cfg)
-            body(cfg, checks, **kwargs)
+            body(cfg, checks)
             return SuiteReport(name, all(c.passed for c in checks.rows), checks.rows,
                                time.perf_counter() - t0, cfg)
 
         SUITES[name] = run
+        SUITE_DEFAULTS[name] = {"n_values": n_values, "trials": trials}
         return run
 
     return wrap
@@ -160,7 +161,7 @@ def _suite(name: str):
 # Suites
 # ---------------------------------------------------------------------------
 
-@_suite("wy-curvature")
+@_suite("wy-curvature", n_values=(2, 3, 4), trials=20)
 def run_wy_curvature(cfg: SuiteConfig, checks: _Checks):
     """Generic triple-sum engine reproduces the constant wy curvature."""
     wy = catalog_entry("wy")
@@ -174,7 +175,7 @@ def run_wy_curvature(cfg: SuiteConfig, checks: _Checks):
         checks.close(f"scal1-constant-n{n}", expected, worst, 1e-6, relative=True)
 
 
-@_suite("pullback")
+@_suite("pullback", n_values=(2, 3, 4, 5), trials=100)
 def run_pullback(cfg: SuiteConfig, checks: _Checks):
     """Pushed-forward Hilbert-Schmidt product equals the wy metric."""
     wy = catalog_entry("wy")
@@ -191,8 +192,8 @@ def run_pullback(cfg: SuiteConfig, checks: _Checks):
     checks.below("pullback-equals-wy", worst, 1e-10)
 
 
-@_suite("hessian")
-def run_hessian(cfg: SuiteConfig, checks: _Checks, step: float = 1e-3, floor: float = 5e-2):
+@_suite("hessian", n_values=(2, 3, 4), trials=50)
+def run_hessian(cfg: SuiteConfig, checks: _Checks):
     """Finite-difference entropy Hessian matches the induced metric kernel."""
     dims = [n for n in cfg.n_values if n <= 4] or [2]
     for gi, g in enumerate(g_catalog()):
@@ -200,16 +201,16 @@ def run_hessian(cfg: SuiteConfig, checks: _Checks, step: float = 1e-3, floor: fl
         for t, seed in enumerate(checks.seeds((gi, t) for t in range(cfg.trials))):
             n = dims[t % len(dims)]
             rho = random_density(n, seed)
-            rho = (1.0 - n * floor) * rho + floor * np.eye(n)
+            rho = (1.0 - n * 5e-2) * rho + 5e-2 * np.eye(n)
             a = random_tangent(n, seed + 1)
             b = random_tangent(n, seed + 2)
             a /= np.linalg.norm(a)
             b /= np.linalg.norm(b)
-            worst = max(worst, hessian_check(g, rho, a, b, step=step).residual)
+            worst = max(worst, hessian_check(g, rho, a, b).residual)
         checks.below(f"hessian-{g.id}", worst, 1e-4)
 
 
-@_suite("monotonicity")
+@_suite("monotonicity", n_values=(2, 3), trials=500)
 def run_monotonicity(cfg: SuiteConfig, checks: _Checks):
     """Every catalog metric contracts under random stochastic maps."""
     dims = [n for n in cfg.n_values if n <= 3] or [2]
@@ -249,8 +250,8 @@ def _random_commuting_pair(n: int, seed: int):
     return tuple(np.diag(_floored_dirichlet(rng, n)).astype(complex) for _ in range(2))
 
 
-@_suite("geodesic-length")
-def run_geodesic_length(cfg: SuiteConfig, checks: _Checks, steps: int = 10_000):
+@_suite("geodesic-length", n_values=(2, 3), trials=20)
+def run_geodesic_length(cfg: SuiteConfig, checks: _Checks):
     """Integrated wy length of the closed-form geodesic equals the distance."""
     wy = catalog_entry("wy")
     worst = 0.0
@@ -262,7 +263,7 @@ def run_geodesic_length(cfg: SuiteConfig, checks: _Checks, steps: int = 10_000):
         else:
             rho, sig = _random_commuting_pair(n, seed)
         d = wy_distance_audit(rho, sig)[0]
-        length = path_length(wy, wy_geodesic(rho, sig), steps=steps)
+        length = path_length(wy, wy_geodesic(rho, sig), steps=10_000)
         worst = max(worst, abs(length - d) / d)
     checks.below("length-matches-distance", worst, 1e-4)
     # Order-2 convergence on a few pairs at coarse step counts.
@@ -282,25 +283,20 @@ def run_geodesic_length(cfg: SuiteConfig, checks: _Checks, steps: int = 10_000):
 DUAL_PAIR_GRID = (-1.0, -0.5, 0.25, 0.5, 0.75, 1.5, 2.0)
 
 
-@_suite("dual-pairs")
+@_suite("dual-pairs", n_values=(3,), trials=200)
 def run_dual_pairs(cfg: SuiteConfig, checks: _Checks):
     """Only the square-root power pair induces a valid symmetric metric kernel."""
     n = min(cfg.n_values) if cfg.n_values else 3
-    passing = []
-    margins = {}
-    for p in DUAL_PAIR_GRID:
-        phi = power_function(p)
-        report = dual_pair_check(phi, phi, trials=cfg.trials, n=n, seed=cfg.seed)
-        if report.passes:
-            passing.append(p)
-        margins[p] = symmetry_margin(report.induced_f, 10.0)
+    rows = self_duality_scan(DUAL_PAIR_GRID, trials=cfg.trials, n=n, seed=cfg.seed)
+    passing = [row["p"] for row in rows if row["passes"]]
+    margins = {row["p"]: symmetry_margin(row["report"].induced_f, 10.0) for row in rows}
     checks.close("passing-count", 1.0, float(len(passing)), 0.0)
     checks.close("passing-p", 0.5, passing[0] if passing else np.nan, 0.0)
     checks.at_least("symmetry-margin-p-1", margins[-1.0], 1e-2)
     checks.at_least("symmetry-margin-p2", margins[2.0], 1e-2)
 
 
-@_suite("classical")
+@_suite("classical", n_values=(2, 3, 4), trials=50)
 def run_classical(cfg: SuiteConfig, checks: _Checks):
     """Simplex geometry: diagonal embedding, sphere pull-back, transport duality."""
     wy = catalog_entry("wy")
@@ -338,7 +334,7 @@ def run_classical(cfg: SuiteConfig, checks: _Checks):
     checks.below("transport-duality", worst_dual, 1e-12)
 
 
-@_suite("skew-identity")
+@_suite("skew-identity", n_values=(2, 3, 4, 5), trials=100)
 def run_skew_identity(cfg: SuiteConfig, checks: _Checks):
     """Metric norm of i[rho, A] equals four times the skew information."""
     dims = [n for n in cfg.n_values if n <= 5] or [2]
@@ -352,14 +348,14 @@ def run_skew_identity(cfg: SuiteConfig, checks: _Checks):
     checks.below("skew-identity", worst, 1e-9)
 
 
-@_suite("alpha")
+@_suite("alpha", n_values=(2,), trials=1)
 def run_alpha(cfg: SuiteConfig, checks: _Checks):
     """Connection parameters of the catalog convex functions."""
     checks.close("alpha-g_wy", 0.0, alpha_parameter(g_entry("g_wy")), 1e-12)
     checks.close("alpha-g_umegaki", -1.0, alpha_parameter(g_entry("g_umegaki")), 1e-12)
 
 
-@_suite("distance-bound")
+@_suite("distance-bound", n_values=(2, 3, 4, 5), trials=10_000)
 def run_distance_bound(cfg: SuiteConfig, checks: _Checks):
     """wy distance never exceeds 2 pi; arccos clamping stays in its window."""
     dims = list(cfg.n_values) or [2]
@@ -383,20 +379,6 @@ def run_distance_bound(cfg: SuiteConfig, checks: _Checks):
     checks.below("clamp-events", float(clamp_events), float(cfg.trials))
 
 
-SUITE_DEFAULTS: Dict[str, dict] = {
-    "wy-curvature": {"n_values": (2, 3, 4), "trials": 20},
-    "pullback": {"n_values": (2, 3, 4, 5), "trials": 100},
-    "hessian": {"n_values": (2, 3, 4), "trials": 50},
-    "monotonicity": {"n_values": (2, 3), "trials": 500},
-    "geodesic-length": {"n_values": (2, 3), "trials": 20},
-    "dual-pairs": {"n_values": (3,), "trials": 200},
-    "classical": {"n_values": (2, 3, 4), "trials": 50},
-    "skew-identity": {"n_values": (2, 3, 4, 5), "trials": 100},
-    "alpha": {"n_values": (2,), "trials": 1},
-    "distance-bound": {"n_values": (2, 3, 4, 5), "trials": 10_000},
-}
-
-
 def run_suite(cfg: SuiteConfig) -> SuiteReport:
     try:
         fn = SUITES[cfg.suite]
@@ -412,7 +394,7 @@ def default_config(suite: str, seed: int = 0, n_values=None, trials=None,
     return SuiteConfig(
         suite=suite,
         n_values=tuple(n_values) if n_values else tuple(base.get("n_values", (2, 3))),
-        trials=int(trials) if trials else int(base.get("trials", 20)),
+        trials=int(trials) if trials is not None else int(base.get("trials", 20)),
         seed=seed,
         tolerances=dict(tolerances or {}),
     )

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from wyinfo import matio
+from wyinfo import cli, matio
 from wyinfo.errors import InvariantViolation
 from wyinfo.geometry import wy_geodesic
 from wyinfo.linalg import random_density, random_tangent
@@ -254,3 +254,20 @@ def test_verify_tolerance_override_forces_failure():
 def test_verify_bad_tolerance_flag_exit_2():
     res = run_cli("verify", "alpha", "--tolerance", "oops")
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_verify_non_positive_trials_exit_2(trials, capsys):
+    assert cli.main(["verify", "pullback", "--trials", trials]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"invariant violated: trials ({trials} < 1)" in err
+
+
+@pytest.mark.parametrize("flag", ["2,x", ",", "2.5"])
+def test_verify_bad_n_flag_names_invariant(flag, capsys):
+    assert cli.main(["verify", "alpha", "--n", flag]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "invariant violated: n-flag" in err
+    assert repr(flag) in err

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from oracles import path_length_per_sample
 
-from wyinfo.errors import InvariantViolation
+from wyinfo.errors import DomainError, InvariantViolation
 from wyinfo.geometry import (
     double_sqrt_function,
     dual_pair_check,
@@ -241,6 +242,15 @@ def test_path_length_rejects_bad_sample():
     assert "eigenvalue" in str(exc.value)
     with pytest.raises(InvariantViolation):
         path_length(WY, lambda t: rho, steps=10)
+
+
+def test_path_length_rejects_non_finite_speed():
+    # diag(1, 0) is on the boundary: the wy kernel 4/(sqrt x + sqrt y)^2 is infinite at (0, 0)
+    path = wy_geodesic(np.diag([1.0, 0.0]).astype(complex), np.eye(2) / 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            path_length(WY, path, steps=100)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
