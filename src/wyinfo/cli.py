@@ -116,7 +116,7 @@ def cmd_divergence(args) -> int:
 
 def cmd_verify(args) -> int:
     n_values = None
-    if args.n:
+    if args.n is not None:
         try:
             n_values = tuple(int(tok) for tok in args.n.split(","))
         except ValueError:
@@ -190,9 +190,6 @@ def main(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0,) else 0
     try:
         return args.fn(args)
-    except InvariantViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

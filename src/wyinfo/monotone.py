@@ -174,15 +174,19 @@ def metric_eval(entry: MonotoneFunctionEntry, rho, a, b):
     return hs_inner(a, apply_kernel_superop(rho, entry.c, b))
 
 
-def skew_information(rho, a) -> float:
-    """Information content of rho relative to the observable A: -Tr([sqrt(rho), A]^2)."""
+def skew_information(rho, a):
+    """Information content of rho relative to the observable A: -Tr([sqrt(rho), A]^2).
+
+    A float for one state; stacks of states and observables give an array.
+    """
     root = matrix_function(rho, np.sqrt)
     comm = commutator(root, np.asarray(a, dtype=complex))
-    return float(np.real(-np.trace(comm @ comm)))
+    info = np.real(-np.trace(comm @ comm, axis1=-2, axis2=-1))
+    return float(info) if info.ndim == 0 else info
 
 
-def skew_identity_residual(rho, a) -> float:
-    """|<i[rho, A], i[rho, A]>_wy - 4 I(rho, A)|; zero in exact arithmetic."""
+def skew_identity_residual(rho, a):
+    """|<i[rho, A], i[rho, A]>_wy - 4 I(rho, A)|, zero in exact arithmetic; stacks give an array."""
     t = 1j * commutator(rho, np.asarray(a, dtype=complex))
     lhs = metric_eval(catalog_entry("wy"), rho, t, t)
     rhs = 4.0 * skew_information(rho, a)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Sequence
+from typing import Callable, Dict, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -47,18 +47,26 @@ from .monotone import (
 
 @dataclass
 class SuiteConfig:
+    """One suite run; n_values and trials left as None take the suite's defaults."""
+
     suite: str
-    n_values: Sequence[int] = (2, 3)
-    trials: int = 20
+    n_values: Optional[Sequence[int]] = None
+    trials: Optional[int] = None
     seed: int = 0
     tolerances: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.suite not in SUITE_DEFAULTS:
+            known = ", ".join(sorted(SUITE_DEFAULTS))
+            raise InvariantViolation("suite-name", f"unknown '{self.suite}'; suites: {known}")
+        defaults = SUITE_DEFAULTS[self.suite]
+        self.n_values = tuple(defaults["n_values"] if self.n_values is None else self.n_values)
+        self.trials = defaults["trials"] if self.trials is None else self.trials
         if self.trials < 1:
             raise InvariantViolation("trials", f"{self.trials} < 1")
-        for n in self.n_values:
-            if not 2 <= n <= 16:
-                raise InvariantViolation("dimension", f"n={n} outside [2, 16]")
+        if not self.n_values or not all(2 <= n <= 16 for n in self.n_values):
+            raise InvariantViolation(
+                "dimension", f"n_values {list(self.n_values)}: want one or more n in [2, 16]")
 
 
 @dataclass
@@ -109,6 +117,23 @@ class _Checks:
     def seeds(self, streams) -> list:
         """One seed per trial, int(rng_from(config seed, *stream).integers(2**63)) for each stream."""
         return trial_seeds([(self.cfg.seed, *stream) for stream in streams])
+
+    def blocks(self, width: Callable[[int, int], int] = lambda t, n: 1) -> Iterator[tuple]:
+        """The trial plan: (n, width, trials) blocks that cover every trial once.
+
+        Trial t runs at n = n_values[t % len(n_values)]; trials are grouped by
+        (n, width(t, n)) in order of first appearance, in blocks of at most
+        BLOCK_ENTRIES // (width n^2) trials.
+        """
+        dims = self.cfg.n_values
+        groups: Dict[tuple, list] = {}
+        for t in range(self.cfg.trials):
+            n = dims[t % len(dims)]
+            groups.setdefault((n, width(t, n)), []).append(t)
+        for (n, w), trials in groups.items():
+            rows = max(1, BLOCK_ENTRIES // (w * n * n))
+            for lo in range(0, len(trials), rows):
+                yield n, w, trials[lo:lo + rows]
 
     def tol(self, name: str, default: float) -> float:
         return float(self.cfg.tolerances.get(name, default))
@@ -180,62 +205,53 @@ def run_pullback(cfg: SuiteConfig, checks: _Checks):
     """Pushed-forward Hilbert-Schmidt product equals the wy metric."""
     wy = catalog_entry("wy")
     worst = 0.0
-    dims = [n for n in cfg.n_values if n <= 5] or [2]
-    seeds = [checks.seeds((t, j) for t in range(cfg.trials)) for j in range(3)]
-    for t, (rho_seed, a_seed, b_seed) in enumerate(zip(*seeds)):
-        n = dims[t % len(dims)]
-        rho = random_density(n, rho_seed)
-        a = random_tangent(n, a_seed)
-        b = random_tangent(n, b_seed)
+    rho_seed, a_seed, b_seed = (checks.seeds((t, j) for t in range(cfg.trials)) for j in range(3))
+    for n, _, trials in checks.blocks():
+        rho = random_density(n, [rho_seed[t] for t in trials])
+        a = random_tangent(n, [a_seed[t] for t in trials])
+        b = random_tangent(n, [b_seed[t] for t in trials])
         gm = metric_eval(wy, rho, a, b)
-        worst = max(worst, abs(pullback_metric(rho, a, b) - gm) / (1.0 + abs(gm)))
+        gap = np.abs(pullback_metric(rho, a, b) - gm) / (1.0 + np.abs(gm))
+        worst = max(worst, float(np.max(gap)))
     checks.below("pullback-equals-wy", worst, 1e-10)
 
 
 @_suite("hessian", n_values=(2, 3, 4), trials=50)
 def run_hessian(cfg: SuiteConfig, checks: _Checks):
     """Finite-difference entropy Hessian matches the induced metric kernel."""
-    dims = [n for n in cfg.n_values if n <= 4] or [2]
     for gi, g in enumerate(g_catalog()):
         worst = 0.0
-        for t, seed in enumerate(checks.seeds((gi, t) for t in range(cfg.trials))):
-            n = dims[t % len(dims)]
-            rho = random_density(n, seed)
-            rho = (1.0 - n * 5e-2) * rho + 5e-2 * np.eye(n)
-            a = random_tangent(n, seed + 1)
-            b = random_tangent(n, seed + 2)
-            a /= np.linalg.norm(a)
-            b /= np.linalg.norm(b)
-            worst = max(worst, hessian_check(g, rho, a, b).residual)
+        trial_seed = checks.seeds((gi, t) for t in range(cfg.trials))
+        for n, _, trials in checks.blocks():
+            for seed in (trial_seed[t] for t in trials):
+                rho = random_density(n, seed)
+                rho = (1.0 - n * 5e-2) * rho + 5e-2 * np.eye(n)
+                a = random_tangent(n, seed + 1)
+                b = random_tangent(n, seed + 2)
+                a /= np.linalg.norm(a)
+                b /= np.linalg.norm(b)
+                worst = max(worst, hessian_check(g, rho, a, b).residual)
         checks.below(f"hessian-{g.id}", worst, 1e-4)
 
 
 @_suite("monotonicity", n_values=(2, 3), trials=500)
 def run_monotonicity(cfg: SuiteConfig, checks: _Checks):
     """Every catalog metric contracts under random stochastic maps."""
-    dims = [n for n in cfg.n_values if n <= 3] or [2]
-    # Trial t has dimension n = dims[t % len(dims)] and 1 + t % n^2 Kraus
-    # matrices; each (n, Kraus count) group is drawn and checked in stacked
-    # blocks of at most BLOCK_ENTRIES Kraus entries.
-    groups: Dict[tuple, list] = {}
-    for t in range(cfg.trials):
-        n = dims[t % len(dims)]
-        groups.setdefault((n, 1 + t % (n * n)), []).append(t)
+    # Trial t has 1 + t % n^2 Kraus matrices.
+    plan = list(checks.blocks(width=lambda t, n: 1 + t % (n * n)))
     for ei, entry in enumerate(catalog()):
         violations = 0
         skipped = 0
         trial_seed = checks.seeds((ei, t) for t in range(cfg.trials))
-        for (n, env), trials in groups.items():
-            rows = max(1, BLOCK_ENTRIES // (env * n * n))
-            for lo in range(0, len(trials), rows):
-                seeds = [trial_seed[t] for t in trials[lo:lo + rows]]
-                res = contraction_check(entry, random_kraus_channel(n, n, env, seeds),
-                                        random_density(n, [s + 1 for s in seeds]),
-                                        random_tangent(n, [s + 2 for s in seeds]))
-                # a skipped trial has g_after = NaN, so it never counts as a violation
-                excess = res.g_after - res.g_before - 1e-9 * (1.0 + res.g_before)
-                violations += int(np.count_nonzero(excess > 0))
-                skipped += int(np.count_nonzero(res.skipped))
+        for n, env, trials in plan:
+            seeds = [trial_seed[t] for t in trials]
+            res = contraction_check(entry, random_kraus_channel(n, n, env, seeds),
+                                    random_density(n, [s + 1 for s in seeds]),
+                                    random_tangent(n, [s + 2 for s in seeds]))
+            # a skipped trial has g_after = NaN, so it never counts as a violation
+            excess = res.g_after - res.g_before - 1e-9 * (1.0 + res.g_before)
+            violations += int(np.count_nonzero(excess > 0))
+            skipped += int(np.count_nonzero(res.skipped))
         checks.below(f"contraction-violations-{entry.id}", float(violations), 0.0)
         checks.below(f"contraction-skipped-{entry.id}", float(skipped), float(cfg.trials))
 
@@ -255,21 +271,22 @@ def run_geodesic_length(cfg: SuiteConfig, checks: _Checks):
     """Integrated wy length of the closed-form geodesic equals the distance."""
     wy = catalog_entry("wy")
     worst = 0.0
-    dims = list(cfg.n_values) or [2]
-    for t, seed in enumerate(checks.seeds((t,) for t in range(cfg.trials))):
-        n = dims[t % len(dims)]
-        if t % 2 == 0:
-            rho, sig = random_density(n, seed), random_density(n, seed + 1)
-        else:
-            rho, sig = _random_commuting_pair(n, seed)
-        d = wy_distance_audit(rho, sig)[0]
-        length = path_length(wy, wy_geodesic(rho, sig), steps=10_000)
-        worst = max(worst, abs(length - d) / d)
+    trial_seed = checks.seeds((t,) for t in range(cfg.trials))
+    for n, _, trials in checks.blocks():
+        for t in trials:
+            seed = trial_seed[t]
+            if t % 2 == 0:
+                rho, sig = random_density(n, seed), random_density(n, seed + 1)
+            else:
+                rho, sig = _random_commuting_pair(n, seed)
+            d = wy_distance_audit(rho, sig)[0]
+            length = path_length(wy, wy_geodesic(rho, sig), steps=10_000)
+            worst = max(worst, abs(length - d) / d)
     checks.below("length-matches-distance", worst, 1e-4)
     # Order-2 convergence on a few pairs at coarse step counts.
     ratios = []
     for t, seed in enumerate(checks.seeds((1000 + t,) for t in range(min(cfg.trials, 3)))):
-        n = dims[t % len(dims)]
+        n = cfg.n_values[t % len(cfg.n_values)]
         rho, sig = random_density(n, seed), random_density(n, seed + 1)
         d = wy_distance_audit(rho, sig)[0]
         path = wy_geodesic(rho, sig)
@@ -286,10 +303,12 @@ DUAL_PAIR_GRID = (-1.0, -0.5, 0.25, 0.5, 0.75, 1.5, 2.0)
 @_suite("dual-pairs", n_values=(3,), trials=200)
 def run_dual_pairs(cfg: SuiteConfig, checks: _Checks):
     """Only the square-root power pair induces a valid symmetric metric kernel."""
-    n = min(cfg.n_values) if cfg.n_values else 3
-    rows = self_duality_scan(DUAL_PAIR_GRID, trials=cfg.trials, n=n, seed=cfg.seed)
-    passing = [row["p"] for row in rows if row["passes"]]
-    margins = {row["p"]: symmetry_margin(row["report"].induced_f, 10.0) for row in rows}
+    # An exponent passes only if it passes at every n; its induced f, and so
+    # its margin, does not depend on n.
+    scans = [self_duality_scan(DUAL_PAIR_GRID, trials=cfg.trials, n=n, seed=cfg.seed)
+             for n in cfg.n_values]
+    passing = [rows[0]["p"] for rows in zip(*scans) if all(row["passes"] for row in rows)]
+    margins = {row["p"]: symmetry_margin(row["report"].induced_f, 10.0) for row in scans[0]}
     checks.close("passing-count", 1.0, float(len(passing)), 0.0)
     checks.close("passing-p", 0.5, passing[0] if passing else np.nan, 0.0)
     checks.at_least("symmetry-margin-p-1", margins[-1.0], 1e-2)
@@ -304,30 +323,26 @@ def run_classical(cfg: SuiteConfig, checks: _Checks):
     worst_metric = 0.0
     worst_pull = 0.0
     worst_dual = 0.0
-    dims = list(cfg.n_values) or [2]
-    for t in range(cfg.trials):
-        n = dims[t % len(dims)]
-        rng = rng_from(cfg.seed, t)
-        p, q = _floored_dirichlet(rng, n), _floored_dirichlet(rng, n)
-        worst_embed = max(worst_embed, abs(
-            wy_distance_audit(np.diag(p).astype(complex), np.diag(q).astype(complex))[0]
-            - classical.bhattacharyya_distance(p, q)))
-        def draw_u():
-            u = rng.standard_normal(n)
-            return u - u.mean()
-        u, v = draw_u(), draw_u()
-        fr = classical.fisher_rao_metric(p, u, v)
-        worst_metric = max(worst_metric, abs(
-            metric_eval(wy, np.diag(p).astype(complex), np.diag(u).astype(complex),
-                        np.diag(v).astype(complex)) - fr))
-        pulled = float(np.dot(classical.sphere_map_differential(p, u),
-                              classical.sphere_map_differential(p, v)))
-        worst_pull = max(worst_pull, abs(pulled - fr))
-        s = classical.score_from_tangent(u, p)
-        w = classical.score_from_tangent(v, p)
-        lhs = classical.score_inner(classical.mixture_transport(s, q),
-                                    classical.exponential_transport(w, q))
-        worst_dual = max(worst_dual, abs(lhs - classical.score_inner(s, w)))
+    for n, _, trials in checks.blocks():
+        for t in trials:
+            rng = rng_from(cfg.seed, t)
+            p, q = _floored_dirichlet(rng, n), _floored_dirichlet(rng, n)
+            worst_embed = max(worst_embed, abs(
+                wy_distance_audit(np.diag(p).astype(complex), np.diag(q).astype(complex))[0]
+                - classical.bhattacharyya_distance(p, q)))
+            u, v = (z - z.mean() for z in (rng.standard_normal(n), rng.standard_normal(n)))
+            fr = classical.fisher_rao_metric(p, u, v)
+            worst_metric = max(worst_metric, abs(
+                metric_eval(wy, np.diag(p).astype(complex), np.diag(u).astype(complex),
+                            np.diag(v).astype(complex)) - fr))
+            pulled = float(np.dot(classical.sphere_map_differential(p, u),
+                                  classical.sphere_map_differential(p, v)))
+            worst_pull = max(worst_pull, abs(pulled - fr))
+            s = classical.score_from_tangent(u, p)
+            w = classical.score_from_tangent(v, p)
+            lhs = classical.score_inner(classical.mixture_transport(s, q),
+                                        classical.exponential_transport(w, q))
+            worst_dual = max(worst_dual, abs(lhs - classical.score_inner(s, w)))
     checks.below("diagonal-embedding", worst_embed, 1e-11)
     checks.below("diagonal-metric", worst_metric, 1e-11)
     checks.below("sphere-pullback", worst_pull, 1e-12)
@@ -337,14 +352,14 @@ def run_classical(cfg: SuiteConfig, checks: _Checks):
 @_suite("skew-identity", n_values=(2, 3, 4, 5), trials=100)
 def run_skew_identity(cfg: SuiteConfig, checks: _Checks):
     """Metric norm of i[rho, A] equals four times the skew information."""
-    dims = [n for n in cfg.n_values if n <= 5] or [2]
     worst = 0.0
-    for t, seed in enumerate(checks.seeds((t,) for t in range(cfg.trials))):
-        n = dims[t % len(dims)]
-        rho = random_density(n, seed)
-        a = random_tangent(n, seed + 1)
+    trial_seed = checks.seeds((t,) for t in range(cfg.trials))
+    for n, _, trials in checks.blocks():
+        seeds = [trial_seed[t] for t in trials]
+        rho = random_density(n, seeds)
+        a = random_tangent(n, [s + 1 for s in seeds])
         resid = skew_identity_residual(rho, a)
-        worst = max(worst, resid / (1.0 + 4.0 * abs(skew_information(rho, a))))
+        worst = max(worst, float(np.max(resid / (1.0 + 4.0 * np.abs(skew_information(rho, a))))))
     checks.below("skew-identity", worst, 1e-9)
 
 
@@ -358,43 +373,25 @@ def run_alpha(cfg: SuiteConfig, checks: _Checks):
 @_suite("distance-bound", n_values=(2, 3, 4, 5), trials=10_000)
 def run_distance_bound(cfg: SuiteConfig, checks: _Checks):
     """wy distance never exceeds 2 pi; arccos clamping stays in its window."""
-    dims = list(cfg.n_values) or [2]
     worst_d = 0.0
     worst_clamp = 0.0
     clamp_events = 0
-    # Trial t has dimension dims[t % len(dims)]; each dimension's trials are
-    # seeded, drawn and measured in stacked blocks.
-    for i, n in enumerate(dims):
-        trials = range(i, cfg.trials, len(dims))
-        rows = max(1, BLOCK_ENTRIES // (n * n))
-        for lo in range(0, len(trials), rows):
-            seeds = checks.seeds((t,) for t in trials[lo:lo + rows])
-            d, clamp = wy_distance_audit(random_density(n, seeds),
-                                         random_density(n, [s + 1 for s in seeds]))
-            worst_d = max(worst_d, float(np.max(d)))
-            worst_clamp = max(worst_clamp, float(np.max(clamp)))
-            clamp_events += int(np.count_nonzero(clamp > 0.0))
+    for n, _, trials in checks.blocks():
+        seeds = checks.seeds((t,) for t in trials)
+        d, clamp = wy_distance_audit(random_density(n, seeds),
+                                     random_density(n, [s + 1 for s in seeds]))
+        worst_d = max(worst_d, float(np.max(d)))
+        worst_clamp = max(worst_clamp, float(np.max(clamp)))
+        clamp_events += int(np.count_nonzero(clamp > 0.0))
     checks.below("distance-bound", worst_d, 2.0 * np.pi)
     checks.below("clamp-max", worst_clamp, CLAMP_WINDOW)
     checks.below("clamp-events", float(clamp_events), float(cfg.trials))
 
 
 def run_suite(cfg: SuiteConfig) -> SuiteReport:
-    try:
-        fn = SUITES[cfg.suite]
-    except KeyError:
-        known = ", ".join(sorted(SUITES))
-        raise InvariantViolation("suite-name", f"unknown '{cfg.suite}'; suites: {known}")
-    return fn(cfg)
+    return SUITES[cfg.suite](cfg)
 
 
 def default_config(suite: str, seed: int = 0, n_values=None, trials=None,
                    tolerances=None) -> SuiteConfig:
-    base = SUITE_DEFAULTS.get(suite, {})
-    return SuiteConfig(
-        suite=suite,
-        n_values=tuple(n_values) if n_values else tuple(base.get("n_values", (2, 3))),
-        trials=int(trials) if trials is not None else int(base.get("trials", 20)),
-        seed=seed,
-        tolerances=dict(tolerances or {}),
-    )
+    return SuiteConfig(suite, n_values, trials, seed, dict(tolerances or {}))

@@ -4,13 +4,14 @@ These stay deliberately separate from the library code paths they check:
 curvature from raw metric samples via coordinate finite differences, a
 plain classical Kullback-Leibler sum, the per-sample path-length loop that
 the batched `path_length` must reproduce bit for bit, and the per-pair and
-per-trial loops that the block-drawn distance-bound and monotonicity suites
-and the stacked `sampled_operator_monotonicity` must reproduce likewise.
+per-trial loops that the block-drawn distance-bound, monotonicity, pullback
+and skew-identity suites and the stacked `sampled_operator_monotonicity`
+must reproduce likewise.  Trial t of a suite runs at n_values[t % len].
 """
 
 import numpy as np
 
-from wyinfo.geometry import wy_distance_audit
+from wyinfo.geometry import pullback_metric, wy_distance_audit
 from wyinfo.linalg import (
     matrix_function,
     random_density,
@@ -18,7 +19,14 @@ from wyinfo.linalg import (
     random_tangent,
     rng_from,
 )
-from wyinfo.monotone import catalog, contraction_check
+from wyinfo.monotone import (
+    catalog,
+    catalog_entry,
+    contraction_check,
+    metric_eval,
+    skew_identity_residual,
+    skew_information,
+)
 
 
 def traceless_hermitian_basis(n: int):
@@ -124,7 +132,7 @@ def path_length_per_sample(entry, sampler, steps):
 
 def distance_bound_per_pair(cfg):
     """(worst distance, worst clamp, clamp events) of the distance-bound suite, pair by pair."""
-    dims = list(cfg.n_values) or [2]
+    dims = cfg.n_values
     worst_d = 0.0
     worst_clamp = 0.0
     clamp_events = 0
@@ -140,7 +148,7 @@ def distance_bound_per_pair(cfg):
 
 def monotonicity_per_trial(cfg):
     """(violations, skipped) per catalog entry of the monotonicity suite, trial by trial."""
-    dims = [n for n in cfg.n_values if n <= 3] or [2]
+    dims = cfg.n_values
     out = []
     for ei, entry in enumerate(catalog()):
         violations = 0
@@ -160,6 +168,37 @@ def monotonicity_per_trial(cfg):
                 violations += 1
         out += [float(violations), float(skipped)]
     return tuple(out)
+
+
+def pullback_per_trial(cfg):
+    """Worst relative gap of the pullback suite, trial by trial."""
+    wy = catalog_entry("wy")
+    dims = cfg.n_values
+    worst = 0.0
+    for t in range(cfg.trials):
+        n = dims[t % len(dims)]
+        rho_seed, a_seed, b_seed = (int(rng_from(cfg.seed, t, j).integers(2**63))
+                                    for j in range(3))
+        rho = random_density(n, rho_seed)
+        a = random_tangent(n, a_seed)
+        b = random_tangent(n, b_seed)
+        gm = metric_eval(wy, rho, a, b)
+        worst = max(worst, abs(pullback_metric(rho, a, b) - gm) / (1.0 + abs(gm)))
+    return worst
+
+
+def skew_identity_per_trial(cfg):
+    """Worst relative residual of the skew-identity suite, trial by trial."""
+    dims = cfg.n_values
+    worst = 0.0
+    for t in range(cfg.trials):
+        n = dims[t % len(dims)]
+        seed = int(rng_from(cfg.seed, t).integers(2**63))
+        rho = random_density(n, seed)
+        a = random_tangent(n, seed + 1)
+        resid = skew_identity_residual(rho, a)
+        worst = max(worst, resid / (1.0 + 4.0 * abs(skew_information(rho, a))))
+    return worst
 
 
 def sampled_monotonicity_per_trial(entry, trials, n, seed, slack=1e-9):

@@ -5,11 +5,13 @@ import sys
 
 import numpy as np
 import pytest
+from oracles import pullback_per_trial
 
 from wyinfo import cli, matio
 from wyinfo.errors import InvariantViolation
 from wyinfo.geometry import wy_geodesic
 from wyinfo.linalg import random_density, random_tangent
+from wyinfo.suites import default_config
 
 
 def run_cli(*argv):
@@ -264,10 +266,19 @@ def test_verify_non_positive_trials_exit_2(trials, capsys):
     assert f"invariant violated: trials ({trials} < 1)" in err
 
 
-@pytest.mark.parametrize("flag", ["2,x", ",", "2.5"])
+@pytest.mark.parametrize("flag", ["2,x", ",", "2.5", ""])
 def test_verify_bad_n_flag_names_invariant(flag, capsys):
     assert cli.main(["verify", "alpha", "--n", flag]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert "invariant violated: n-flag" in err
     assert repr(flag) in err
+
+
+def test_verify_runs_the_dimension_it_reports(capsys):
+    # n = 7 is above the cap pullback once applied silently
+    assert cli.main(["verify", "pullback", "--n", "7", "--trials", "4"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["config"]["n_values"] == [7]
+    cfg = default_config("pullback", n_values=(7,), trials=4)
+    assert payload["checks"][0]["actual"] == pullback_per_trial(cfg)

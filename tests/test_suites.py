@@ -2,10 +2,16 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import distance_bound_per_pair, monotonicity_per_trial
+from oracles import (
+    distance_bound_per_pair,
+    monotonicity_per_trial,
+    pullback_per_trial,
+    skew_identity_per_trial,
+)
 
 from wyinfo import suites
 from wyinfo.errors import InvariantViolation
+from wyinfo.linalg import BLOCK_ENTRIES
 from wyinfo.monotone import contraction_check
 from wyinfo.suites import SUITE_DEFAULTS, SUITES, SuiteConfig, default_config, run_suite
 
@@ -68,9 +74,70 @@ def test_monotonicity_equals_per_trial_reference(monkeypatch, seed, n_values, tr
     assert sorted(stacked) == sorted(per_trial)
 
 
+# (2,) with 1,500 trials makes three blocks of 576; n = 7 is above the old caps
+@pytest.mark.parametrize("seed, n_values, trials", [(0, None, None), (1, None, None),
+                                                    (2, None, None), (0, (2,), 1500),
+                                                    (0, (7,), None)])
+@pytest.mark.parametrize("suite, reference", [("pullback", pullback_per_trial),
+                                              ("skew-identity", skew_identity_per_trial)])
+def test_stacked_suite_equals_per_trial_reference(suite, reference, seed, n_values, trials):
+    cfg = default_config(suite, seed=seed, n_values=n_values, trials=trials)
+    report = run_suite(cfg)
+    assert [c.actual for c in report.checks] == [reference(cfg)]
+
+
+@pytest.mark.parametrize("n_values, trials, width", [
+    ((2, 3, 4, 5), 10_000, lambda t, n: 1),
+    ((3, 2, 3), 700, lambda t, n: 1 + t % (n * n)),
+    ((16,), 20, lambda t, n: 1),
+])
+def test_trial_plan_covers_each_trial_once_at_its_dimension(n_values, trials, width):
+    cfg = SuiteConfig(suite="distance-bound", n_values=n_values, trials=trials)
+    seen = []
+    for n, w, block in suites._Checks(cfg).blocks(width):
+        assert 1 <= len(block) <= max(1, BLOCK_ENTRIES // (w * n * n))
+        assert all(n == n_values[t % len(n_values)] and w == width(t, n) for t in block)
+        seen += block
+    assert sorted(seen) == list(range(trials))
+
+
+def _record_scans(monkeypatch, passes=lambda p, n: True):
+    """Record the n of every self_duality_scan the dual-pairs suite makes."""
+    seen = []
+    scan = suites.self_duality_scan
+
+    def record(p_grid, trials, n, seed):
+        seen.append(n)
+        rows = scan(p_grid, trials=trials, n=n, seed=seed)
+        return [dict(row, passes=row["passes"] and passes(row["p"], n)) for row in rows]
+
+    monkeypatch.setattr(suites, "self_duality_scan", record)
+    return seen
+
+
+def test_dual_pairs_scans_every_n(monkeypatch):
+    seen = _record_scans(monkeypatch)
+    report = run_suite(SuiteConfig(suite="dual-pairs", n_values=(2, 3), trials=30))
+    assert seen == [2, 3]
+    assert report.passed
+
+
+def test_dual_pairs_exponent_must_pass_at_every_n(monkeypatch):
+    _record_scans(monkeypatch, passes=lambda p, n: n != 3)
+    report = run_suite(SuiteConfig(suite="dual-pairs", n_values=(2, 3), trials=30))
+    assert {c.name: c.actual for c in report.checks}["passing-count"] == 0.0
+    assert not report.passed
+
+
+def test_config_takes_suite_defaults():
+    cfg = SuiteConfig(suite="pullback")
+    assert (cfg.n_values, cfg.trials) == ((2, 3, 4, 5), 100)
+    assert SuiteConfig(suite="alpha", trials=3).n_values == (2,)
+
+
 def test_unknown_suite_raises():
-    with pytest.raises(InvariantViolation):
-        run_suite(SuiteConfig(suite="nope"))
+    with pytest.raises(InvariantViolation, match="suite-name"):
+        SuiteConfig(suite="nope")
 
 
 def test_config_validation():
@@ -80,6 +147,10 @@ def test_config_validation():
         SuiteConfig(suite="alpha", n_values=(1,))
     with pytest.raises(InvariantViolation):
         SuiteConfig(suite="alpha", n_values=(17,))
+    with pytest.raises(InvariantViolation, match="dimension"):
+        SuiteConfig(suite="pullback", n_values=())
+    with pytest.raises(InvariantViolation, match="dimension"):
+        default_config("pullback", n_values=[])
 
 
 def test_suite_defaults_table():
