@@ -63,7 +63,10 @@ def g_entry(g_id: str) -> OperatorConvexG:
 # ---------------------------------------------------------------------------
 
 def relative_modular_apply(rho, sigma, g: Callable, x) -> np.ndarray:
-    """g(L_sigma R_rho^{-1}) applied to X: entrywise g(mu_i / lambda_j) in mixed bases."""
+    """g(L_sigma R_rho^{-1}) applied to X: entrywise g(mu_i / lambda_j) in mixed bases.
+
+    Stacks of states and matrices (..., n, n) are applied slice by slice.
+    """
     return _modular_apply(spectral_decompose(rho), sigma, g, x)
 
 
@@ -71,15 +74,21 @@ def _modular_apply(rho_decomposition, sigma, g: Callable, x) -> np.ndarray:
     """relative_modular_apply with the eigendecomposition of rho already made."""
     lam, u = rho_decomposition
     mu, v = spectral_decompose(sigma)
-    xt = v.conj().T @ np.asarray(x, dtype=complex) @ u
-    return v @ (kernel_grid(lambda m, l: g(m / l), mu, lam) * xt) @ u.conj().T
+    xt = v.conj().swapaxes(-1, -2) @ np.asarray(x, dtype=complex) @ u
+    return v @ (kernel_grid(lambda m, l: g(m / l), mu, lam) * xt) @ u.conj().swapaxes(-1, -2)
 
 
-def relative_g_entropy(rho, sigma, g: OperatorConvexG) -> float:
-    """H_g(rho, sigma) = Tr(sqrt(rho) g(Delta)(sqrt(rho))); zero at rho = sigma."""
+def relative_g_entropy(rho, sigma, g: OperatorConvexG):
+    """H_g(rho, sigma) = Tr(sqrt(rho) g(Delta)(sqrt(rho))); zero at rho = sigma.
+
+    A float for one pair; stacks of pairs give an array, each slice the same
+    bits as its pair alone.
+    """
     rho_decomposition = spectral_decompose(rho)
     root = spectral_function(rho_decomposition, np.sqrt)
-    return float(np.real(np.trace(root @ _modular_apply(rho_decomposition, sigma, g.g, root))))
+    h = np.real(np.trace(root @ _modular_apply(rho_decomposition, sigma, g.g, root),
+                         axis1=-2, axis2=-1))
+    return float(h) if h.ndim == 0 else h
 
 
 def monotone_from_convex(g: OperatorConvexG) -> MonotoneFunctionEntry:
@@ -121,6 +130,8 @@ def alpha_parameter(g: OperatorConvexG) -> float:
 
 @dataclass
 class HessianResult:
+    """The stencil and metric values; for stacks every field but step is an array."""
+
     numeric: float
     analytic: float
     residual: float  # |numeric - analytic| / (1 + |analytic|)
@@ -135,22 +146,28 @@ def hessian_check(g: OperatorConvexG, rho, a, b, step: float = 1e-3) -> HessianR
 
     The numeric side is the 4-point central stencil at the given step; the
     stencil states must stay strictly positive, otherwise a StepTooLargeError
-    suggests a safe step.
+    suggests a safe step.  A stack of states and directions is checked slice
+    by slice with the same bits as alone; the error names the first slice
+    that fails, with a checked before b.
     """
     rho = np.asarray(rho, dtype=complex)
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    lo = float(np.linalg.eigvalsh(rho)[0])
-    for d in (a, b):
-        norm = float(np.linalg.norm(d, 2))
-        if norm > 0 and step * norm >= lo:
-            raise StepTooLargeError(
-                f"stencil state rho +/- step*direction leaves the positive cone"
-                f" (min eigenvalue {lo:.3e}, step*|direction| {step * norm:.3e})",
-                suggested_step=0.5 * lo / norm,
-            )
+    lo = np.linalg.eigvalsh(rho)[..., 0]
+    norms = [np.linalg.norm(d, 2, axis=(-2, -1)) for d in (a, b)]
+    bad = [(norm > 0) & (step * norm >= lo) for norm in norms]
+    if np.any(bad):
+        where = tuple(int(i) for i in np.argwhere(bad[0] | bad[1])[0])
+        norm = norms[0][where] if bad[0][where] else norms[1][where]
+        lo = lo[where]
+        at = f" in slice {where}" if where else ""
+        raise StepTooLargeError(
+            f"stencil state rho +/- step*direction leaves the positive cone{at}"
+            f" (min eigenvalue {lo:.3e}, step*|direction| {step * norm:.3e})",
+            suggested_step=float(0.5 * lo / norm),
+        )
 
-    def h(t: float, s: float) -> float:
+    def h(t: float, s: float):
         return relative_g_entropy(rho + t * a, rho + s * b, g)
 
     stencil = h(step, step) - h(step, -step) - h(-step, step) + h(-step, -step)

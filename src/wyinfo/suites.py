@@ -8,6 +8,7 @@ are deterministic functions of (suite, config).
 from __future__ import annotations
 
 import functools
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, Optional, Sequence
@@ -45,6 +46,16 @@ from .monotone import (
 )
 
 
+def _integer(value, invariant: str) -> int:
+    """value as a Python int (numpy integers too, so reports serialize); bools and floats raise."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvariantViolation(invariant, f"{value!r} is not an integer")
+
+
 @dataclass
 class SuiteConfig:
     """One suite run; n_values and trials left as None take the suite's defaults."""
@@ -60,8 +71,10 @@ class SuiteConfig:
             known = ", ".join(sorted(SUITE_DEFAULTS))
             raise InvariantViolation("suite-name", f"unknown '{self.suite}'; suites: {known}")
         defaults = SUITE_DEFAULTS[self.suite]
-        self.n_values = tuple(defaults["n_values"] if self.n_values is None else self.n_values)
-        self.trials = defaults["trials"] if self.trials is None else self.trials
+        self.n_values = tuple(_integer(n, "dimension") for n in
+                              (defaults["n_values"] if self.n_values is None else self.n_values))
+        self.trials = _integer(defaults["trials"] if self.trials is None else self.trials, "trials")
+        self.seed = _integer(self.seed, "seed")
         if self.trials < 1:
             raise InvariantViolation("trials", f"{self.trials} < 1")
         if not self.n_values or not all(2 <= n <= 16 for n in self.n_values):
@@ -113,6 +126,7 @@ class _Checks:
     def __init__(self, cfg: SuiteConfig):
         self.cfg = cfg
         self.rows: list = []
+        self.names: list = []  # every check name tol() was asked for, in order
 
     def seeds(self, streams) -> list:
         """One seed per trial, int(rng_from(config seed, *stream).integers(2**63)) for each stream."""
@@ -136,7 +150,16 @@ class _Checks:
                 yield n, w, trials[lo:lo + rows]
 
     def tol(self, name: str, default: float) -> float:
+        self.names.append(name)
         return float(self.cfg.tolerances.get(name, default))
+
+    def check_tolerance_names(self):
+        """Raise if a tolerance override names no check of this run (a misspelt name)."""
+        unused = sorted(set(self.cfg.tolerances) - set(self.names))
+        if unused:
+            raise InvariantViolation(
+                "tolerance-name",
+                f"no check named {', '.join(unused)}; this run's checks: {', '.join(self.names)}")
 
     def close(self, name: str, expected: float, actual: float, default_tol: float,
               relative: bool = False):
@@ -172,6 +195,7 @@ def _suite(name: str, *, n_values: tuple, trials: int):
             t0 = time.perf_counter()
             checks = _Checks(cfg)
             body(cfg, checks)
+            checks.check_tolerance_names()
             return SuiteReport(name, all(c.passed for c in checks.rows), checks.rows,
                                time.perf_counter() - t0, cfg)
 
@@ -223,14 +247,13 @@ def run_hessian(cfg: SuiteConfig, checks: _Checks):
         worst = 0.0
         trial_seed = checks.seeds((gi, t) for t in range(cfg.trials))
         for n, _, trials in checks.blocks():
-            for seed in (trial_seed[t] for t in trials):
-                rho = random_density(n, seed)
-                rho = (1.0 - n * 5e-2) * rho + 5e-2 * np.eye(n)
-                a = random_tangent(n, seed + 1)
-                b = random_tangent(n, seed + 2)
-                a /= np.linalg.norm(a)
-                b /= np.linalg.norm(b)
-                worst = max(worst, hessian_check(g, rho, a, b).residual)
+            seeds = [trial_seed[t] for t in trials]
+            rho = (1.0 - n * 5e-2) * random_density(n, seeds) + 5e-2 * np.eye(n)
+            # per-slice norms: the stacked norm differs in the last bit on some slices
+            a, b = (np.stack([d / np.linalg.norm(d)
+                              for d in random_tangent(n, [s + k for s in seeds])])
+                    for k in (1, 2))
+            worst = max(worst, float(np.max(hessian_check(g, rho, a, b).residual)))
         checks.below(f"hessian-{g.id}", worst, 1e-4)
 
 

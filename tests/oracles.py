@@ -4,13 +4,15 @@ These stay deliberately separate from the library code paths they check:
 curvature from raw metric samples via coordinate finite differences, a
 plain classical Kullback-Leibler sum, the per-sample path-length loop that
 the batched `path_length` must reproduce bit for bit, and the per-pair and
-per-trial loops that the block-drawn distance-bound, monotonicity, pullback
-and skew-identity suites and the stacked `sampled_operator_monotonicity`
-must reproduce likewise.  Trial t of a suite runs at n_values[t % len].
+per-trial loops that the block-drawn distance-bound, monotonicity, pullback,
+skew-identity and hessian suites and the stacked
+`sampled_operator_monotonicity` must reproduce likewise.  Trial t of a suite
+runs at n_values[t % len].
 """
 
 import numpy as np
 
+from wyinfo.divergence import g_catalog, hessian_check
 from wyinfo.geometry import pullback_metric, wy_distance_audit
 from wyinfo.linalg import (
     matrix_function,
@@ -199,6 +201,26 @@ def skew_identity_per_trial(cfg):
         resid = skew_identity_residual(rho, a)
         worst = max(worst, resid / (1.0 + 4.0 * abs(skew_information(rho, a))))
     return worst
+
+
+def hessian_per_trial(cfg):
+    """Worst residual per convex g of the hessian suite, trial by trial."""
+    dims = cfg.n_values
+    out = []
+    for gi, g in enumerate(g_catalog()):
+        worst = 0.0
+        for t in range(cfg.trials):
+            n = dims[t % len(dims)]
+            seed = int(rng_from(cfg.seed, gi, t).integers(2**63))
+            rho = random_density(n, seed)
+            rho = (1.0 - n * 5e-2) * rho + 5e-2 * np.eye(n)
+            a = random_tangent(n, seed + 1)
+            b = random_tangent(n, seed + 2)
+            a /= np.linalg.norm(a)
+            b /= np.linalg.norm(b)
+            worst = max(worst, hessian_check(g, rho, a, b).residual)
+        out.append(worst)
+    return out
 
 
 def sampled_monotonicity_per_trial(entry, trials, n, seed, slack=1e-9):

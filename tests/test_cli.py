@@ -258,6 +258,14 @@ def test_verify_bad_tolerance_flag_exit_2():
     assert res.returncode == 2
 
 
+def test_verify_unknown_tolerance_name_exit_2(capsys):
+    assert cli.main(["verify", "alpha", "--tolerance", "alpah-g_wy=0.5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "invariant violated: tolerance-name (no check named alpah-g_wy;" in err
+    assert "checks: alpha-g_wy, alpha-g_umegaki" in err
+
+
 @pytest.mark.parametrize("trials", ["0", "-1"])
 def test_verify_non_positive_trials_exit_2(trials, capsys):
     assert cli.main(["verify", "pullback", "--trials", trials]) == 2

@@ -151,6 +151,24 @@ def test_entropy_data_processing_sampled():
             assert after <= before + 1e-9
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+@pytest.mark.parametrize("g", g_catalog(), ids=lambda g: g.id)
+def test_entropy_stack_equals_single_pairs(g, n):
+    seeds = list(range(10 * n, 10 * n + 7))
+    rho = random_density(n, seeds)
+    sig = random_density(n, [s + 100 for s in seeds])
+    stacked = relative_g_entropy(rho, sig, g)
+    assert stacked.shape == (7,)
+    assert stacked.tolist() == [relative_g_entropy(r, s, g) for r, s in zip(rho, sig)]
+
+
+def test_single_pair_gives_floats():
+    rho = _floored_density(3, 20)
+    a = _unit_tangent(3, 21)
+    assert type(relative_g_entropy(rho, random_density(3, 22), G_WY)) is float
+    assert all(type(v) is float for v in hessian_check(G_UM, rho, a, a).as_dict().values())
+
+
 # ---------------------------------------------------------------------------
 # Monotone function from convex function
 # ---------------------------------------------------------------------------
@@ -221,6 +239,40 @@ def test_hessian_step_too_large_suggests_fix():
     suggested = exc.value.suggested_step
     res = hessian_check(G_WY, rho, a, a, step=suggested)
     assert np.isfinite(res.numeric)
+
+
+def _hessian_stack(n, seeds):
+    rho = np.stack([_floored_density(n, s) for s in seeds])
+    a = np.stack([_unit_tangent(n, s + 1) for s in seeds])
+    b = np.stack([_unit_tangent(n, s + 2) for s in seeds])
+    return rho, a, b
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+@pytest.mark.parametrize("g", g_catalog(), ids=lambda g: g.id)
+def test_hessian_stack_equals_single_calls(g, n):
+    rho, a, b = _hessian_stack(n, range(5))
+    stacked = hessian_check(g, rho, a, b)
+    singles = [hessian_check(g, *args) for args in zip(rho, a, b)]
+    for field in ("numeric", "analytic", "residual"):
+        assert getattr(stacked, field).tolist() == [getattr(r, field) for r in singles]
+    assert stacked.step == 1e-3
+
+
+@pytest.mark.parametrize("zero_a", [False, True], ids=["a-fails", "only-b-fails"])
+def test_hessian_stack_names_first_bad_slice(zero_a):
+    rho, a, b = _hessian_stack(3, range(5))
+    # slices 1 and 3 get a smallest eigenvalue of 1e-4, below step * |direction|
+    for i in (1, 3):
+        rho[i] = np.diag([1e-4, 0.4, 0.6 - 1e-4])
+        if zero_a:
+            a[i] = 0.0
+    with pytest.raises(StepTooLargeError, match=r"in slice \(1,\)") as stacked:
+        hessian_check(G_WY, rho, a, b)
+    with pytest.raises(StepTooLargeError) as single:
+        hessian_check(G_WY, rho[1], a[1], b[1])
+    assert stacked.value.suggested_step == single.value.suggested_step
+    assert "slice" not in str(single.value)
 
 
 def test_hessian_result_shape():

@@ -1,6 +1,7 @@
 """Smoke tests of the scripts in scripts/, each main() run in process at a small size."""
 
 import importlib.util
+import json
 import re
 from pathlib import Path
 
@@ -47,3 +48,34 @@ def test_verify_all_fast_passes_every_suite(monkeypatch, capsys):
     assert [r[0] for r in rows] == list(SUITES)
     assert all(r[1] == "ok" for r in rows)
     assert out.splitlines()[-1] == "all suites passed"
+
+
+def _write_result(out_dir, workload, seed, pass_ref, trace=0):
+    out_dir.mkdir(exist_ok=True)
+    result = {"workload": workload, "seed": seed, "setup_s": 0.2, "pass_ref": pass_ref,
+              "op_p50_ref": pass_ref / 10, "peak_rss_mb": 42.0, "attempted": 20, "failed": 0}
+    (out_dir / f"result-{workload}-seed{seed}-trace{trace}.json").write_text(json.dumps(result))
+
+
+def test_bench_json_pairs_runs_by_workload_and_seed(tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed, before, after in ((1, 100.0, 80.0), (2, 120.0, 90.0), (3, 110.0, 115.0)):
+        _write_result(parent, "verify-suites", seed, before)
+        _write_result(change, "verify-suites", seed, after)
+    _write_result(parent, "verify-suites", 4, 1.0)  # no partner: left out
+    _write_result(change, "cli-oneshot", 1, 1.0, trace=1)  # traced: left out
+    bench_file = tmp_path / "BENCH_1.json"
+    code, _ = run_script("bench_json", [str(parent), str(change), str(bench_file),
+                                        "--parent-commit", "abc123"], monkeypatch, capsys)
+    assert code == 0
+    bench = json.loads(bench_file.read_text())
+    assert bench["parent_commit"] == "abc123"
+    assert list(bench["workloads"]) == ["verify-suites"]
+    entry = bench["workloads"]["verify-suites"]
+    assert entry["seeds"] == [1, 2, 3]
+    assert entry["runs"][0]["change"]["pass_ref"] == 80.0
+    summary = entry["summary"]["pass_ref"]
+    assert summary["parent"]["median"] == 110.0
+    assert summary["change"]["median"] == 90.0
+    assert (summary["change_wins"], summary["pairs"]) == (2, 3)
+    assert set(entry["summary"]) == {"setup_s", "pass_ref", "op_p50_ref", "peak_rss_mb"}

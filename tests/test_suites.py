@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 import oracles
 from oracles import (
     distance_bound_per_pair,
+    hessian_per_trial,
     monotonicity_per_trial,
     pullback_per_trial,
     skew_identity_per_trial,
@@ -86,6 +89,16 @@ def test_stacked_suite_equals_per_trial_reference(suite, reference, seed, n_valu
     assert [c.actual for c in report.checks] == [reference(cfg)]
 
 
+# (2,) with 600 trials makes blocks of 576 and 24
+@pytest.mark.parametrize("seed, n_values, trials", [(0, None, None), (1, None, None),
+                                                    (2, None, None), (0, (2,), 600),
+                                                    (0, (6,), None)])
+def test_hessian_equals_per_trial_reference(seed, n_values, trials):
+    cfg = default_config("hessian", seed=seed, n_values=n_values, trials=trials)
+    report = run_suite(cfg)
+    assert [c.actual for c in report.checks] == hessian_per_trial(cfg)
+
+
 @pytest.mark.parametrize("n_values, trials, width", [
     ((2, 3, 4, 5), 10_000, lambda t, n: 1),
     ((3, 2, 3), 700, lambda t, n: 1 + t % (n * n)),
@@ -151,6 +164,27 @@ def test_config_validation():
         SuiteConfig(suite="pullback", n_values=())
     with pytest.raises(InvariantViolation, match="dimension"):
         default_config("pullback", n_values=[])
+
+
+@pytest.mark.parametrize("kwargs, invariant", [
+    (dict(n_values=(2.5,)), "dimension"),
+    (dict(n_values=(2, True)), "dimension"),
+    (dict(trials=2.5), "trials"),
+    (dict(trials=True), "trials"),
+    (dict(seed=1.5), "seed"),
+    (dict(seed=True), "seed"),
+])
+def test_config_rejects_non_integers(kwargs, invariant):
+    with pytest.raises(InvariantViolation, match=invariant):
+        SuiteConfig(suite="pullback", **kwargs)
+
+
+def test_config_numpy_integers_give_a_dumpable_report():
+    cfg = SuiteConfig(suite="pullback", n_values=np.array([2, 3]), trials=np.int64(4),
+                      seed=np.uint64(7))
+    assert (cfg.n_values, cfg.trials, cfg.seed) == ((2, 3), 4, 7)
+    assert all(type(v) is int for v in (*cfg.n_values, cfg.trials, cfg.seed))
+    assert json.loads(json.dumps(run_suite(cfg).as_dict()))["config"]["seed"] == 7
 
 
 def test_suite_defaults_table():
