@@ -65,13 +65,12 @@ def _log_c_prime(entry: MonotoneFunctionEntry, z: float, x: float) -> float:
     return float(entry.dc_dx(z, x)) / float(entry.c(z, x))
 
 
-def _t1_phi(entry: MonotoneFunctionEntry, x: float, y: float):
+def _t1_phi(entry: MonotoneFunctionEntry, x: float, y: float, cxy: float):
     """phi(t) = c(x,y)/(c(x,t) c(y,t)) - t and its closed-form derivative.
 
     t1 equals the second divided difference phi[x, y, z] because phi vanishes
     at t = x and t = y.  c is symmetric, so d/dt c(x,t) = dc_dx(t, x).
     """
-    cxy = float(entry.c(x, y))
 
     def phi(t: float) -> float:
         return cxy / (float(entry.c(x, t)) * float(entry.c(y, t))) - t
@@ -86,14 +85,13 @@ def _t1_phi(entry: MonotoneFunctionEntry, x: float, y: float):
     return phi, dphi
 
 
-def _t1(entry: MonotoneFunctionEntry, x: float, y: float, z: float) -> float:
+def _t1(entry: MonotoneFunctionEntry, x: float, y: float, z: float,
+        cxy: float, cxz: float, cyz: float) -> float:
     near_xz = _near(x, z, T1_GAP_RTOL)
     near_yz = _near(y, z, T1_GAP_RTOL)
     if not near_xz and not near_yz:
         # x close to y is harmless here: only the z-pairs divide.
-        cxz = float(entry.c(x, z))
-        cyz = float(entry.c(y, z))
-        return (float(entry.c(x, y)) - z * cxz * cyz) / ((x - z) * (y - z) * cxz * cyz)
+        return (cxy - z * cxz * cyz) / ((x - z) * (y - z) * cxz * cyz)
     # Chain membership: both x and y sit in z's cluster when linked directly
     # or through the third argument.
     near_xy = _near(x, y, T1_GAP_RTOL)
@@ -102,12 +100,12 @@ def _t1(entry: MonotoneFunctionEntry, x: float, y: float, z: float) -> float:
     if cluster_x and cluster_y:
         # All three arguments cluster: phi[x,y,z] ~= phi''(centroid) / 2,
         # with phi'' from a Richardson stencil on the closed-form phi'.
-        phi, dphi = _t1_phi(entry, x, y)
+        phi, dphi = _t1_phi(entry, x, y, cxy)
         m = (x + y + z) / 3.0
         return 0.5 * _richardson_derivative(dphi, m, JITTER_REL * m)
     if near_yz:
         x, y = y, x  # t1 is symmetric in (x, y); reduce to the z ~ x case
-    phi, dphi = _t1_phi(entry, x, y)
+    phi, dphi = _t1_phi(entry, x, y, cxy)
     # Newton recursion on nodes [x, z, y]: (phi[x,z] - phi[z,y]) / (x - y),
     # where phi[x,z] over the small gap is phi' at the pair midpoint; the
     # cluster test guarantees |x - y| exceeds the gap threshold.
@@ -116,34 +114,27 @@ def _t1(entry: MonotoneFunctionEntry, x: float, y: float, z: float) -> float:
     return (dd_xz - dd_zy) / (x - y)
 
 
-def _t2(entry: MonotoneFunctionEntry, x: float, y: float, z: float) -> float:
-    if _near(x, y, T23_GAP_RTOL):
-        q = float(entry.dc_dx(0.5 * (x + y), z))
-    else:
-        q = (float(entry.c(x, z)) - float(entry.c(y, z))) / (x - y)
-    return q * q / (float(entry.c(x, y)) * float(entry.c(x, z)) * float(entry.c(y, z)))
-
-
-def _t3(entry: MonotoneFunctionEntry, x: float, y: float, z: float) -> float:
-    if _near(x, y, T23_GAP_RTOL):
-        m = 0.5 * (x + y)
-        return z * _richardson_derivative(
-            lambda t: _log_c_prime(entry, z, t), m, JITTER_REL * m)
-    return z * (_log_c_prime(entry, z, x) - _log_c_prime(entry, z, y)) / (x - y)
-
-
-def _t4(entry: MonotoneFunctionEntry, x: float, y: float, z: float) -> float:
-    return z * _log_c_prime(entry, z, x) * _log_c_prime(entry, z, y)
-
-
 def scal_aux_terms(entry: MonotoneFunctionEntry, x: float, y: float, z: float) -> AuxTerms:
-    """The four auxiliary terms and their combination for one triple."""
+    """The four auxiliary terms and their combination for one triple.
+
+    Away from x = y every term is an expression of five kernel values:
+    c(x,y), c(x,z), c(y,z), (log c)'(z,x) and (log c)'(z,y).
+    """
     if min(x, y, z) <= 0.0:
         raise ValueError(f"triple arguments must be positive, got ({x}, {y}, {z})")
-    t1 = _t1(entry, x, y, z)
-    t2 = _t2(entry, x, y, z)
-    t3 = _t3(entry, x, y, z)
-    t4 = _t4(entry, x, y, z)
+    cxy, cxz, cyz = float(entry.c(x, y)), float(entry.c(x, z)), float(entry.c(y, z))
+    lzx, lzy = _log_c_prime(entry, z, x), _log_c_prime(entry, z, y)
+    t1 = _t1(entry, x, y, z, cxy, cxz, cyz)
+    if _near(x, y, T23_GAP_RTOL):
+        # t2 and t3 are divided differences over x - y: take their limits.
+        m = 0.5 * (x + y)
+        q = float(entry.dc_dx(m, z))
+        t3 = z * _richardson_derivative(lambda t: _log_c_prime(entry, z, t), m, JITTER_REL * m)
+    else:
+        q = (cxz - cyz) / (x - y)
+        t3 = z * (lzx - lzy) / (x - y)
+    t2 = q * q / (cxy * cxz * cyz)
+    t4 = z * lzx * lzy
     return AuxTerms(t1, t2, t3, t4, t1 - 0.5 * t2 + 2.0 * t3 - t4)
 
 
@@ -183,15 +174,9 @@ def scalar_curvature(entry: MonotoneFunctionEntry, rho) -> CurvatureReport:
     triples), then subtracts the n fully coincident terms; continuity at
     spectral degeneracies pins this convention.
     """
-    w, _ = spectral_decompose(rho)
+    w = spectral_decompose(rho).eigenvalues.tolist()
     n = len(w)
-    vals = np.empty(n**3)
-    idx = 0
-    for x in w:
-        for y in w:
-            for z in w:
-                vals[idx] = scal_aux_terms(entry, float(x), float(y), float(z)).combined
-                idx += 1
-    diag = np.array([scal_aux_terms(entry, float(x), float(x), float(x)).combined for x in w])
-    scal = float(np.sum(vals) - np.sum(diag))
-    return CurvatureReport(entry.id, n, scal, scal + scal1_shift(n), [float(v) for v in w])
+    vals = np.array([scal_aux_terms(entry, x, y, z).combined for x in w for y in w for z in w])
+    # The coincident triple (x_i, x_i, x_i) sits at flat index i (n^2 + n + 1).
+    scal = float(np.sum(vals) - np.sum(vals[::n * n + n + 1]))
+    return CurvatureReport(entry.id, n, scal, scal + scal1_shift(n), w)

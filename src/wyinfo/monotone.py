@@ -82,15 +82,11 @@ def _dc_sld(x, y):
 # -- bkm: f(x) = (x - 1) / log(x) ---------------------------------------------
 
 def _f_bkm(x):
+    # Only x = 1 needs its limit (x = 0 gives -1/-inf = 0): near 1, x - 1 is
+    # exact and log is accurate, so the quotient needs no series.
     x = np.asarray(x)
-    w = x - 1.0
-    near = np.abs(w) < 1e-4
     with np.errstate(divide="ignore", invalid="ignore"):
-        direct = np.where(x == 0.0, 0.0, w / np.log(np.where(x == 0.0, 1.0, x)))
-        # w / log1p(w) = 1 / (1 - w/2 + w^2/3 - w^3/4 + w^4/5 + O(w^5))
-        wn = np.where(near, w, 0.0)
-        series = 1.0 / (1.0 - wn / 2.0 + wn**2 / 3.0 - wn**3 / 4.0 + wn**4 / 5.0)
-    return np.where(near, series, direct)
+        return np.where(x == 1.0, 1.0, (x - 1.0) / np.log(x))
 
 
 def _bkm_midpoint(x, y):
@@ -259,6 +255,7 @@ def contraction_check(entry: MonotoneFunctionEntry, channel: KrausChannel, rho, 
     skipped with reason.
     A stack of channels, states and tangents is checked slice by slice, each
     slice re-floored or skipped on its own, with the same bits as alone.
+    One input runs as a 0-d stack and gives a float, a bool and None or a str.
     """
     g_before = metric_eval(entry, rho, a, a)
     rho_out = apply_channel(channel, rho)
@@ -272,13 +269,10 @@ def contraction_check(entry: MonotoneFunctionEntry, channel: KrausChannel, rho, 
         floored = (1.0 - refloor_eps) * rho_out + refloor_eps * np.eye(m) / m
         rho_out = np.where(refloored[..., None, None], floored, rho_out)
         skipped = refloored & (np.linalg.eigvalsh(rho_out)[..., 0] <= 0.0)
-    reason = "output not full rank"
-    if not refloored.shape:
-        if skipped:
-            return ContractionResult(g_before, np.nan, True, reason)
-        return ContractionResult(g_before, metric_eval(entry, rho_out, a_out, a_out),
-                                 bool(refloored))
     g_after = np.full(refloored.shape, np.nan)
     keep = ~skipped
     g_after[keep] = metric_eval(entry, rho_out[keep], a_out[keep], a_out[keep])
-    return ContractionResult(g_before, g_after, refloored, np.where(skipped, reason, None))
+    skipped = np.where(skipped, "output not full rank", None)
+    if not refloored.shape:
+        return ContractionResult(g_before, float(g_after), bool(refloored), skipped.item())
+    return ContractionResult(g_before, g_after, refloored, skipped)

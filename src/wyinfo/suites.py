@@ -8,6 +8,8 @@ are deterministic functions of (suite, config).
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 import operator
 import time
 from dataclasses import dataclass, field
@@ -56,6 +58,13 @@ def _integer(value, invariant: str) -> int:
     raise InvariantViolation(invariant, f"{value!r} is not an integer")
 
 
+def _tolerance(name: str, value) -> float:
+    """value as a float; bools, non-numbers, NaN, infinities and negatives raise."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and 0.0 <= value < math.inf:
+        return float(value)
+    raise InvariantViolation("tolerance-value", f"{name}={value!r}: want a finite number >= 0")
+
+
 @dataclass
 class SuiteConfig:
     """One suite run; n_values and trials left as None take the suite's defaults."""
@@ -75,6 +84,7 @@ class SuiteConfig:
                               (defaults["n_values"] if self.n_values is None else self.n_values))
         self.trials = _integer(defaults["trials"] if self.trials is None else self.trials, "trials")
         self.seed = _integer(self.seed, "seed")
+        self.tolerances = {name: _tolerance(name, v) for name, v in self.tolerances.items()}
         if self.trials < 1:
             raise InvariantViolation("trials", f"{self.trials} < 1")
         if not self.n_values or not all(2 <= n <= 16 for n in self.n_values):

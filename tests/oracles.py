@@ -6,12 +6,20 @@ plain classical Kullback-Leibler sum, the per-sample path-length loop that
 the batched `path_length` must reproduce bit for bit, and the per-pair and
 per-trial loops that the block-drawn distance-bound, monotonicity, pullback,
 skew-identity and hessian suites and the stacked
-`sampled_operator_monotonicity` must reproduce likewise.  Trial t of a suite
+`sampled_operator_monotonicity` must reproduce likewise, and the per-term
+curvature auxiliaries (`scal_aux_terms`, one helper per term) that the
+shared-kernel-value engine must reproduce bit for bit.  Trial t of a suite
 runs at n_values[t % len].
 """
 
 import numpy as np
 
+from wyinfo.curvature import (
+    JITTER_REL,
+    T1_GAP_RTOL,
+    T23_GAP_RTOL,
+    AuxTerms,
+)
 from wyinfo.divergence import g_catalog, hessian_check
 from wyinfo.geometry import pullback_metric, wy_distance_audit
 from wyinfo.linalg import (
@@ -22,6 +30,7 @@ from wyinfo.linalg import (
     rng_from,
 )
 from wyinfo.monotone import (
+    MonotoneFunctionEntry,
     catalog,
     catalog_entry,
     contraction_check,
@@ -239,3 +248,103 @@ def sampled_monotonicity_per_trial(entry, trials, n, seed, slack=1e-9):
         if margin < -slack:
             violations += 1
     return violations, worst
+
+
+# -- The per-term curvature auxiliaries: each term evaluates its own kernel values.
+
+def _near(a: float, b: float, rtol: float) -> bool:
+    return abs(a - b) <= rtol * max(a, b)
+
+
+def _richardson_derivative(fn, m: float, d: float) -> float:
+    """f'(m) from symmetric +/-d and +/-d/2 samples, Richardson-extrapolated."""
+    d1 = (fn(m + d) - fn(m - d)) / (2.0 * d)
+    d2 = (fn(m + 0.5 * d) - fn(m - 0.5 * d)) / d
+    return (4.0 * d2 - d1) / 3.0
+
+
+def _log_c_prime(entry: MonotoneFunctionEntry, z: float, x: float) -> float:
+    """(log c)'(z, x): first-slot derivative of log c at (z, x)."""
+    return float(entry.dc_dx(z, x)) / float(entry.c(z, x))
+
+
+def _t1_phi(entry: MonotoneFunctionEntry, x: float, y: float):
+    """phi(t) = c(x,y)/(c(x,t) c(y,t)) - t and its closed-form derivative.
+
+    t1 equals the second divided difference phi[x, y, z] because phi vanishes
+    at t = x and t = y.  c is symmetric, so d/dt c(x,t) = dc_dx(t, x).
+    """
+    cxy = float(entry.c(x, y))
+
+    def phi(t: float) -> float:
+        return cxy / (float(entry.c(x, t)) * float(entry.c(y, t))) - t
+
+    def dphi(t: float) -> float:
+        cxt = float(entry.c(x, t))
+        cyt = float(entry.c(y, t))
+        dxt = float(entry.dc_dx(t, x))
+        dyt = float(entry.dc_dx(t, y))
+        return -cxy * (dxt * cyt + cxt * dyt) / (cxt * cyt) ** 2 - 1.0
+
+    return phi, dphi
+
+
+def _t1(entry: MonotoneFunctionEntry, x: float, y: float, z: float) -> float:
+    near_xz = _near(x, z, T1_GAP_RTOL)
+    near_yz = _near(y, z, T1_GAP_RTOL)
+    if not near_xz and not near_yz:
+        # x close to y is harmless here: only the z-pairs divide.
+        cxz = float(entry.c(x, z))
+        cyz = float(entry.c(y, z))
+        return (float(entry.c(x, y)) - z * cxz * cyz) / ((x - z) * (y - z) * cxz * cyz)
+    # Chain membership: both x and y sit in z's cluster when linked directly
+    # or through the third argument.
+    near_xy = _near(x, y, T1_GAP_RTOL)
+    cluster_x = near_xz or (near_xy and near_yz)
+    cluster_y = near_yz or (near_xy and near_xz)
+    if cluster_x and cluster_y:
+        # All three arguments cluster: phi[x,y,z] ~= phi''(centroid) / 2,
+        # with phi'' from a Richardson stencil on the closed-form phi'.
+        phi, dphi = _t1_phi(entry, x, y)
+        m = (x + y + z) / 3.0
+        return 0.5 * _richardson_derivative(dphi, m, JITTER_REL * m)
+    if near_yz:
+        x, y = y, x  # t1 is symmetric in (x, y); reduce to the z ~ x case
+    phi, dphi = _t1_phi(entry, x, y)
+    # Newton recursion on nodes [x, z, y]: (phi[x,z] - phi[z,y]) / (x - y),
+    # where phi[x,z] over the small gap is phi' at the pair midpoint; the
+    # cluster test guarantees |x - y| exceeds the gap threshold.
+    dd_xz = dphi(0.5 * (x + z))
+    dd_zy = (phi(z) - phi(y)) / (z - y)
+    return (dd_xz - dd_zy) / (x - y)
+
+
+def _t2(entry: MonotoneFunctionEntry, x: float, y: float, z: float) -> float:
+    if _near(x, y, T23_GAP_RTOL):
+        q = float(entry.dc_dx(0.5 * (x + y), z))
+    else:
+        q = (float(entry.c(x, z)) - float(entry.c(y, z))) / (x - y)
+    return q * q / (float(entry.c(x, y)) * float(entry.c(x, z)) * float(entry.c(y, z)))
+
+
+def _t3(entry: MonotoneFunctionEntry, x: float, y: float, z: float) -> float:
+    if _near(x, y, T23_GAP_RTOL):
+        m = 0.5 * (x + y)
+        return z * _richardson_derivative(
+            lambda t: _log_c_prime(entry, z, t), m, JITTER_REL * m)
+    return z * (_log_c_prime(entry, z, x) - _log_c_prime(entry, z, y)) / (x - y)
+
+
+def _t4(entry: MonotoneFunctionEntry, x: float, y: float, z: float) -> float:
+    return z * _log_c_prime(entry, z, x) * _log_c_prime(entry, z, y)
+
+
+def scal_aux_terms(entry: MonotoneFunctionEntry, x: float, y: float, z: float) -> AuxTerms:
+    """The four auxiliary terms and their combination for one triple."""
+    if min(x, y, z) <= 0.0:
+        raise ValueError(f"triple arguments must be positive, got ({x}, {y}, {z})")
+    t1 = _t1(entry, x, y, z)
+    t2 = _t2(entry, x, y, z)
+    t3 = _t3(entry, x, y, z)
+    t4 = _t4(entry, x, y, z)
+    return AuxTerms(t1, t2, t3, t4, t1 - 0.5 * t2 + 2.0 * t3 - t4)

@@ -266,6 +266,14 @@ def test_verify_unknown_tolerance_name_exit_2(capsys):
     assert "checks: alpha-g_wy, alpha-g_umegaki" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+def test_verify_bad_tolerance_value_exit_2(value, capsys):
+    assert cli.main(["verify", "alpha", "--tolerance", f"alpha-g_wy={value}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "invariant violated: tolerance-value (alpha-g_wy=" in err
+
+
 @pytest.mark.parametrize("trials", ["0", "-1"])
 def test_verify_non_positive_trials_exit_2(trials, capsys):
     assert cli.main(["verify", "pullback", "--trials", trials]) == 2

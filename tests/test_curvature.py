@@ -1,10 +1,14 @@
-from itertools import permutations
+import dataclasses
+from itertools import permutations, product
 
 import numpy as np
 import pytest
 
+import oracles
 from oracles import fd_scalar_curvature, traceless_hermitian_basis
 from wyinfo.curvature import (
+    T1_GAP_RTOL,
+    T23_GAP_RTOL,
     scal1_shift,
     scal_aux_terms,
     scalar_curvature,
@@ -191,3 +195,53 @@ def test_scal1_matches_finite_difference_oracle(fid):
     oracle = fd_scalar_curvature(metric_at, theta0, h=1e-3)
     engine = scalar_curvature(entry, rho0).scal1
     assert abs(engine - oracle) <= 1e-2 * abs(engine)
+
+
+# ---------------------------------------------------------------------------
+# Shared kernel values: the same bits as one kernel evaluation per term
+# ---------------------------------------------------------------------------
+
+_G23, _G1 = 0.3 * T23_GAP_RTOL, 0.3 * T1_GAP_RTOL
+AUX_TRIPLES = [
+    *permutations((0.2, 0.5, 0.3)),                      # generic
+    (1e-3, 0.7, 0.25), (0.9, 1e-4, 0.05),
+    (0.3, 0.3 * (1 + _G23), 0.6), (0.6, 0.6 * (1 - _G23), 0.3),  # x ~ y within T23
+    (0.4, 0.7, 0.4 * (1 + _G1)), (0.7, 0.4, 0.4 * (1 - _G1)),   # z ~ x or z ~ y within T1
+    (0.4, 0.4 * (1 + _G1), 0.4 * (1 + 2 * _G1)),         # all three within T1
+    *permutations((0.4, 0.4 * (1 + 0.7 * T1_GAP_RTOL), 0.4 * (1 + 1.4 * T1_GAP_RTOL))),  # a chain
+    (0.3, 0.3, 0.6), (0.3, 0.6, 0.3), (0.6, 0.3, 0.3), (0.5, 0.5, 0.5),  # exact coincidences
+    *product((1e-9, 1.0 - 2e-9), repeat=3),              # diag(1e-9, 1e-9, 1 - 2e-9)
+]
+
+
+@pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.id)
+def test_aux_terms_equal_per_term_reference(entry):
+    for triple in AUX_TRIPLES:
+        got = scal_aux_terms(entry, *triple)
+        want = oracles.scal_aux_terms(entry, *triple)
+        assert tuple(got) == tuple(want), (triple, got, want)
+
+
+def _counting(entry):
+    calls = {"c": 0, "dc_dx": 0}
+
+    def count(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    return dataclasses.replace(entry, c=count("c", entry.c),
+                               dc_dx=count("dc_dx", entry.dc_dx)), calls
+
+
+@pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.id)
+@pytest.mark.parametrize("triple, want", [
+    ((0.2, 0.5, 0.3), {"c": 5, "dc_dx": 2}),   # five shared values, each once
+    ((0.3, 0.3, 0.6), {"c": 9, "dc_dx": 7}),   # plus the t2 and t3 limits at x = y
+])
+def test_aux_terms_kernel_calls(entry, triple, want):
+    counted, calls = _counting(entry)
+    scal_aux_terms(counted, *triple)
+    assert calls == want
+

@@ -1,3 +1,6 @@
+import decimal
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -113,6 +116,27 @@ def test_bkm_derivative_series_matches_kernel_stencil():
         reference = (4.0 * d2 - d1) / 3.0
         closed = float(np.asarray(bkm.dc_dx(x, y)))
         assert abs(closed - reference) <= 1e-6 * abs(reference)
+
+
+def _f_bkm_reference(x: float) -> float:
+    """(x - 1)/log x from 50-digit decimal arithmetic, correctly rounded to a float."""
+    if x in (0.0, 1.0):
+        return x  # the limits at 0 and 1
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        d = decimal.Decimal(x)
+        return float((d - 1) / d.ln())
+
+
+def test_bkm_f_within_two_ulp_of_50_digit_reference():
+    off = np.geomspace(1e-16, 1e-4, 500)
+    xs = np.concatenate([[0.0, 1.0], 1.0 + off, 1.0 - off, 1.0 + np.linspace(-1e-4, 1e-4, 1001),
+                         np.logspace(-12, 6, 3000), np.random.default_rng(0).uniform(0.0, 4.0, 1000)])
+    got = catalog_entry("bkm").f(xs)
+    want = [_f_bkm_reference(float(x)) for x in xs]
+    assert got[0] == 0.0 and got[1] == 1.0
+    ulps = [abs(g - w) / math.ulp(w) for g, w in zip(got[2:].tolist(), want[2:])]
+    assert max(ulps) <= 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +358,18 @@ def test_contraction_refloors_near_singular_output():
     res = contraction_check(catalog_entry("wy"), ch, random_density(2, 3), random_tangent(2, 4))
     assert res.refloored
     assert np.isfinite(res.g_after)
+
+
+def test_contraction_single_input_gives_python_scalars():
+    wy = catalog_entry("wy")
+    rho, a = random_density(2, 3), random_tangent(2, 4)
+    plain = contraction_check(wy, random_kraus_channel(2, 2, 2, 8), rho, a)
+    floored = contraction_check(wy, _amplitude_damping(), rho, a)
+    skipped = contraction_check(wy, _amplitude_damping(gamma=1.0), rho, a, refloor_eps=0.0)
+    assert [type(v) for v in vars(plain).values()] == [float, float, bool, type(None)]
+    assert [type(v) for v in vars(floored).values()] == [float, float, bool, type(None)]
+    assert [type(v) for v in vars(skipped).values()] == [float, float, bool, str]
+    assert floored.refloored and skipped.refloored and not plain.refloored
 
 
 def _stacked(channels):

@@ -179,6 +179,20 @@ def test_config_rejects_non_integers(kwargs, invariant):
         SuiteConfig(suite="pullback", **kwargs)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1.0, -1e-300,
+                                   True, np.True_, "abc", "0.5", None])
+def test_config_rejects_bad_tolerance_values(value):
+    with pytest.raises(InvariantViolation, match="tolerance-value"):
+        SuiteConfig(suite="alpha", tolerances={"alpha-g_wy": value})
+
+
+def test_config_stores_tolerances_as_floats():
+    cfg = SuiteConfig(suite="dual-pairs",
+                      tolerances={"passing-count": 0, "symmetry-margin-p2": np.float32(0.5)})
+    assert cfg.tolerances == {"passing-count": 0.0, "symmetry-margin-p2": 0.5}
+    assert all(type(v) is float for v in cfg.tolerances.values())
+
+
 def test_config_numpy_integers_give_a_dumpable_report():
     cfg = SuiteConfig(suite="pullback", n_values=np.array([2, 3]), trials=np.int64(4),
                       seed=np.uint64(7))
