@@ -8,7 +8,9 @@ workload and seed; runs without a partner are left out.  For every workload
 the file records the seeds, each pair's end-to-end metrics (the names and the
 better direction come from BENCHMARK.json), each side's median and quartiles
 (statistics.quantiles, n=4, as perfbench/steady.py prints them) and how many
-pairs the change won.  Standard library only.
+pairs the change won.  Traced runs (``--trace 1``, ``...-trace1.json``) pair
+the same way; each pair's per-layer metrics of one pass go under the
+workload's ``"traced"`` list.  Standard library only.
 
 Usage: python3 scripts/bench_json.py PARENT_OUT CHANGE_OUT BENCH_FILE --parent-commit SHA
 """
@@ -21,15 +23,15 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-RESULT = re.compile(r"result-(?P<workload>.+)-seed(?P<seed>\d+)-trace0\.json")
+RESULT = re.compile(r"result-(?P<workload>.+)-seed(?P<seed>\d+)-trace(?P<trace>[01])\.json")
 
 
-def _results(out_dir: Path) -> dict:
-    """{(workload, seed): result object} of the untraced runs in one perfbench/out."""
+def _results(out_dir: Path, trace: int = 0) -> dict:
+    """{(workload, seed): result object} of the runs at one --trace setting in one perfbench/out."""
     runs = {}
     for path in out_dir.iterdir():
         match = RESULT.fullmatch(path.name)
-        if match:
+        if match and int(match["trace"]) == trace:
             runs[match["workload"], int(match["seed"])] = json.loads(path.read_text())
     return runs
 
@@ -65,6 +67,11 @@ def collect(parent_out: Path, change_out: Path, parent_commit: str) -> dict:
                 "change_wins": sum(sign * (c - p) < 0 for p, c in pairs),
                 "pairs": len(pairs),
             }
+    parent, change = _results(parent_out, 1), _results(change_out, 1)
+    for workload, seed in sorted(parent.keys() & change.keys()):
+        workloads.setdefault(workload, {}).setdefault("traced", []).append(
+            {"seed": seed, "parent": parent[workload, seed]["layers"],
+             "change": change[workload, seed]["layers"]})
     return {"parent_commit": parent_commit, "workloads": workloads}
 
 

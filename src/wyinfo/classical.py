@@ -5,6 +5,10 @@ gives the metric sum(u_i v_i / p_i), the spherical (Bhattacharyya) distance,
 and the normalized mixture geodesic.  Parallel transports for the mixture and
 exponential connections act on score representatives and satisfy the exact
 duality pairing <U^m s, U^e t>_q = <s, t>_p.
+
+Every function takes one vector (n,) or a stack (..., n), each slice the same
+bits as alone: a float for one vector, an array for a stack, whose validation
+failures name the first bad slice.
 """
 
 from __future__ import annotations
@@ -18,43 +22,51 @@ from .errors import InvariantViolation
 SIMPLEX_ATOL = 1e-12
 
 
+def _out(x):
+    """A float for one vector's value, the array for a stack's."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _check(bad, invariant: str, fmt: str, values=None):
+    """Raise if any slice is bad, with fmt of the first bad slice's value (and its index)."""
+    if np.any(bad):
+        first = tuple(int(i) for i in np.argwhere(bad)[0])
+        value = None if values is None else np.asarray(values)[first]
+        where = f" in slice {first}" if first else ""
+        raise InvariantViolation(invariant, fmt.format(value) + where)
+
+
 def probability_vector(p) -> np.ndarray:
     """Validate a strictly positive vector summing to one."""
     p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or len(p) < 2:
+    if p.ndim < 1 or p.shape[-1] < 2:
         raise InvariantViolation("simplex-shape", f"shape {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise InvariantViolation("finite", "probability vector has NaN or infinite entries")
-    if abs(float(np.sum(p)) - 1.0) > SIMPLEX_ATOL:
-        raise InvariantViolation("simplex-sum", f"sum {float(np.sum(p)):.15f}")
-    if np.any(p <= 0.0):
-        raise InvariantViolation("simplex-interior", f"min entry {float(np.min(p)):.3e}")
+    _check(~np.isfinite(p).all(axis=-1), "finite", "probability vector has NaN or infinite entries")
+    total = np.sum(p, axis=-1)
+    _check(np.abs(total - 1.0) > SIMPLEX_ATOL, "simplex-sum", "sum {:.15f}", total)
+    _check(np.any(p <= 0.0, axis=-1), "simplex-interior", "min entry {:.3e}", np.min(p, axis=-1))
     return p
 
 
-def _tangent(u, n: int) -> np.ndarray:
+def _tangent(u, shape: tuple) -> np.ndarray:
     u = np.asarray(u, dtype=float)
-    if u.shape != (n,):
-        raise InvariantViolation("tangent-shape", f"shape {u.shape} for n={n}")
-    if abs(float(np.sum(u))) > 1e-9:
-        raise InvariantViolation("tangent-sum", f"sum {float(np.sum(u)):.3e}")
+    if u.shape != shape:
+        raise InvariantViolation("tangent-shape", f"shape {u.shape} for n={shape[-1]}")
+    total = np.sum(u, axis=-1)
+    _check(np.abs(total) > 1e-9, "tangent-sum", "sum {:.3e}", total)
     return u
 
 
-def fisher_rao_metric(p, u, v) -> float:
+def fisher_rao_metric(p, u, v):
     """sum(u_i v_i / p_i) for tangents u, v (entries summing to zero)."""
     p = probability_vector(p)
-    u = _tangent(u, len(p))
-    v = _tangent(v, len(p))
-    return float(np.sum(u * v / p))
+    return _out(np.sum(_tangent(u, p.shape) * _tangent(v, p.shape) / p, axis=-1))
 
 
-def bhattacharyya_distance(p, q) -> float:
+def bhattacharyya_distance(p, q):
     """Spherical distance 2 arccos sum(sqrt(p_i q_i))."""
-    p = probability_vector(p)
-    q = probability_vector(q)
-    arg = float(np.sum(np.sqrt(p * q)))
-    return 2.0 * float(np.arccos(min(1.0, max(-1.0, arg))))
+    arg = np.sum(np.sqrt(probability_vector(p) * probability_vector(q)), axis=-1)
+    return _out(2.0 * np.arccos(np.minimum(1.0, np.maximum(-1.0, arg))))
 
 
 def classical_geodesic(p, q, t: float) -> np.ndarray:
@@ -62,7 +74,7 @@ def classical_geodesic(p, q, t: float) -> np.ndarray:
     p = probability_vector(p)
     q = probability_vector(q)
     m = ((1.0 - t) * np.sqrt(p) + t * np.sqrt(q)) ** 2
-    return m / float(np.sum(m))
+    return m / np.sum(m, axis=-1, keepdims=True)
 
 
 def simplex_sphere_map(p) -> np.ndarray:
@@ -73,7 +85,7 @@ def simplex_sphere_map(p) -> np.ndarray:
 def sphere_map_differential(p, u) -> np.ndarray:
     """Differential of the embedding: u / sqrt(p)."""
     p = probability_vector(p)
-    return _tangent(u, len(p)) / np.sqrt(p)
+    return _tangent(u, p.shape) / np.sqrt(p)
 
 
 def fisher_rao_scal_constant(n: int) -> float:
@@ -97,9 +109,9 @@ class ScoreVector:
         values = np.asarray(self.values, dtype=float)
         if values.shape != base.shape:
             raise InvariantViolation("score-shape", f"{values.shape} vs {base.shape}")
-        center = abs(float(np.sum(base * values)))
-        if center > 1e-12 * max(1.0, float(np.max(np.abs(values)))):
-            raise InvariantViolation("score-centered", f"sum(p s) = {center:.3e}")
+        center = np.abs(np.sum(base * values, axis=-1))
+        _check(center > 1e-12 * np.maximum(1.0, np.max(np.abs(values), axis=-1)),
+               "score-centered", "sum(p s) = {:.3e}", center)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "base", base)
 
@@ -107,18 +119,18 @@ class ScoreVector:
 def score_from_tangent(u, p) -> ScoreVector:
     """Score representative s = u / p of a simplex tangent u at p."""
     p = probability_vector(p)
-    return ScoreVector(_tangent(u, len(p)) / p, p)
+    return ScoreVector(_tangent(u, p.shape) / p, p)
 
 
 def tangent_from_score(s: ScoreVector) -> np.ndarray:
     return s.values * s.base
 
 
-def score_inner(s: ScoreVector, t: ScoreVector) -> float:
+def score_inner(s: ScoreVector, t: ScoreVector):
     """Fisher-Rao product in score form: sum(p_i s_i t_i) at the shared base."""
-    if not np.array_equal(s.base, t.base):
-        raise InvariantViolation("score-base", "scores live at different base points")
-    return float(np.sum(s.base * s.values * t.values))
+    _check(s.base.shape != t.base.shape or np.any(s.base != t.base, axis=-1),
+           "score-base", "scores live at different base points")
+    return _out(np.sum(s.base * s.values * t.values, axis=-1))
 
 
 def mixture_transport(s: ScoreVector, to) -> ScoreVector:
@@ -130,4 +142,4 @@ def mixture_transport(s: ScoreVector, to) -> ScoreVector:
 def exponential_transport(s: ScoreVector, to) -> ScoreVector:
     """Exponential-connection transport: s -> s - E_q[s]."""
     q = probability_vector(to)
-    return ScoreVector(s.values - float(np.sum(q * s.values)), q)
+    return ScoreVector(s.values - np.sum(q * s.values, axis=-1, keepdims=True), q)

@@ -51,7 +51,8 @@ def _diagonal_probabilities(mat, name: str):
         raise InvariantViolation(
             "diagonal", f"{name}: classical distance needs a diagonal matrix "
             f"(max off-diagonal {off:.3e})")
-    return diag
+    # load_density allows a trace error of TRACE_ATOL, the simplex only SIMPLEX_ATOL
+    return diag / np.sum(diag)
 
 
 def cmd_distance(args) -> int:

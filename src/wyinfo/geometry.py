@@ -246,14 +246,8 @@ def symmetry_margin(f: Callable, x: float) -> float:
     return float(abs(np.asarray(f(x)) - x * np.asarray(f(1.0 / x))))
 
 
-def dual_pair_check(phi: C1Function, chi: C1Function, trials: int = 200, n: int = 3,
-                    seed: int = 0) -> DualPairReport:
-    """Test whether (phi, chi) induces a normalized symmetric monotone function.
-
-    The induced kernel is the product of difference quotients; from it,
-    f(t) = 1 / c(t, 1).  Reports normalization f(1) = 1, the symmetry
-    f(x) = x f(1/x) on a log grid, and sampled operator monotonicity of f.
-    """
+def _induced_pair(phi: C1Function, chi: C1Function) -> tuple:
+    """(entry of the induced f, DualPairReport of the pair with no monotonicity count yet)."""
     grid = np.logspace(-2.0, 2.0, 41)
     c = induced_kernel(phi, chi)
 
@@ -274,24 +268,37 @@ def dual_pair_check(phi: C1Function, chi: C1Function, trials: int = 200, n: int 
     sym_resid = float(np.max(np.abs(fx - grid * finv) / (1.0 + np.abs(fx))))
     symmetric = bool(sym_resid <= 1e-9)
 
-    entry = MonotoneFunctionEntry(f"induced[{phi.name},{chi.name}]", f)
-    violations = sampled_operator_monotonicity(entry, trials, n, seed).violations
+    return (MonotoneFunctionEntry(f"induced[{phi.name},{chi.name}]", f),
+            DualPairReport(phi.name, chi.name, c_valid, normalized, symmetric, 0, sym_resid,
+                           induced_f=f))
 
-    return DualPairReport(phi.name, chi.name, c_valid, normalized, symmetric,
-                          violations, sym_resid, induced_f=f)
+
+def dual_pair_check(phi: C1Function, chi: C1Function, trials: int = 200, n: int = 3,
+                    seed: int = 0) -> DualPairReport:
+    """Test whether (phi, chi) induces a normalized symmetric monotone function.
+
+    The induced kernel is the product of difference quotients; from it,
+    f(t) = 1 / c(t, 1).  Reports normalization f(1) = 1, the symmetry
+    f(x) = x f(1/x) on a log grid, and sampled operator monotonicity of f.
+    """
+    entry, report = _induced_pair(phi, chi)
+    report.monotonicity_violations = sampled_operator_monotonicity(
+        entry, trials, n, seed).violations
+    return report
 
 
 def self_duality_scan(p_grid, trials: int = 200, n: int = 3, seed: int = 0) -> list:
     """dual_pair_check of the power pair (phi_p, phi_p) for each exponent.
 
     Rows are {"p", "report", "passes"}; only p = 1/2 can pass every flag.
+    Every exponent's f is sampled on the same pairs, in one monotonicity call.
     """
-    rows = []
-    for p in p_grid:
-        p = float(p)
+    ps = [float(p) for p in p_grid]
+    for p in ps:
         if p in (0.0, 1.0):
             raise InvariantViolation("power-exponent", f"p={p} excluded from the scan")
-        phi = power_function(p)
-        report = dual_pair_check(phi, phi, trials=trials, n=n, seed=seed)
-        rows.append({"p": p, "report": report, "passes": report.passes})
-    return rows
+    pairs = [_induced_pair(phi, phi) for phi in map(power_function, ps)]
+    sampled = sampled_operator_monotonicity([entry for entry, _ in pairs], trials, n, seed)
+    for (_, report), mono in zip(pairs, sampled):
+        report.monotonicity_violations = mono.violations
+    return [{"p": p, "report": r, "passes": r.passes} for p, (_, r) in zip(ps, pairs)]

@@ -12,8 +12,8 @@ import math
 import numbers
 import operator
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .linalg import (
     random_kraus_channel,
     random_tangent,
     rng_from,
+    seeded_stack,
     trial_seeds,
 )
 from .monotone import (
@@ -67,13 +68,13 @@ def _tolerance(name: str, value) -> float:
 
 @dataclass
 class SuiteConfig:
-    """One suite run; n_values and trials left as None take the suite's defaults."""
+    """One suite run; n_values, trials and tolerances left as None take the suite's defaults."""
 
     suite: str
     n_values: Optional[Sequence[int]] = None
     trials: Optional[int] = None
     seed: int = 0
-    tolerances: Dict[str, float] = field(default_factory=dict)
+    tolerances: Optional[Mapping[str, float]] = None
 
     def __post_init__(self):
         if self.suite not in SUITE_DEFAULTS:
@@ -84,7 +85,10 @@ class SuiteConfig:
                               (defaults["n_values"] if self.n_values is None else self.n_values))
         self.trials = _integer(defaults["trials"] if self.trials is None else self.trials, "trials")
         self.seed = _integer(self.seed, "seed")
-        self.tolerances = {name: _tolerance(name, v) for name, v in self.tolerances.items()}
+        tolerances = {} if self.tolerances is None else self.tolerances
+        if not isinstance(tolerances, Mapping) or not all(isinstance(k, str) for k in tolerances):
+            raise InvariantViolation("tolerance-name", f"{tolerances!r} not keyed by check names")
+        self.tolerances = {name: _tolerance(name, v) for name, v in tolerances.items()}
         if self.trials < 1:
             raise InvariantViolation("trials", f"{self.trials} < 1")
         if not self.n_values or not all(2 <= n <= 16 for n in self.n_values):
@@ -289,14 +293,19 @@ def run_monotonicity(cfg: SuiteConfig, checks: _Checks):
         checks.below(f"contraction-skipped-{entry.id}", float(skipped), float(cfg.trials))
 
 
-def _floored_dirichlet(rng: np.random.Generator, n: int) -> np.ndarray:
-    p = (1.0 - 1e-2) * rng.dirichlet(np.ones(n)) + 1e-2 / n
-    return p / p.sum()
+def _floored(p: np.ndarray) -> np.ndarray:
+    """Dirichlet draws (..., n) mixed with the uniform vector at weight 1e-2 and renormalized."""
+    p = (1.0 - 1e-2) * p + 1e-2 / p.shape[-1]
+    return p / p.sum(axis=-1, keepdims=True)
 
 
-def _random_commuting_pair(n: int, seed: int):
-    rng = rng_from(seed)
-    return tuple(np.diag(_floored_dirichlet(rng, n)).astype(complex) for _ in range(2))
+def _diagonal(x: np.ndarray) -> np.ndarray:
+    """The complex diagonal matrices (..., n, n) of vectors (..., n)."""
+    return np.where(np.eye(x.shape[-1], dtype=bool), x[..., None], 0.0).astype(complex)
+
+
+def _random_commuting_pair(n: int, seed: int) -> np.ndarray:
+    return _diagonal(_floored(rng_from(seed).dirichlet(np.ones(n), 2)))
 
 
 @_suite("geodesic-length", n_values=(2, 3), trials=20)
@@ -352,34 +361,27 @@ def run_dual_pairs(cfg: SuiteConfig, checks: _Checks):
 def run_classical(cfg: SuiteConfig, checks: _Checks):
     """Simplex geometry: diagonal embedding, sphere pull-back, transport duality."""
     wy = catalog_entry("wy")
-    worst_embed = 0.0
-    worst_metric = 0.0
-    worst_pull = 0.0
-    worst_dual = 0.0
+    worst = [0.0] * 4
     for n, _, trials in checks.blocks():
-        for t in trials:
-            rng = rng_from(cfg.seed, t)
-            p, q = _floored_dirichlet(rng, n), _floored_dirichlet(rng, n)
-            worst_embed = max(worst_embed, abs(
-                wy_distance_audit(np.diag(p).astype(complex), np.diag(q).astype(complex))[0]
-                - classical.bhattacharyya_distance(p, q)))
-            u, v = (z - z.mean() for z in (rng.standard_normal(n), rng.standard_normal(n)))
-            fr = classical.fisher_rao_metric(p, u, v)
-            worst_metric = max(worst_metric, abs(
-                metric_eval(wy, np.diag(p).astype(complex), np.diag(u).astype(complex),
-                            np.diag(v).astype(complex)) - fr))
-            pulled = float(np.dot(classical.sphere_map_differential(p, u),
-                                  classical.sphere_map_differential(p, v)))
-            worst_pull = max(worst_pull, abs(pulled - fr))
-            s = classical.score_from_tangent(u, p)
-            w = classical.score_from_tangent(v, p)
-            lhs = classical.score_inner(classical.mixture_transport(s, q),
-                                        classical.exponential_transport(w, q))
-            worst_dual = max(worst_dual, abs(lhs - classical.score_inner(s, w)))
-    checks.below("diagonal-embedding", worst_embed, 1e-11)
-    checks.below("diagonal-metric", worst_metric, 1e-11)
-    checks.below("sphere-pullback", worst_pull, 1e-12)
-    checks.below("transport-duality", worst_dual, 1e-12)
+        # each trial draws p, q, then the normals of u, v from its own stream: (trials, 4, n)
+        z = seeded_stack([(cfg.seed, t) for t in trials], lambda rng: np.concatenate(
+            [rng.dirichlet(np.ones(n), 2), rng.standard_normal((2, n))]))
+        p, q = _floored(z[:, 0]), _floored(z[:, 1])
+        u, v = (x - x.mean(axis=-1, keepdims=True) for x in (z[:, 2], z[:, 3]))
+        fr = classical.fisher_rao_metric(p, u, v)
+        du, dv = (classical.sphere_map_differential(p, x) for x in (u, v))
+        s, w = (classical.score_from_tangent(x, p) for x in (u, v))
+        gaps = (wy_distance_audit(_diagonal(p), _diagonal(q))[0]
+                - classical.bhattacharyya_distance(p, q),
+                metric_eval(wy, _diagonal(p), _diagonal(u), _diagonal(v)) - fr,
+                (du[:, None, :] @ dv[:, :, None])[:, 0, 0] - fr,
+                classical.score_inner(classical.mixture_transport(s, q),
+                                      classical.exponential_transport(w, q))
+                - classical.score_inner(s, w))
+        worst = [max(old, float(np.max(np.abs(gap)))) for old, gap in zip(worst, gaps)]
+    for name, value, bound in zip(("diagonal-embedding", "diagonal-metric", "sphere-pullback",
+                                   "transport-duality"), worst, (1e-11, 1e-11, 1e-12, 1e-12)):
+        checks.below(name, value, bound)
 
 
 @_suite("skew-identity", n_values=(2, 3, 4, 5), trials=100)
@@ -427,4 +429,4 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
 
 def default_config(suite: str, seed: int = 0, n_values=None, trials=None,
                    tolerances=None) -> SuiteConfig:
-    return SuiteConfig(suite, n_values, trials, seed, dict(tolerances or {}))
+    return SuiteConfig(suite, n_values, trials, seed, tolerances)

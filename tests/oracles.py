@@ -5,8 +5,9 @@ curvature from raw metric samples via coordinate finite differences, a
 plain classical Kullback-Leibler sum, the per-sample path-length loop that
 the batched `path_length` must reproduce bit for bit, and the per-pair and
 per-trial loops that the block-drawn distance-bound, monotonicity, pullback,
-skew-identity and hessian suites and the stacked
-`sampled_operator_monotonicity` must reproduce likewise, and the per-term
+skew-identity, hessian and classical suites and the stacked
+`sampled_operator_monotonicity` must reproduce likewise, the per-exponent
+dual-pair checks that the one-call self-duality scan must reproduce, and the per-term
 curvature auxiliaries (`scal_aux_terms`, one helper per term) that the
 shared-kernel-value engine must reproduce bit for bit.  Trial t of a suite
 runs at n_values[t % len].
@@ -20,9 +21,19 @@ from wyinfo.curvature import (
     T23_GAP_RTOL,
     AuxTerms,
 )
+from wyinfo import classical
 from wyinfo.divergence import g_catalog, hessian_check
-from wyinfo.geometry import pullback_metric, wy_distance_audit
+from wyinfo.errors import DomainError, InvariantViolation
+from wyinfo.geometry import (
+    DualPairReport,
+    induced_kernel,
+    power_function,
+    pullback_metric,
+    symmetry_margin,
+    wy_distance_audit,
+)
 from wyinfo.linalg import (
+    kernel_grid,
     matrix_function,
     random_density,
     random_kraus_channel,
@@ -35,6 +46,7 @@ from wyinfo.monotone import (
     catalog_entry,
     contraction_check,
     metric_eval,
+    sampled_operator_monotonicity,
     skew_identity_residual,
     skew_information,
 )
@@ -248,6 +260,93 @@ def sampled_monotonicity_per_trial(entry, trials, n, seed, slack=1e-9):
         if margin < -slack:
             violations += 1
     return violations, worst
+
+
+def _floored_dirichlet(rng: np.random.Generator, n: int) -> np.ndarray:
+    p = (1.0 - 1e-2) * rng.dirichlet(np.ones(n)) + 1e-2 / n
+    return p / p.sum()
+
+
+def classical_per_trial(cfg):
+    """The four worst gaps of the classical suite, trial by trial, one vector at a time."""
+    wy = catalog_entry("wy")
+    dims = cfg.n_values
+    worst_embed = 0.0
+    worst_metric = 0.0
+    worst_pull = 0.0
+    worst_dual = 0.0
+    for t in range(cfg.trials):
+        n = dims[t % len(dims)]
+        rng = rng_from(cfg.seed, t)
+        p, q = _floored_dirichlet(rng, n), _floored_dirichlet(rng, n)
+        worst_embed = max(worst_embed, abs(
+            wy_distance_audit(np.diag(p).astype(complex), np.diag(q).astype(complex))[0]
+            - classical.bhattacharyya_distance(p, q)))
+        u, v = (z - z.mean() for z in (rng.standard_normal(n), rng.standard_normal(n)))
+        fr = classical.fisher_rao_metric(p, u, v)
+        worst_metric = max(worst_metric, abs(
+            metric_eval(wy, np.diag(p).astype(complex), np.diag(u).astype(complex),
+                        np.diag(v).astype(complex)) - fr))
+        pulled = float(np.dot(classical.sphere_map_differential(p, u),
+                              classical.sphere_map_differential(p, v)))
+        worst_pull = max(worst_pull, abs(pulled - fr))
+        s = classical.score_from_tangent(u, p)
+        w = classical.score_from_tangent(v, p)
+        lhs = classical.score_inner(classical.mixture_transport(s, q),
+                                    classical.exponential_transport(w, q))
+        worst_dual = max(worst_dual, abs(lhs - classical.score_inner(s, w)))
+    return worst_embed, worst_metric, worst_pull, worst_dual
+
+
+def dual_pair_check_alone(phi, chi, trials=200, n=3, seed=0):
+    """dual_pair_check with its own monotonicity call, one pair at a time."""
+    grid = np.logspace(-2.0, 2.0, 41)
+    c = induced_kernel(phi, chi)
+
+    def f(t):
+        with np.errstate(all="ignore"):
+            return 1.0 / c(t, np.ones_like(np.asarray(t, dtype=float)))
+
+    try:
+        c_valid = bool(np.all(kernel_grid(c, grid, grid) > 0.0))
+    except DomainError:
+        c_valid = False
+
+    f1 = float(np.asarray(f(1.0)))
+    normalized = bool(abs(f1 - 1.0) <= 1e-9)
+
+    fx = np.asarray(f(grid), dtype=float)
+    finv = np.asarray(f(1.0 / grid), dtype=float)
+    sym_resid = float(np.max(np.abs(fx - grid * finv) / (1.0 + np.abs(fx))))
+    symmetric = bool(sym_resid <= 1e-9)
+
+    entry = MonotoneFunctionEntry(f"induced[{phi.name},{chi.name}]", f)
+    violations = sampled_operator_monotonicity(entry, trials, n, seed).violations
+
+    return DualPairReport(phi.name, chi.name, c_valid, normalized, symmetric,
+                          violations, sym_resid, induced_f=f)
+
+
+def self_duality_scan_per_exponent(p_grid, trials=200, n=3, seed=0):
+    """self_duality_scan with one dual_pair_check_alone, and so one sampling, per exponent."""
+    rows = []
+    for p in p_grid:
+        p = float(p)
+        if p in (0.0, 1.0):
+            raise InvariantViolation("power-exponent", f"p={p} excluded from the scan")
+        phi = power_function(p)
+        report = dual_pair_check_alone(phi, phi, trials=trials, n=n, seed=seed)
+        rows.append({"p": p, "report": report, "passes": report.passes})
+    return rows
+
+
+def dual_pairs_per_exponent(cfg, grid):
+    """The check values of the dual-pairs suite over exponent grid, one scan row at a time."""
+    scans = [self_duality_scan_per_exponent(grid, trials=cfg.trials, n=n, seed=cfg.seed)
+             for n in cfg.n_values]
+    passing = [rows[0]["p"] for rows in zip(*scans) if all(row["passes"] for row in rows)]
+    margins = {row["p"]: symmetry_margin(row["report"].induced_f, 10.0) for row in scans[0]}
+    return [1.0 * len(passing), passing[0] if passing else np.nan, margins[-1.0], margins[2.0]]
 
 
 # -- The per-term curvature auxiliaries: each term evaluates its own kernel values.

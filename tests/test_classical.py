@@ -183,6 +183,107 @@ def test_score_roundtrip():
     assert np.allclose(classical.tangent_from_score(s), u, atol=1e-15)
 
 
+# ---------------------------------------------------------------------------
+# Stacks
+# ---------------------------------------------------------------------------
+
+def _stack_inputs(shape, n, seed):
+    """Simplex points p, q and tangents u, v of stack shape `shape` (vectors (n,) for ())."""
+    rng = np.random.default_rng(seed)
+    size = (*shape, n)
+    p, q = (_random_simplex_stack(rng, size) for _ in range(2))
+    u, v = (x - x.mean(axis=-1, keepdims=True) for x in rng.standard_normal((2, *size)))
+    return p, q, u, v
+
+
+def _random_simplex_stack(rng, size, floor=1e-2):
+    p = (1.0 - floor) * rng.dirichlet(np.ones(size[-1]), size[:-1]) + floor / size[-1]
+    return p / p.sum(axis=-1, keepdims=True)
+
+
+def _all_results(p, q, u, v):
+    """Every public classical function on one input set, as (name, value) pairs."""
+    s = classical.score_from_tangent(u, p)
+    w = classical.score_from_tangent(v, p)
+    return [
+        ("probability_vector", classical.probability_vector(p)),
+        ("fisher_rao_metric", classical.fisher_rao_metric(p, u, v)),
+        ("bhattacharyya_distance", classical.bhattacharyya_distance(p, q)),
+        ("classical_geodesic", classical.classical_geodesic(p, q, 0.3)),
+        ("simplex_sphere_map", classical.simplex_sphere_map(p)),
+        ("sphere_map_differential", classical.sphere_map_differential(p, u)),
+        ("score_from_tangent", s.values),
+        ("tangent_from_score", classical.tangent_from_score(s)),
+        ("score_inner", classical.score_inner(s, w)),
+        ("mixture_transport", classical.mixture_transport(s, q).values),
+        ("exponential_transport", classical.exponential_transport(w, q).values),
+        ("transport_duality", classical.score_inner(classical.mixture_transport(s, q),
+                                                    classical.exponential_transport(w, q))),
+    ]
+
+
+@pytest.mark.parametrize("shape", [(7,), (2, 3)])
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 9, 16])
+def test_stack_equals_per_slice_bitwise(shape, n):
+    p, q, u, v = _stack_inputs(shape, n, seed=n)
+    stacked = _all_results(p, q, u, v)
+    for idx in np.ndindex(*shape):
+        alone = _all_results(p[idx], q[idx], u[idx], v[idx])
+        for (name, whole), (_, one) in zip(stacked, alone):
+            assert np.asarray(whole)[idx].tobytes() == np.asarray(one).tobytes(), (name, idx)
+
+
+def test_one_vector_gives_python_floats():
+    p, q, u, v = _stack_inputs((), 4, seed=0)
+    scalars = {"fisher_rao_metric", "bhattacharyya_distance", "score_inner", "transport_duality"}
+    for name, value in _all_results(p, q, u, v):
+        assert (type(value) is float) == (name in scalars), name
+
+
+def _raises(fn, *args):
+    with pytest.raises(InvariantViolation) as exc:
+        fn(*args)
+    return exc.value.invariant, str(exc.value)
+
+
+def test_one_vector_error_text_is_unchanged():
+    assert _raises(classical.probability_vector, [0.5, 0.4]) == (
+        "simplex-sum", "invariant violated: simplex-sum (sum 0.900000000000000)")
+    assert _raises(classical.probability_vector, [1.0, 0.0]) == (
+        "simplex-interior", "invariant violated: simplex-interior (min entry 0.000e+00)")
+    assert _raises(classical.probability_vector, [np.inf, 0.5])[1] == (
+        "invariant violated: finite (probability vector has NaN or infinite entries)")
+    assert _raises(classical.fisher_rao_metric, [0.5, 0.5], [0.1, 0.1], [0.1, -0.1]) == (
+        "tangent-sum", "invariant violated: tangent-sum (sum 2.000e-01)")
+    assert _raises(classical.ScoreVector, np.array([1.0, 1.0]), np.array([0.5, 0.5])) == (
+        "score-centered", "invariant violated: score-centered (sum(p s) = 1.000e+00)")
+
+
+def test_stack_failure_names_first_bad_slice():
+    p, q, u, v = _stack_inputs((2, 3), 3, seed=1)
+    bad = p.copy()
+    bad[1, 2] = [0.5, 0.4, 0.2]
+    bad[1, 0] = [0.5, 0.3, 0.1]
+    assert _raises(classical.probability_vector, bad) == (
+        "simplex-sum", "invariant violated: simplex-sum (sum 0.900000000000000 in slice (1, 0))")
+    bad = p.copy()
+    bad[0, 1] = [1.0, 0.0, 0.0]
+    assert _raises(classical.probability_vector, bad)[1].endswith(
+        "(min entry 0.000e+00 in slice (0, 1))")
+    bad = u.copy()
+    bad[1, 1] += 1.0
+    assert _raises(classical.sphere_map_differential, p, bad)[1].endswith(
+        "(sum 3.000e+00 in slice (1, 1))")
+    values = u / p
+    values[0, 2] += 1.0
+    assert _raises(classical.ScoreVector, values, p)[0] == "score-centered"
+    assert _raises(classical.ScoreVector, values, p)[1].endswith("in slice (0, 2))")
+    s = classical.score_from_tangent(u, p)
+    t = classical.score_from_tangent(v, p[[0, 0]])
+    assert _raises(classical.score_inner, s, t)[1].endswith(
+        "(scores live at different base points in slice (1, 0))")
+
+
 def test_score_inner_requires_shared_base():
     rng = np.random.default_rng(5)
     p = _random_simplex(rng, 3)

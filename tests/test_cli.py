@@ -9,7 +9,7 @@ from oracles import pullback_per_trial
 
 from wyinfo import cli, matio
 from wyinfo.errors import InvariantViolation
-from wyinfo.geometry import wy_geodesic
+from wyinfo.geometry import wy_distance, wy_geodesic
 from wyinfo.linalg import random_density, random_tangent
 from wyinfo.suites import default_config
 
@@ -103,6 +103,23 @@ def test_distance_bhattacharyya(state_files):
     res = run_cli("distance", a, b, "--metric", "bhattacharyya")
     assert res.returncode == 0
     assert float(res.stdout) == pytest.approx(2.0 * math.acos(0.6), rel=1e-12)
+
+
+def test_distance_bhattacharyya_takes_any_density_the_loader_accepts(tmp_path):
+    # the trace is 1 + 5e-11: inside the loader's 1e-10, outside the simplex's 1e-12
+    a, b, c = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
+    rho = np.diag([0.5 + 5e-11, 0.5]).astype(complex)
+    matio.save_matrix(a, rho)
+    matio.save_matrix(b, np.diag([0.5, 0.5]).astype(complex))
+    matio.save_matrix(c, np.diag([0.3, 0.7]).astype(complex))
+    res = run_cli("distance", str(a), str(b), "--metric", "bhattacharyya")
+    assert res.returncode == 0, res.stderr
+    wy = run_cli("distance", str(a), str(b), "--metric", "wy")
+    assert abs(float(res.stdout) - float(wy.stdout)) <= 1e-11
+    # away from zero distance it is the wy distance of the renormalized state
+    res = run_cli("distance", str(a), str(c), "--metric", "bhattacharyya")
+    sigma = np.diag([0.3, 0.7]).astype(complex)
+    assert abs(float(res.stdout) - wy_distance(rho / np.trace(rho).real, sigma)) <= 1e-11
 
 
 def test_distance_json_flag(state_files):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import path_length_per_sample
+from oracles import dual_pair_check_alone, path_length_per_sample, self_duality_scan_per_exponent
 
 from wyinfo.errors import DomainError, InvariantViolation
 from wyinfo.geometry import (
@@ -362,6 +362,22 @@ def test_self_duality_symmetry_margins_at_ten():
         phi = power_function(p)
         report = dual_pair_check(phi, phi, trials=10, seed=4)
         assert symmetry_margin(report.induced_f, 10.0) >= 1e-2
+
+
+# 130 trials at n = 3 are two blocks; the grid includes exponents whose f is not monotone
+@pytest.mark.parametrize("n, trials, seed",
+                         [(3, 200, 0), (3, 130, 1), (2, 50, 2), (4, 60, 2**64 - 1)])
+def test_self_duality_scan_equals_per_exponent_reference(n, trials, seed):
+    grid = [-1.0, -0.5, 0.25, 0.5, 0.75, 1.5, 2.0, 3.0]
+    rows = self_duality_scan(grid, trials=trials, n=n, seed=seed)
+    assert rows == self_duality_scan_per_exponent(grid, trials=trials, n=n, seed=seed)
+    assert {row["p"] for row in rows if row["report"].monotonicity_violations} >= {2.0, 3.0}
+
+
+def test_dual_pair_check_equals_reference():
+    for phi, chi in [(identity_function(), log_function()), (power_function(2.0),) * 2]:
+        assert (dual_pair_check(phi, chi, trials=130, n=3, seed=5)
+                == dual_pair_check_alone(phi, chi, trials=130, n=3, seed=5))
 
 
 def test_self_duality_scan_rejects_excluded_exponents():

@@ -298,6 +298,19 @@ def test_sampled_monotonicity_equals_per_trial_reference(entry, n, seed):
     assert report.worst_margin == worst
 
 
+def test_monotonicity_sequence_equals_one_call_per_entry(monkeypatch):
+    entries = [*catalog(), SQUARE]
+    singles = [sampled_operator_monotonicity(e, trials=300, n=3, seed=7) for e in entries]
+    eigh_calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: eigh_calls.append(1) or eigh(h))
+    # 300 trials at n = 3 are three blocks, each decomposed once for all five entries
+    assert sampled_operator_monotonicity(entries, trials=300, n=3, seed=7) == singles
+    assert len(eigh_calls) == 3
+    assert sampled_operator_monotonicity(iter(entries[:2]), 300, 3, 7) == singles[:2]
+    assert sampled_operator_monotonicity([], 300, 3, 7) == []
+
+
 def test_monotonicity_report_shape():
     report = sampled_operator_monotonicity(catalog_entry("sld"), trials=5, n=2, seed=3)
     d = report.as_dict()

@@ -54,6 +54,8 @@ def _write_result(out_dir, workload, seed, pass_ref, trace=0):
     out_dir.mkdir(exist_ok=True)
     result = {"workload": workload, "seed": seed, "setup_s": 0.2, "pass_ref": pass_ref,
               "op_p50_ref": pass_ref / 10, "peak_rss_mb": 42.0, "attempted": 20, "failed": 0}
+    if trace:
+        result["layers"] = {"lapack.eigh_calls": int(pass_ref)}
     (out_dir / f"result-{workload}-seed{seed}-trace{trace}.json").write_text(json.dumps(result))
 
 
@@ -63,7 +65,9 @@ def test_bench_json_pairs_runs_by_workload_and_seed(tmp_path, monkeypatch, capsy
         _write_result(parent, "verify-suites", seed, before)
         _write_result(change, "verify-suites", seed, after)
     _write_result(parent, "verify-suites", 4, 1.0)  # no partner: left out
-    _write_result(change, "cli-oneshot", 1, 1.0, trace=1)  # traced: left out
+    _write_result(change, "cli-oneshot", 1, 1.0, trace=1)  # traced, no partner: left out
+    _write_result(parent, "verify-suites", 5, 1254.0, trace=1)
+    _write_result(change, "verify-suites", 5, 1101.0, trace=1)
     bench_file = tmp_path / "BENCH_1.json"
     code, _ = run_script("bench_json", [str(parent), str(change), str(bench_file),
                                         "--parent-commit", "abc123"], monkeypatch, capsys)
@@ -79,3 +83,5 @@ def test_bench_json_pairs_runs_by_workload_and_seed(tmp_path, monkeypatch, capsy
     assert summary["change"]["median"] == 90.0
     assert (summary["change_wins"], summary["pairs"]) == (2, 3)
     assert set(entry["summary"]) == {"setup_s", "pass_ref", "op_p50_ref", "peak_rss_mb"}
+    assert entry["traced"] == [{"seed": 5, "parent": {"lapack.eigh_calls": 1254},
+                                "change": {"lapack.eigh_calls": 1101}}]

@@ -5,14 +5,16 @@ import pytest
 
 import oracles
 from oracles import (
+    classical_per_trial,
     distance_bound_per_pair,
+    dual_pairs_per_exponent,
     hessian_per_trial,
     monotonicity_per_trial,
     pullback_per_trial,
     skew_identity_per_trial,
 )
 
-from wyinfo import suites
+from wyinfo import linalg, suites
 from wyinfo.errors import InvariantViolation
 from wyinfo.linalg import BLOCK_ENTRIES
 from wyinfo.monotone import contraction_check
@@ -114,6 +116,46 @@ def test_trial_plan_covers_each_trial_once_at_its_dimension(n_values, trials, wi
     assert sorted(seen) == list(range(trials))
 
 
+@pytest.mark.parametrize("seed, n_values, trials", [(0, None, None), (1, None, None),
+                                                    (2, None, None), (0, tuple(range(2, 9)), 37)])
+def test_classical_equals_per_trial_reference(seed, n_values, trials):
+    cfg = default_config("classical", seed=seed, n_values=n_values, trials=trials)
+    report = run_suite(cfg)
+    assert tuple(c.actual for c in report.checks) == classical_per_trial(cfg)
+
+
+# (2, 3, 4) with 130 trials puts n = 3 in two blocks of 128 and 2
+@pytest.mark.parametrize("seed, n_values, trials", [(0, None, None), (1, None, None),
+                                                    (2, None, None), (0, (2, 3, 4), 130)])
+def test_dual_pairs_equals_per_exponent_reference(seed, n_values, trials):
+    cfg = default_config("dual-pairs", seed=seed, n_values=n_values, trials=trials)
+    report = run_suite(cfg)
+    reference = dual_pairs_per_exponent(cfg, suites.DUAL_PAIR_GRID)
+    assert [c.actual for c in report.checks] == reference
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count the calls of module.name from now on."""
+    calls = []
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(1) or fn(*a, **k))
+    return calls
+
+
+def test_dual_pairs_decomposes_each_block_once(monkeypatch):
+    # 200 trials at n = 3 are two blocks; every exponent reuses their eigh
+    calls = _count_calls(monkeypatch, np.linalg, "eigh")
+    assert run_suite(SuiteConfig(suite="dual-pairs")).passed
+    assert len(calls) == 2
+
+
+def test_classical_draws_without_rng_from(monkeypatch):
+    calls = _count_calls(monkeypatch, suites, "rng_from")
+    linalg_calls = _count_calls(monkeypatch, linalg, "rng_from")
+    assert run_suite(SuiteConfig(suite="classical")).passed
+    assert calls == linalg_calls == []
+
+
 def _record_scans(monkeypatch, passes=lambda p, n: True):
     """Record the n of every self_duality_scan the dual-pairs suite makes."""
     seen = []
@@ -184,6 +226,25 @@ def test_config_rejects_non_integers(kwargs, invariant):
 def test_config_rejects_bad_tolerance_values(value):
     with pytest.raises(InvariantViolation, match="tolerance-value"):
         SuiteConfig(suite="alpha", tolerances={"alpha-g_wy": value})
+
+
+def test_config_takes_none_tolerances_as_no_overrides():
+    cfg = SuiteConfig(suite="alpha", tolerances=None)
+    assert cfg.tolerances == {}
+    assert run_suite(cfg).as_dict()["config"]["tolerances"] == {}
+
+
+@pytest.mark.parametrize("tolerances", [[("alpha-g_wy", 0.5)], "alpha-g_wy", 0.5],
+                         ids=["pairs", "str", "float"])
+def test_config_rejects_non_mapping_tolerances(tolerances):
+    with pytest.raises(InvariantViolation, match="tolerance-name"):
+        SuiteConfig(suite="alpha", tolerances=tolerances)
+
+
+@pytest.mark.parametrize("name", [1, None, ("alpha-g_wy",)], ids=["int", "none", "tuple"])
+def test_config_rejects_non_str_tolerance_names(name):
+    with pytest.raises(InvariantViolation, match="tolerance-name"):
+        SuiteConfig(suite="alpha", tolerances={name: 0.5})
 
 
 def test_config_stores_tolerances_as_floats():
