@@ -51,13 +51,15 @@ def _diagonal_probabilities(mat, name: str):
         raise InvariantViolation(
             "diagonal", f"{name}: classical distance needs a diagonal matrix "
             f"(max off-diagonal {off:.3e})")
-    # load_density allows a trace error of TRACE_ATOL, the simplex only SIMPLEX_ATOL
-    return diag / np.sum(diag)
+    return diag
 
 
 def cmd_distance(args) -> int:
     rho = matio.load_density(args.file_a)
     sigma = matio.load_density(args.file_b)
+    # load_density allows a trace error of TRACE_ATOL: near-coincident states
+    # would read it as distance, and the simplex allows only SIMPLEX_ATOL
+    rho, sigma = rho / np.trace(rho).real, sigma / np.trace(sigma).real
     if args.metric == "wy":
         value = wy_distance(rho, sigma)
     elif args.metric == "bures":

@@ -15,9 +15,10 @@ with multiplicity, minus the fully coincident terms; the trace-one manifold
 adds the dimensional constant (n^2-1)(n^2-2)/4.
 
 All singularities at coinciding arguments are removable.  Near-coincident
-triples are evaluated through central divided differences at pair midpoints
-(symmetric +/-delta jitter with two-level Richardson extrapolation where a
-derivative of a closed-form auxiliary is required).
+triples are evaluated through divided differences at pair midpoints; where a
+derivative of a closed-form auxiliary is required it comes from one complex
+step, Im f(t + ih) / h, which has no cancellation (Squire and Trapp, SIAM
+Review 40, 1998).  So every entry must be `complex_evaluable`.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import InvariantViolation
 from .linalg import spectral_decompose
 from .monotone import MonotoneFunctionEntry
 
@@ -37,8 +39,6 @@ from .monotone import MonotoneFunctionEntry
 # order, which puts their crossover near eps^(1/3).
 T1_GAP_RTOL = 1e-4
 T23_GAP_RTOL = 1e-5
-# Relative step for the symmetric-jitter derivative stencils.
-JITTER_REL = 1e-5
 
 
 class AuxTerms(NamedTuple):
@@ -53,16 +53,15 @@ def _near(a: float, b: float, rtol: float) -> bool:
     return abs(a - b) <= rtol * max(a, b)
 
 
-def _richardson_derivative(fn, m: float, d: float) -> float:
-    """f'(m) from symmetric +/-d and +/-d/2 samples, Richardson-extrapolated."""
-    d1 = (fn(m + d) - fn(m - d)) / (2.0 * d)
-    d2 = (fn(m + 0.5 * d) - fn(m - 0.5 * d)) / d
-    return (4.0 * d2 - d1) / 3.0
+def _complex_step(fn, t: float) -> float:
+    """f'(t) as Im f(t + ih) / h with h = 1e-20 t: no difference, so no cancellation."""
+    h = 1e-20 * t
+    return np.imag(fn(t + 1j * h)) / h
 
 
-def _log_c_prime(entry: MonotoneFunctionEntry, z: float, x: float) -> float:
+def _log_c_prime(entry: MonotoneFunctionEntry, z, x):
     """(log c)'(z, x): first-slot derivative of log c at (z, x)."""
-    return float(entry.dc_dx(z, x)) / float(entry.c(z, x))
+    return entry.dc_dx(z, x) / entry.c(z, x)
 
 
 def _t1_phi(entry: MonotoneFunctionEntry, x: float, y: float, cxy: float):
@@ -75,11 +74,9 @@ def _t1_phi(entry: MonotoneFunctionEntry, x: float, y: float, cxy: float):
     def phi(t: float) -> float:
         return cxy / (float(entry.c(x, t)) * float(entry.c(y, t))) - t
 
-    def dphi(t: float) -> float:
-        cxt = float(entry.c(x, t))
-        cyt = float(entry.c(y, t))
-        dxt = float(entry.dc_dx(t, x))
-        dyt = float(entry.dc_dx(t, y))
+    def dphi(t):
+        cxt, cyt = entry.c(x, t), entry.c(y, t)
+        dxt, dyt = entry.dc_dx(t, x), entry.dc_dx(t, y)
         return -cxy * (dxt * cyt + cxt * dyt) / (cxt * cyt) ** 2 - 1.0
 
     return phi, dphi
@@ -92,17 +89,12 @@ def _t1(entry: MonotoneFunctionEntry, x: float, y: float, z: float,
     if not near_xz and not near_yz:
         # x close to y is harmless here: only the z-pairs divide.
         return (cxy - z * cxz * cyz) / ((x - z) * (y - z) * cxz * cyz)
-    # Chain membership: both x and y sit in z's cluster when linked directly
-    # or through the third argument.
-    near_xy = _near(x, y, T1_GAP_RTOL)
-    cluster_x = near_xz or (near_xy and near_yz)
-    cluster_y = near_yz or (near_xy and near_xz)
-    if cluster_x and cluster_y:
-        # All three arguments cluster: phi[x,y,z] ~= phi''(centroid) / 2,
-        # with phi'' from a Richardson stencil on the closed-form phi'.
-        phi, dphi = _t1_phi(entry, x, y, cxy)
-        m = (x + y + z) / 3.0
-        return 0.5 * _richardson_derivative(dphi, m, JITTER_REL * m)
+    # Chain membership: z sits near x or y, so all three cluster when x and y
+    # are linked directly or through z.
+    if _near(x, y, T1_GAP_RTOL) or (near_xz and near_yz):
+        # phi[x,y,z] ~= phi''(centroid) / 2, phi'' a complex step on phi'.
+        _, dphi = _t1_phi(entry, x, y, cxy)
+        return 0.5 * _complex_step(dphi, (x + y + z) / 3.0)
     if near_yz:
         x, y = y, x  # t1 is symmetric in (x, y); reduce to the z ~ x case
     phi, dphi = _t1_phi(entry, x, y, cxy)
@@ -120,6 +112,9 @@ def scal_aux_terms(entry: MonotoneFunctionEntry, x: float, y: float, z: float) -
     Away from x = y every term is an expression of five kernel values:
     c(x,y), c(x,z), c(y,z), (log c)'(z,x) and (log c)'(z,y).
     """
+    if not entry.complex_evaluable:
+        raise InvariantViolation(
+            "complex-evaluable", f"'{entry.id}': the coincidence limits take complex steps")
     if min(x, y, z) <= 0.0:
         raise ValueError(f"triple arguments must be positive, got ({x}, {y}, {z})")
     cxy, cxz, cyz = float(entry.c(x, y)), float(entry.c(x, z)), float(entry.c(y, z))
@@ -129,7 +124,7 @@ def scal_aux_terms(entry: MonotoneFunctionEntry, x: float, y: float, z: float) -
         # t2 and t3 are divided differences over x - y: take their limits.
         m = 0.5 * (x + y)
         q = float(entry.dc_dx(m, z))
-        t3 = z * _richardson_derivative(lambda t: _log_c_prime(entry, z, t), m, JITTER_REL * m)
+        t3 = z * _complex_step(lambda t: _log_c_prime(entry, z, t), m)
     else:
         q = (cxz - cyz) / (x - y)
         t3 = z * (lzx - lzy) / (x - y)

@@ -40,8 +40,9 @@ _BKM_NEAR = 3e-2
 class MonotoneFunctionEntry:
     """A named operator monotone function with its kernel and kernel derivative.
 
-    ``complex_evaluable`` asserts f and c accept complex scalars near the
-    positive real axis (enables complex-step differentiation in tests).
+    ``complex_evaluable`` asserts f, c and dc_dx accept complex scalars near
+    the positive real axis; the curvature engine requires it, because it
+    takes its coincidence limits by complex step.
     """
 
     id: str

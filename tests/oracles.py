@@ -16,7 +16,6 @@ runs at n_values[t % len].
 import numpy as np
 
 from wyinfo.curvature import (
-    JITTER_REL,
     T1_GAP_RTOL,
     T23_GAP_RTOL,
     AuxTerms,
@@ -355,16 +354,15 @@ def _near(a: float, b: float, rtol: float) -> bool:
     return abs(a - b) <= rtol * max(a, b)
 
 
-def _richardson_derivative(fn, m: float, d: float) -> float:
-    """f'(m) from symmetric +/-d and +/-d/2 samples, Richardson-extrapolated."""
-    d1 = (fn(m + d) - fn(m - d)) / (2.0 * d)
-    d2 = (fn(m + 0.5 * d) - fn(m - 0.5 * d)) / d
-    return (4.0 * d2 - d1) / 3.0
+def _complex_step(fn, t: float) -> float:
+    """f'(t) as Im f(t + ih) / h with h = 1e-20 t."""
+    h = 1e-20 * t
+    return np.imag(fn(t + 1j * h)) / h
 
 
-def _log_c_prime(entry: MonotoneFunctionEntry, z: float, x: float) -> float:
-    """(log c)'(z, x): first-slot derivative of log c at (z, x)."""
-    return float(entry.dc_dx(z, x)) / float(entry.c(z, x))
+def _log_c_prime(entry: MonotoneFunctionEntry, z, x):
+    """(log c)'(z, x): first-slot derivative of log c at (z, x); x may be complex."""
+    return entry.dc_dx(z, x) / entry.c(z, x)
 
 
 def _t1_phi(entry: MonotoneFunctionEntry, x: float, y: float):
@@ -378,11 +376,11 @@ def _t1_phi(entry: MonotoneFunctionEntry, x: float, y: float):
     def phi(t: float) -> float:
         return cxy / (float(entry.c(x, t)) * float(entry.c(y, t))) - t
 
-    def dphi(t: float) -> float:
-        cxt = float(entry.c(x, t))
-        cyt = float(entry.c(y, t))
-        dxt = float(entry.dc_dx(t, x))
-        dyt = float(entry.dc_dx(t, y))
+    def dphi(t):
+        cxt = entry.c(x, t)
+        cyt = entry.c(y, t)
+        dxt = entry.dc_dx(t, x)
+        dyt = entry.dc_dx(t, y)
         return -cxy * (dxt * cyt + cxt * dyt) / (cxt * cyt) ** 2 - 1.0
 
     return phi, dphi
@@ -403,10 +401,10 @@ def _t1(entry: MonotoneFunctionEntry, x: float, y: float, z: float) -> float:
     cluster_y = near_yz or (near_xy and near_xz)
     if cluster_x and cluster_y:
         # All three arguments cluster: phi[x,y,z] ~= phi''(centroid) / 2,
-        # with phi'' from a Richardson stencil on the closed-form phi'.
+        # with phi'' from a complex step on the closed-form phi'.
         phi, dphi = _t1_phi(entry, x, y)
         m = (x + y + z) / 3.0
-        return 0.5 * _richardson_derivative(dphi, m, JITTER_REL * m)
+        return 0.5 * _complex_step(dphi, m)
     if near_yz:
         x, y = y, x  # t1 is symmetric in (x, y); reduce to the z ~ x case
     phi, dphi = _t1_phi(entry, x, y)
@@ -429,8 +427,7 @@ def _t2(entry: MonotoneFunctionEntry, x: float, y: float, z: float) -> float:
 def _t3(entry: MonotoneFunctionEntry, x: float, y: float, z: float) -> float:
     if _near(x, y, T23_GAP_RTOL):
         m = 0.5 * (x + y)
-        return z * _richardson_derivative(
-            lambda t: _log_c_prime(entry, z, t), m, JITTER_REL * m)
+        return z * _complex_step(lambda t: _log_c_prime(entry, z, t), m)
     return z * (_log_c_prime(entry, z, x) - _log_c_prime(entry, z, y)) / (x - y)
 
 

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,10 +16,15 @@ from wyinfo.linalg import random_density, random_tangent
 from wyinfo.suites import default_config
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run_cli(*argv):
+    # the child imports this checkout's wyinfo whether or not it is installed
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "wyinfo.cli", *argv],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
 
 
 @pytest.fixture
@@ -120,6 +127,21 @@ def test_distance_bhattacharyya_takes_any_density_the_loader_accepts(tmp_path):
     res = run_cli("distance", str(a), str(c), "--metric", "bhattacharyya")
     sigma = np.diag([0.3, 0.7]).astype(complex)
     assert abs(float(res.stdout) - wy_distance(rho / np.trace(rho).real, sigma)) <= 1e-11
+
+
+@pytest.mark.parametrize("gap, want, rtol", [
+    (1e-5, 1.9999950001293691e-05, 1e-6),  # 50-digit 2 arccos of the renormalized pair
+    (1e-4, 1.9999995133330720e-04, 1e-8),
+])
+def test_distance_wy_renormalizes_near_coincident_states(tmp_path, gap, want, rtol):
+    # rho's trace error of 5e-11 is inside the loader's 1e-10; unrenormalized
+    # it reads as distance (1.41e-5 instead of 2.0e-5 at gap 1e-5)
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    matio.save_matrix(a, np.diag([0.5 + 5e-11, 0.5]).astype(complex))
+    matio.save_matrix(b, np.diag([0.5 + gap, 0.5 - gap]).astype(complex))
+    res = run_cli("distance", str(a), str(b), "--metric", "wy")
+    assert res.returncode == 0, res.stderr
+    assert abs(float(res.stdout) - want) <= rtol * want
 
 
 def test_distance_json_flag(state_files):

@@ -14,6 +14,7 @@ from wyinfo.curvature import (
     scalar_curvature,
     wy_aux_closed_forms,
 )
+from wyinfo.errors import InvariantViolation
 from wyinfo.linalg import random_density, random_unitary
 from wyinfo.monotone import catalog, catalog_entry, metric_eval
 
@@ -65,7 +66,7 @@ def test_generic_engine_handles_coincident_arguments(triple):
     got = scal_aux_terms(wy, *triple)
     want = wy_aux_closed_forms(*triple)
     for g, w in zip(got[:4], want):
-        assert abs(g - w) <= 1e-7 * (1.0 + abs(w))
+        assert abs(g - w) <= 1e-12 * (1.0 + abs(w))
 
 
 def test_symmetrized_pairs_vanish():
@@ -120,6 +121,31 @@ def test_wy_constancy_across_all_gap_scales():
     for g in (1e-3, 3e-4, 1e-4, 5e-5, 1e-5, 1e-6, 2e-7, 1e-7, 1e-8, 1e-10, 0.0):
         rho = np.diag([0.5 + g, 0.5 - g]).astype(complex)
         assert abs(scalar_curvature(wy, rho).scal1 - 1.5) <= 1e-6
+
+
+@pytest.mark.parametrize("lam, rtol", [(1e-4, 1e-7), (1e-6, 1e-7), (1e-8, 1e-7),
+                                       (1e-9, 1e-6)])  # the suites' tolerance
+@pytest.mark.parametrize("shape", ["pair", "single"])
+def test_wy_curvature_near_the_boundary(shape, lam, rtol):
+    # diag(lam, lam, 1 - 2 lam) or diag(lam, 0.3, 0.7 - lam): the coincidence
+    # limits take complex steps, which have no step-size cancellation
+    spec = [lam, lam, 1.0 - 2.0 * lam] if shape == "pair" else [lam, 0.3, 0.7 - lam]
+    scal1 = scalar_curvature(catalog_entry("wy"), np.diag(spec).astype(complex)).scal1
+    assert abs(scal1 - 14.0) <= rtol * 14.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_wy_cone_curvature_vanishes_to_rounding(n):
+    assert abs(scalar_curvature(catalog_entry("wy"), random_density(n, 3)).scal) <= 1e-12
+
+
+def test_engine_rejects_entry_that_is_not_complex_evaluable():
+    entry = dataclasses.replace(catalog_entry("sld"), id="sld-real", complex_evaluable=False)
+    with pytest.raises(InvariantViolation) as exc:
+        scal_aux_terms(entry, 0.2, 0.5, 0.3)
+    assert exc.value.invariant == "complex-evaluable"
+    with pytest.raises(InvariantViolation):
+        scalar_curvature(entry, random_density(2, 0))
 
 
 def test_bkm_curvature_smooth_through_gap_band():
@@ -238,7 +264,8 @@ def _counting(entry):
 @pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.id)
 @pytest.mark.parametrize("triple, want", [
     ((0.2, 0.5, 0.3), {"c": 5, "dc_dx": 2}),   # five shared values, each once
-    ((0.3, 0.3, 0.6), {"c": 9, "dc_dx": 7}),   # plus the t2 and t3 limits at x = y
+    ((0.3, 0.3, 0.6), {"c": 6, "dc_dx": 4}),   # plus the t2 limit and t3's complex step
+    ((0.4, 0.4, 0.4), {"c": 8, "dc_dx": 6}),   # plus one complex step on phi'
 ])
 def test_aux_terms_kernel_calls(entry, triple, want):
     counted, calls = _counting(entry)

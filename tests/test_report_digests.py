@@ -14,7 +14,7 @@ from wyinfo.suites import SUITES
 
 DIGESTS = {
     0: {
-        "wy-curvature": "17e3680182835d712aec380ac481f4e946687058893c55b5336db373e9f495b8",
+        "wy-curvature": "2fa974a04e434e7d18b5da263bb510d3707a6e885786076ca3a9b22794742944",
         "pullback": "8418aee91b0b17cf399bedde801d4a4f9ab62ec407c684133509e77bb15bc3cd",
         "hessian": "96a387b834ec386c78e1a49b2bd9c1a651ea89ef77a17a85051ff4273542abb2",
         "monotonicity": "2dc9842f11984e05fa0a3240a76c4884f829c2af807eafa68c73c6b20c25b19c",
@@ -26,7 +26,7 @@ DIGESTS = {
         "distance-bound": "e4fa31a7eba655970842167a6042f312b3e93bcc5b0b25f087155ac7c27d9cd8",
     },
     1: {
-        "wy-curvature": "d8e76fff014c8feec6d18c6a0123fb9c3273871c56b98b6a45651a9e2eb27aaf",
+        "wy-curvature": "3cb5f23ef1e1a360fb6428bfc299c14a84c82803b1ce600cc0326b7333cc7c31",
         "pullback": "3acb7bd67a3dd6d4fca27954dd82d3480345a8945f66aa329320f9c5969fb4c7",
         "hessian": "5c8de51d1166248b85baa66b30d0e7ab6a45332bfa2e0c9f11f2b5f0e83438dc",
         "monotonicity": "78b8cd00a383395370ede860105e08c2071bcc0124e00eda98bb88ddce8b2ef0",
@@ -38,7 +38,7 @@ DIGESTS = {
         "distance-bound": "d1453d11c4960fbdeb49a4005e2b7108885929566939022f7d1a0158252deea0",
     },
     2: {
-        "wy-curvature": "cf494ab426de7b846479d68e69315876658661ec262bd07848acece5cbabaa31",
+        "wy-curvature": "a3bc5b9179ec17b4d06fe83312406b66fb3c1521c1efa3ffbf8f223ae223cbc9",
         "pullback": "ae5f8a74b7bba51aea4432b5c4ae174223d0db021ca20ac435d25b31effa06d5",
         "hessian": "ede5364bd7c09e6ee34247edc05e45c7539b9baad396e079491d18bcee4ebec5",
         "monotonicity": "d8d7dd1298912ec6d4e0317a8e670fd9083457375a55221abc42f2acb23ee660",
