@@ -14,11 +14,17 @@ positive cone is the sum of `combined` over all eigenvalue triples, counted
 with multiplicity, minus the fully coincident terms; the trace-one manifold
 adds the dimensional constant (n^2-1)(n^2-2)/4.
 
+Every term is an expression of five kernel values, c(x,y), c(x,z), c(y,z),
+(log c)'(z,x) and (log c)'(z,y), so `scalar_curvature` evaluates c and
+(log c)' once each on the n x n eigenvalue grid and reads the triples from
+those two grids (Daleckii-Krein: Bhatia, Matrix Analysis, ch. V).
+
 All singularities at coinciding arguments are removable.  Near-coincident
-triples are evaluated through divided differences at pair midpoints; where a
-derivative of a closed-form auxiliary is required it comes from one complex
-step, Im f(t + ih) / h, which has no cancellation (Squire and Trapp, SIAM
-Review 40, 1998).  So every entry must be `complex_evaluable`.
+triples are evaluated per triple through divided differences at pair
+midpoints, which call the kernel again; where a derivative of a closed-form
+auxiliary is required it comes from one complex step, Im f(t + ih) / h, which
+has no cancellation (Squire and Trapp, SIAM Review 40, 1998).  So every entry
+must be `complex_evaluable`.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvariantViolation
-from .linalg import spectral_decompose
+from .linalg import assert_hermitian, kernel_grid, spectral_decompose
 from .monotone import MonotoneFunctionEntry
 
 # Relative gap thresholds for switching to the removable-singularity paths.
@@ -106,19 +112,20 @@ def _t1(entry: MonotoneFunctionEntry, x: float, y: float, z: float,
     return (dd_xz - dd_zy) / (x - y)
 
 
-def scal_aux_terms(entry: MonotoneFunctionEntry, x: float, y: float, z: float) -> AuxTerms:
-    """The four auxiliary terms and their combination for one triple.
-
-    Away from x = y every term is an expression of five kernel values:
-    c(x,y), c(x,z), c(y,z), (log c)'(z,x) and (log c)'(z,y).
-    """
+def _require_complex_evaluable(entry: MonotoneFunctionEntry) -> None:
     if not entry.complex_evaluable:
         raise InvariantViolation(
             "complex-evaluable", f"'{entry.id}': the coincidence limits take complex steps")
-    if min(x, y, z) <= 0.0:
-        raise ValueError(f"triple arguments must be positive, got ({x}, {y}, {z})")
-    cxy, cxz, cyz = float(entry.c(x, y)), float(entry.c(x, z)), float(entry.c(y, z))
-    lzx, lzy = _log_c_prime(entry, z, x), _log_c_prime(entry, z, y)
+
+
+def _aux_terms(entry: MonotoneFunctionEntry, x: float, y: float, z: float,
+               cxy: float, cxz: float, cyz: float, lzx: float, lzy: float) -> AuxTerms:
+    """The auxiliary terms of one triple from its five kernel values.
+
+    Away from x = y every term is an expression of c(x,y), c(x,z), c(y,z),
+    (log c)'(z,x) and (log c)'(z,y); the near-coincidence limits call the
+    kernel again.
+    """
     t1 = _t1(entry, x, y, z, cxy, cxz, cyz)
     if _near(x, y, T23_GAP_RTOL):
         # t2 and t3 are divided differences over x - y: take their limits.
@@ -131,6 +138,18 @@ def scal_aux_terms(entry: MonotoneFunctionEntry, x: float, y: float, z: float) -
     t2 = q * q / (cxy * cxz * cyz)
     t4 = z * lzx * lzy
     return AuxTerms(t1, t2, t3, t4, t1 - 0.5 * t2 + 2.0 * t3 - t4)
+
+
+def scal_aux_terms(entry: MonotoneFunctionEntry, x: float, y: float, z: float) -> AuxTerms:
+    """The four auxiliary terms and their combination for one triple."""
+    _require_complex_evaluable(entry)
+    if not np.isfinite((x, y, z)).all():
+        raise InvariantViolation("finite", f"triple ({x}, {y}, {z})")
+    if min(x, y, z) <= 0.0:
+        raise ValueError(f"triple arguments must be positive, got ({x}, {y}, {z})")
+    cxy, cxz, cyz = float(entry.c(x, y)), float(entry.c(x, z)), float(entry.c(y, z))
+    lzx, lzy = _log_c_prime(entry, z, x), _log_c_prime(entry, z, y)
+    return _aux_terms(entry, x, y, z, cxy, cxz, cyz, lzx, lzy)
 
 
 def wy_aux_closed_forms(x: float, y: float, z: float):
@@ -169,9 +188,17 @@ def scalar_curvature(entry: MonotoneFunctionEntry, rho) -> CurvatureReport:
     triples), then subtracts the n fully coincident terms; continuity at
     spectral degeneracies pins this convention.
     """
-    w = spectral_decompose(rho).eigenvalues.tolist()
+    _require_complex_evaluable(entry)
+    w = spectral_decompose(assert_hermitian(rho, "rho")).eigenvalues
+    if (w <= 0.0).any():
+        raise InvariantViolation("strict-positivity", f"rho smallest eigenvalue {w[0]:.3e}")
+    c = kernel_grid(entry.c, w, w)
+    log_c_prime = kernel_grid(entry.dc_dx, w, w) / c  # (log c)'(w_i, w_j)
+    w = w.tolist()
     n = len(w)
-    vals = np.array([scal_aux_terms(entry, x, y, z).combined for x in w for y in w for z in w])
+    rows = list(zip(range(n), w, c.tolist(), log_c_prime.tolist()))
+    vals = np.array([_aux_terms(entry, x, y, z, cx[j], cx[k], cy[k], lz[i], lz[j]).combined
+                     for i, x, cx, _ in rows for j, y, cy, _ in rows for k, z, _, lz in rows])
     # The coincident triple (x_i, x_i, x_i) sits at flat index i (n^2 + n + 1).
     scal = float(np.sum(vals) - np.sum(vals[::n * n + n + 1]))
     return CurvatureReport(entry.id, n, scal, scal + scal1_shift(n), w)

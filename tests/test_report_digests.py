@@ -14,7 +14,7 @@ from wyinfo.suites import SUITES
 
 DIGESTS = {
     0: {
-        "wy-curvature": "2fa974a04e434e7d18b5da263bb510d3707a6e885786076ca3a9b22794742944",
+        "wy-curvature": "88047d73b09da7c25e03a06237e1667ce3ba1d74a0309d7c515bb0cd82e0aa5c",
         "pullback": "8418aee91b0b17cf399bedde801d4a4f9ab62ec407c684133509e77bb15bc3cd",
         "hessian": "96a387b834ec386c78e1a49b2bd9c1a651ea89ef77a17a85051ff4273542abb2",
         "monotonicity": "2dc9842f11984e05fa0a3240a76c4884f829c2af807eafa68c73c6b20c25b19c",
@@ -26,7 +26,7 @@ DIGESTS = {
         "distance-bound": "e4fa31a7eba655970842167a6042f312b3e93bcc5b0b25f087155ac7c27d9cd8",
     },
     1: {
-        "wy-curvature": "3cb5f23ef1e1a360fb6428bfc299c14a84c82803b1ce600cc0326b7333cc7c31",
+        "wy-curvature": "9cdc89a499a7c7766dbc729de0586dfbd7b3497c6f5b32bd9bbb6b01644ac67d",
         "pullback": "3acb7bd67a3dd6d4fca27954dd82d3480345a8945f66aa329320f9c5969fb4c7",
         "hessian": "5c8de51d1166248b85baa66b30d0e7ab6a45332bfa2e0c9f11f2b5f0e83438dc",
         "monotonicity": "78b8cd00a383395370ede860105e08c2071bcc0124e00eda98bb88ddce8b2ef0",
