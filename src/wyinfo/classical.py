@@ -18,13 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation
+from .linalg import _out
 
 SIMPLEX_ATOL = 1e-12
-
-
-def _out(x):
-    """A float for one vector's value, the array for a stack's."""
-    return float(x) if np.ndim(x) == 0 else x
 
 
 def _check(bad, invariant: str, fmt: str, values=None):

@@ -22,9 +22,8 @@ those two grids (Daleckii-Krein: Bhatia, Matrix Analysis, ch. V).
 All singularities at coinciding arguments are removable.  Near-coincident
 triples are evaluated per triple through divided differences at pair
 midpoints, which call the kernel again; where a derivative of a closed-form
-auxiliary is required it comes from one complex step, Im f(t + ih) / h, which
-has no cancellation (Squire and Trapp, SIAM Review 40, 1998).  So every entry
-must be `complex_evaluable`.
+auxiliary is required it comes from linalg's complex step, Im f(t + ih) / h,
+which has no cancellation.  So every entry must be `complex_evaluable`.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvariantViolation
-from .linalg import assert_hermitian, kernel_grid, spectral_decompose
+from .linalg import _complex_step, assert_hermitian, kernel_grid, spectral_decompose
 from .monotone import MonotoneFunctionEntry
 
 # Relative gap thresholds for switching to the removable-singularity paths.
@@ -57,12 +56,6 @@ class AuxTerms(NamedTuple):
 
 def _near(a: float, b: float, rtol: float) -> bool:
     return abs(a - b) <= rtol * max(a, b)
-
-
-def _complex_step(fn, t: float) -> float:
-    """f'(t) as Im f(t + ih) / h with h = 1e-20 t: no difference, so no cancellation."""
-    h = 1e-20 * t
-    return np.imag(fn(t + 1j * h)) / h
 
 
 def _log_c_prime(entry: MonotoneFunctionEntry, z, x):
@@ -189,7 +182,10 @@ def scalar_curvature(entry: MonotoneFunctionEntry, rho) -> CurvatureReport:
     spectral degeneracies pins this convention.
     """
     _require_complex_evaluable(entry)
-    w = spectral_decompose(assert_hermitian(rho, "rho")).eigenvalues
+    rho = assert_hermitian(rho, "rho")
+    if not len(rho):
+        raise InvariantViolation("dimension", "rho is 0 x 0")
+    w = spectral_decompose(rho).eigenvalues
     if (w <= 0.0).any():
         raise InvariantViolation("strict-positivity", f"rho smallest eigenvalue {w[0]:.3e}")
     c = kernel_grid(entry.c, w, w)

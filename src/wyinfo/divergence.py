@@ -4,7 +4,9 @@ For an operator convex g with g(1) = 0, the relative g-entropy is
 H_g(rho, sigma) = Tr(sqrt(rho) g(Delta)(sqrt(rho))) with the relative modular
 operator Delta = L_sigma R_rho^{-1}.  Its mixed second derivative at equal
 arguments is minus the monotone metric of f_g(x) = (x-1)^2 / (g(x) + x g(1/x)),
-which hessian_check verifies against a finite-difference stencil.
+which hessian_check verifies against a finite-difference stencil.  g(Delta)
+is the kernel g(mu / lambda) applied by `linalg.kernel_action`; every
+function takes stacks of pairs (..., n, n) with linalg's stack rule.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, InvariantViolation, StepTooLargeError
-from .linalg import kernel_grid, matrix_function, spectral_decompose, spectral_function
+from .linalg import _out, kernel_action, matrix_function, spectral_decompose, spectral_function
 from .monotone import MonotoneFunctionEntry, metric_eval
 
 # |x - 1| window where f_g switches to its removable-singularity series.
@@ -67,15 +69,8 @@ def relative_modular_apply(rho, sigma, g: Callable, x) -> np.ndarray:
 
     Stacks of states and matrices (..., n, n) are applied slice by slice.
     """
-    return _modular_apply(spectral_decompose(rho), sigma, g, x)
-
-
-def _modular_apply(rho_decomposition, sigma, g: Callable, x) -> np.ndarray:
-    """relative_modular_apply with the eigendecomposition of rho already made."""
-    lam, u = rho_decomposition
-    mu, v = spectral_decompose(sigma)
-    xt = v.conj().swapaxes(-1, -2) @ np.asarray(x, dtype=complex) @ u
-    return v @ (kernel_grid(lambda m, l: g(m / l), mu, lam) * xt) @ u.conj().swapaxes(-1, -2)
+    return kernel_action(spectral_decompose(sigma), spectral_decompose(rho),
+                         lambda m, l: g(m / l), x)
 
 
 def relative_g_entropy(rho, sigma, g: OperatorConvexG):
@@ -86,9 +81,9 @@ def relative_g_entropy(rho, sigma, g: OperatorConvexG):
     """
     rho_decomposition = spectral_decompose(rho)
     root = spectral_function(rho_decomposition, np.sqrt)
-    h = np.real(np.trace(root @ _modular_apply(rho_decomposition, sigma, g.g, root),
-                         axis1=-2, axis2=-1))
-    return float(h) if h.ndim == 0 else h
+    modular = kernel_action(spectral_decompose(sigma), rho_decomposition,
+                            lambda m, l: g.g(m / l), root)
+    return _out(np.real(np.trace(root @ modular, axis1=-2, axis2=-1)))
 
 
 def monotone_from_convex(g: OperatorConvexG) -> MonotoneFunctionEntry:
@@ -148,8 +143,10 @@ def hessian_check(g: OperatorConvexG, rho, a, b, step: float = 1e-3) -> HessianR
     stencil states must stay strictly positive, otherwise a StepTooLargeError
     suggests a safe step.  A stack of states and directions is checked slice
     by slice with the same bits as alone; the error names the first slice
-    that fails, with a checked before b.
+    that fails, with a checked before b.  The step must be finite and > 0.
     """
+    if not (np.isfinite(step) and step > 0.0):
+        raise InvariantViolation("step", f"{step!r}: want a finite step > 0")
     rho = np.asarray(rho, dtype=complex)
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -181,10 +178,10 @@ def hessian_check(g: OperatorConvexG, rho, a, b, step: float = 1e-3) -> HessianR
 # Comparison distance
 # ---------------------------------------------------------------------------
 
-def bures_distance(rho, sigma) -> float:
+def bures_distance(rho, sigma):
     """sqrt(2 - 2 Tr(sqrt(rho) sigma sqrt(rho))^(1/2); fidelity-based comparator."""
     root = matrix_function(rho, np.sqrt)
     inner = root @ np.asarray(sigma, dtype=complex) @ root
-    w = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
-    fid_root = float(np.sum(np.sqrt(np.maximum(w, 0.0))))
-    return float(np.sqrt(max(2.0 - 2.0 * fid_root, 0.0)))
+    w = np.linalg.eigvalsh(0.5 * (inner + inner.conj().swapaxes(-1, -2)))
+    fid_root = np.sum(np.sqrt(np.maximum(w, 0.0)), axis=-1)
+    return _out(np.sqrt(np.maximum(2.0 - 2.0 * fid_root, 0.0)))

@@ -7,7 +7,8 @@ geodesic distance and path, which the length integrator cross-checks.
 
 The module also carries the pull-back characterization machinery: which
 kernels arise as squared difference quotients of a scalar function, dual
-pairs of functions, and the self-duality scan over the power family.
+pairs of functions, and the self-duality scan over the power family; at
+coincident arguments a difference quotient takes linalg's complex step.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import numpy as np
 from .errors import DomainError, InvariantViolation
 from .linalg import (
     BLOCK_ENTRIES,
+    _complex_step,
+    _out,
     apply_kernel_superop,
     hs_inner,
     kernel_grid,
@@ -60,10 +63,7 @@ def wy_distance_audit(rho, sigma):
     prod = matrix_function(rho, np.sqrt) @ matrix_function(sigma, np.sqrt)
     arg = np.real(np.trace(prod, axis1=-2, axis2=-1))
     clamped = np.minimum(1.0, np.maximum(-1.0, arg))
-    dist, amount = 2.0 * np.arccos(clamped), np.abs(arg - clamped)
-    if np.ndim(dist):
-        return dist, amount
-    return float(dist), float(amount)
+    return _out(2.0 * np.arccos(clamped)), _out(np.abs(arg - clamped))
 
 
 def wy_distance(rho, sigma):
@@ -153,35 +153,29 @@ def path_length(entry: MonotoneFunctionEntry, path, steps: int = 1000) -> float:
 
 @dataclass(frozen=True)
 class C1Function:
-    """A scalar function on (0, inf) paired with its closed-form derivative."""
+    """A vectorized scalar function on (0, inf) that also accepts complex arguments."""
 
     name: str
     fn: Callable
-    deriv: Callable
 
 
 def power_function(p: float) -> C1Function:
-    """x^p / p with derivative x^(p-1); p = 0 is excluded (use log_function)."""
+    """x^p / p; p = 0 is excluded (use log_function)."""
     if p == 0.0:
         raise InvariantViolation("power-exponent", "p = 0 has no x^p/p representative")
-    return C1Function(
-        f"power[{p:g}]",
-        lambda x, p=p: np.asarray(x, dtype=float) ** p / p,
-        lambda x, p=p: np.asarray(x, dtype=float) ** (p - 1.0),
-    )
+    return C1Function(f"power[{p:g}]", lambda x, p=p: np.asarray(x) ** p / p)
 
 
 def log_function() -> C1Function:
-    return C1Function("log", np.log, lambda x: 1.0 / np.asarray(x, dtype=float))
+    return C1Function("log", np.log)
 
 
 def identity_function() -> C1Function:
-    return C1Function("identity", lambda x: np.asarray(x, dtype=float),
-                      lambda x: np.ones_like(np.asarray(x, dtype=float)))
+    return C1Function("identity", np.asarray)
 
 
 def double_sqrt_function() -> C1Function:
-    return C1Function("2sqrt", lambda x: 2.0 * np.sqrt(x), lambda x: 1.0 / np.sqrt(x))
+    return C1Function("2sqrt", lambda x: 2.0 * np.sqrt(x))
 
 
 def general_pullback_differential(phi: C1Function, rho, a) -> np.ndarray:
@@ -190,14 +184,14 @@ def general_pullback_differential(phi: C1Function, rho, a) -> np.ndarray:
 
 
 def _difference_quotient(f: C1Function, a, b):
-    """(f(a) - f(b)) / (a - b), switching to f' at the midpoint for tiny gaps."""
+    """(f(a) - f(b)) / (a - b), switching to f' at the midpoint (a complex step) for tiny gaps."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    with np.errstate(all="ignore"):
-        direct = (f.fn(a) - f.fn(b)) / (a - b)
-        mid = f.deriv(0.5 * (a + b))
     near = np.abs(a - b) <= 1e-6 * np.maximum(np.abs(a), np.abs(b))
-    return np.where(near, mid, direct)
+    with np.errstate(all="ignore"):
+        q = np.asarray((f.fn(a) - f.fn(b)) / (a - b))
+        q[near] = _complex_step(f.fn, (0.5 * (a + b))[near])
+    return q
 
 
 def pullback_condition_check(phi: C1Function, entry: MonotoneFunctionEntry) -> float:

@@ -4,7 +4,10 @@ Spectral decomposition, scalar functional calculus, kernel superoperators,
 the commuting/commutator tangent decomposition, Kraus channels, and seeded
 random generators for states, tangents and channels.  The spectral functions
 take one matrix (n, n) or a stack (..., n, n); each slice of a stack gives
-the same bits as the slice on its own.
+the same bits as the slice on its own, and a scalar result is a float for
+one matrix, an array for a stack.  `kernel_action` is the one kernel action
+between two eigenbases, and `_complex_step` the one derivative at a
+coincidence (Squire and Trapp, SIAM Review 40, 1998).
 
 Matrices are plain complex ndarrays; the validators below enforce the
 structural invariants at construction/IO boundaries.  All functions are pure
@@ -257,12 +260,32 @@ def kernel_grid(kernel: Callable, left, right) -> np.ndarray:
     return k
 
 
+def kernel_action(left, right, kernel: Callable, x) -> np.ndarray:
+    """k(L, R) applied to X: entrywise kernel(l_i, r_j) between two SpectralDecompositions."""
+    lw, lu = left
+    rw, ru = right
+    xt = lu.conj().swapaxes(-1, -2) @ np.asarray(x, dtype=complex) @ ru
+    return lu @ (kernel_grid(kernel, lw, rw) * xt) @ ru.conj().swapaxes(-1, -2)
+
+
+def _complex_step(fn: Callable, t):
+    """f'(t) as Im f(t + ih) / h with h = 1e-20 t, for a vectorized fn that takes complex t."""
+    h = 1e-20 * t
+    ft = fn(t + 1j * h)
+    if not (isinstance(ft, complex) or np.iscomplexobj(ft)):  # np.complex128 is a complex
+        raise InvariantViolation("complex-evaluable", f"{fn!r} is real on a complex step")
+    return np.imag(ft) / h
+
+
+def _out(x):
+    """A float for one input's value, the array for a stack's."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def apply_kernel_superop(rho, kernel: Callable, x) -> np.ndarray:
     """Apply k(L_rho, R_rho) to X: entrywise k(w_i, w_j) in the eigenbasis of rho."""
-    w, u = spectral_decompose(rho)
-    uh = u.conj().swapaxes(-1, -2)
-    xt = uh @ np.asarray(x, dtype=complex) @ u
-    return u @ (kernel_grid(kernel, w, w) * xt) @ uh
+    decomposition = spectral_decompose(rho)
+    return kernel_action(decomposition, decomposition, kernel, x)
 
 
 def hs_inner(a, b):
@@ -274,14 +297,12 @@ def hs_inner(a, b):
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise InvariantViolation("shape-match", f"{a.shape} vs {b.shape}")
-    ip = np.real(np.sum(a.conj() * b, axis=(-2, -1)))
-    return float(ip) if ip.ndim == 0 else ip
+    return _out(np.real(np.sum(a.conj() * b, axis=(-2, -1))))
 
 
 def hs_norm(a):
     """Hilbert-Schmidt norm: a float for one matrix, an array over a stack (..., n, n)."""
-    norm = np.sqrt(np.maximum(hs_inner(a, a), 0.0))
-    return float(norm) if norm.ndim == 0 else norm
+    return _out(np.sqrt(np.maximum(hs_inner(a, a), 0.0)))
 
 
 def commutator(a, b) -> np.ndarray:
@@ -307,18 +328,17 @@ def tangent_split(rho, a) -> TangentSplit:
     the unique choice making i[rho, U] reproduce the off-block part.
     """
     w, u = spectral_decompose(rho)
-    at = u.conj().T @ np.asarray(a, dtype=complex) @ u
-    gap = DEGENERACY_GAP_RTOL * max(1.0, float(w[-1]))
+    uh = u.conj().swapaxes(-1, -2)
+    at = uh @ np.asarray(a, dtype=complex) @ u
+    gap = DEGENERACY_GAP_RTOL * np.maximum(1.0, w[..., -1:])
     # Chain consecutive near-equal eigenvalues into blocks (w is ascending).
-    block = np.zeros(len(w), dtype=int)
-    for i in range(1, len(w)):
-        block[i] = block[i - 1] + (0 if w[i] - w[i - 1] <= gap else 1)
-    same = block[:, None] == block[None, :]
+    block = np.cumsum(np.diff(w, axis=-1, prepend=w[..., :1]) > gap, axis=-1)
+    same = block[..., :, None] == block[..., None, :]
     commuting_t = np.where(same, at, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        gen_t = at / (1j * (w[:, None] - w[None, :]))
+        gen_t = at / (1j * (w[..., :, None] - w[..., None, :]))
     gen_t = np.where(same, 0.0, gen_t)
-    return TangentSplit(u @ commuting_t @ u.conj().T, u @ gen_t @ u.conj().T)
+    return TangentSplit(u @ commuting_t @ uh, u @ gen_t @ uh)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from .errors import InvariantViolation
 from .linalg import (
     BLOCK_ENTRIES,
     KrausChannel,
+    _out,
     apply_channel,
     apply_kernel_superop,
     commutator,
@@ -180,8 +181,7 @@ def skew_information(rho, a):
     """
     root = matrix_function(rho, np.sqrt)
     comm = commutator(root, np.asarray(a, dtype=complex))
-    info = np.real(-np.trace(comm @ comm, axis1=-2, axis2=-1))
-    return float(info) if info.ndim == 0 else info
+    return _out(np.real(-np.trace(comm @ comm, axis1=-2, axis2=-1)))
 
 
 def skew_identity_residual(rho, a):
@@ -219,6 +219,8 @@ def sampled_operator_monotonicity(entries, trials: int, n: int, seed: int):
     """
     if trials < 1:
         raise InvariantViolation("trials", f"{trials} < 1")
+    if n < 1:
+        raise InvariantViolation("dimension", f"n={n} < 1")
     single = isinstance(entries, MonotoneFunctionEntry)
     entries = [entries] if single else list(entries)
     violations, worst = [0] * len(entries), [np.inf] * len(entries)

@@ -149,6 +149,7 @@ def test_wy_cone_curvature_vanishes_to_rounding(n):
     (np.full((2, 3), 1.0 / 6.0), "square"),
     (np.diag([0.0, 1.0]), "strict-positivity"),
     (np.diag([-0.1, 0.6, 0.5]), "strict-positivity"),
+    (np.zeros((0, 0)), "dimension"),  # not scal1_shift(0) = 0.5
 ])
 def test_scalar_curvature_rejects_invalid_states(rho, invariant):
     with pytest.raises(InvariantViolation) as exc:

@@ -275,6 +275,15 @@ def test_hessian_stack_names_first_bad_slice(zero_a):
     assert "slice" not in str(single.value)
 
 
+@pytest.mark.parametrize("step", [0.0, -1e-3, np.nan, np.inf])
+def test_hessian_rejects_step_that_is_not_finite_and_positive(step):
+    rho = _floored_density(2, 10)
+    a = _unit_tangent(2, 11)
+    with pytest.raises(InvariantViolation) as exc:
+        hessian_check(G_WY, rho, a, a, step=step)
+    assert exc.value.invariant == "step"
+
+
 def test_hessian_result_shape():
     rho = _floored_density(2, 10)
     a = _unit_tangent(2, 11)

@@ -385,6 +385,18 @@ def test_self_duality_scan_rejects_excluded_exponents():
         self_duality_scan([0.5, 1.0])
 
 
+def test_dual_pair_check_rejects_dimension_zero():
+    with pytest.raises(InvariantViolation) as exc:
+        dual_pair_check(power_function(0.5), power_function(0.5), trials=5, n=0)
+    assert exc.value.invariant == "dimension"
+
+
+def test_self_duality_scan_rejects_dimension_zero():
+    with pytest.raises(InvariantViolation) as exc:
+        self_duality_scan([0.5], trials=5, n=0)
+    assert exc.value.invariant == "dimension"
+
+
 def test_power_function_rejects_zero():
     with pytest.raises(InvariantViolation):
         power_function(0.0)

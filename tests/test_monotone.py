@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import sampled_monotonicity_per_trial
+from wyinfo.errors import InvariantViolation
 from wyinfo.linalg import (
     KrausChannel,
     hs_inner,
@@ -309,6 +310,12 @@ def test_monotonicity_sequence_equals_one_call_per_entry(monkeypatch):
     assert len(eigh_calls) == 3
     assert sampled_operator_monotonicity(iter(entries[:2]), 300, 3, 7) == singles[:2]
     assert sampled_operator_monotonicity([], 300, 3, 7) == []
+
+
+def test_monotonicity_rejects_dimension_zero():
+    with pytest.raises(InvariantViolation) as exc:
+        sampled_operator_monotonicity(catalog_entry("wy"), 5, 0, 0)
+    assert exc.value.invariant == "dimension"
 
 
 def test_monotonicity_report_shape():
