@@ -5,7 +5,7 @@ Each suite runs through `wyinfo verify`'s own entry point; the sha256 column
 is the digest of that command's exact stdout, so two commits give the same
 digest exactly when their reports are byte-identical.
 
-Usage: python scripts/verify_all.py [--seed N] [--fast]
+Usage: python scripts/verify_all.py [--seed N]
 """
 
 import argparse
@@ -19,15 +19,10 @@ import time
 from wyinfo import cli
 from wyinfo.suites import SUITES
 
-FAST_TRIALS = {"monotonicity": 50, "distance-bound": 500, "geodesic-length": 4,
-               "hessian": 10, "pullback": 20, "dual-pairs": 50}
-
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--fast", action="store_true",
-                        help="reduced trial counts for a quick sanity pass")
     args = parser.parse_args()
 
     print(f"{'suite':<18} {'status':<6} {'time':>8}  {'sha256 of stdout':<64}  worst check")
@@ -35,8 +30,6 @@ def main():
     all_ok = True
     for name in SUITES:
         argv = ["verify", name, "--seed", str(args.seed)]
-        if args.fast and name in FAST_TRIALS:
-            argv += ["--trials", str(FAST_TRIALS[name])]
         out = io.StringIO()
         t0 = time.perf_counter()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):

@@ -2,8 +2,8 @@
 
 These stay deliberately separate from the library code paths they check:
 curvature from raw metric samples via coordinate finite differences, a
-plain classical Kullback-Leibler sum, the per-sample path-length loop that
-the batched `path_length` must reproduce bit for bit, and the per-pair and
+plain classical Kullback-Leibler sum, the per-node path-length loop that
+the stacked `path_length` must reproduce bit for bit, and the per-pair and
 per-trial loops that the block-drawn distance-bound, monotonicity, pullback,
 skew-identity, hessian and classical suites and the stacked
 `sampled_operator_monotonicity` must reproduce likewise, the per-exponent
@@ -132,24 +132,17 @@ def classical_g_divergence(p, q, g):
     return float(np.sum(p * g(q / p)))
 
 
-def path_length_per_sample(entry, sampler, steps):
-    """Trapezoid length with one eigendecomposition and contraction per sample."""
-    h = 1.0 / steps
-    ts = np.linspace(0.0, 1.0, steps + 1)
-    states = [np.asarray(sampler(float(t)), dtype=complex) for t in ts]
-    speeds = np.empty(steps + 1)
-    for k in range(steps + 1):
-        if k == 0:
-            v = (-3.0 * states[0] + 4.0 * states[1] - states[2]) / (2.0 * h)
-        elif k == steps:
-            v = (3.0 * states[-1] - 4.0 * states[-2] + states[-3]) / (2.0 * h)
-        else:
-            v = (states[k + 1] - states[k - 1]) / (2.0 * h)
-        w, u = np.linalg.eigh(states[k])
-        vt = u.conj().T @ v @ u
+def path_length_per_node(entry, path, nodes):
+    """Gauss-Legendre length on `nodes` nodes, one eigendecomposition and contraction per node."""
+    x, weights = np.polynomial.legendre.leggauss(nodes)
+    ts, weights = 0.5 * (x + 1.0), 0.5 * weights
+    speeds = np.empty(nodes)
+    for k, t in enumerate(ts):
+        w, u = np.linalg.eigh(np.asarray(path.sampler(t), dtype=complex))
+        vt = u.conj().T @ path.velocity(t) @ u
         kmat = np.asarray(entry.c(w[:, None], w[None, :]), dtype=float)
         speeds[k] = np.sqrt(max(float(np.real(np.sum(kmat * np.abs(vt) ** 2))), 0.0))
-    return float(h * (np.sum(speeds) - 0.5 * (speeds[0] + speeds[-1])))
+    return float(weights @ speeds)
 
 
 def distance_bound_per_pair(cfg):

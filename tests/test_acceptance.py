@@ -40,7 +40,8 @@ def test_criterion_02_pullback_equality():
 
 
 def test_criterion_03_geodesic_length():
-    # 20 pairs (commuting and not), 1e4 steps, 1e-4 relative, order-2, < 60 s
+    # 20 pairs (commuting and not), 32 Gauss-Legendre nodes, 1e-4 relative; exact velocity
+    # within 1e-6 of central differences, < 60 s
     _run("geodesic-length", (2, 3), 20, 60.0, label="3 geodesic length = distance")
 
 
@@ -78,7 +79,8 @@ def test_criterion_09_alpha_values():
 
 
 def test_criterion_10_distance_bound():
-    # d <= 2 pi on 1e4 random pairs; clamp amounts within the 1e-12 window, < 30 s
+    # d <= 2 pi (the sharp bound is pi) on 1e4 random pairs; clamp amounts within the
+    # 1e-12 window, < 30 s
     report = _run("distance-bound", (2, 3, 4, 5), 10_000, 30.0, label="10 distance bound")
     clamp_events = next(c.actual for c in report.checks if c.name == "clamp-events")
     print(f"  clamp-audit: {int(clamp_events)} clamp events in 10000 pairs")

@@ -19,12 +19,22 @@ from wyinfo.suites import default_config
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(*argv):
+def run_python(*args):
     # the child imports this checkout's wyinfo whether or not it is installed
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "wyinfo.cli", *argv],
+        [sys.executable, *args],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def run_cli(*argv):
+    return run_python("-m", "wyinfo.cli", *argv)
+
+
+def test_import_leaves_numpy_polynomial_unloaded():
+    # path_length loads its Gauss-Legendre rule on first use, so a CLI child never pays that import
+    code = "import sys, wyinfo, wyinfo.cli; print('numpy.polynomial' in sys.modules)"
+    assert run_python("-c", code).stdout == "False\n"
 
 
 @pytest.fixture

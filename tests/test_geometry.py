@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import dual_pair_check_alone, path_length_per_sample, self_duality_scan_per_exponent
+from oracles import dual_pair_check_alone, path_length_per_node, self_duality_scan_per_exponent
 
 from wyinfo.errors import DomainError, InvariantViolation
 from wyinfo.geometry import (
+    LENGTH_NODES,
+    GeodesicPath,
     double_sqrt_function,
     dual_pair_check,
     general_pullback_differential,
@@ -198,9 +200,29 @@ def test_geodesic_stays_on_sphere():
         assert hs_inner(img, img) == pytest.approx(4.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_geodesic_velocity_is_hermitian_traceless_and_stacks(n):
+    path = wy_geodesic(random_density(n, 100 + n), random_density(n, 110 + n))
+    ts = np.concatenate((np.linspace(0.0, 1.0, 9), np.random.default_rng(n).random(7)))
+    stack = path.velocity(ts)
+    assert stack.shape == (len(ts), n, n)
+    assert np.all(stack == np.stack([path.velocity(float(t)) for t in ts]))
+    assert np.max(np.abs(stack - stack.conj().swapaxes(-1, -2))) <= 1e-14
+    assert np.max(np.abs(np.trace(stack, axis1=-2, axis2=-1))) <= 1e-14
+
+
+@given(seed=st_seed)
+def test_geodesic_velocity_matches_central_differences(seed):
+    path = wy_geodesic(random_density(3, seed), random_density(3, seed + 1))
+    h, ts = 1e-5, np.array([0.1, 0.5, 0.9])
+    v = path.velocity(ts)
+    diff = (path.sampler(ts + h) - path.sampler(ts - h)) / (2.0 * h)
+    assert np.max(np.abs(v - diff)) <= 1e-7 * np.max(np.abs(v))
+
+
 def test_path_length_constant_path_is_zero():
     rho = random_density(2, 15)
-    assert path_length(WY, lambda t: rho, steps=200) == pytest.approx(0.0, abs=1e-12)
+    assert path_length(WY, wy_geodesic(rho, rho)) == 0.0
 
 
 def test_path_length_matches_distance():
@@ -216,48 +238,61 @@ def test_path_length_matches_distance():
             rho = np.diag(p / p.sum()).astype(complex)
             sig = np.diag(q / q.sum()).astype(complex)
         d = wy_distance(rho, sig)
-        length = path_length(WY, wy_geodesic(rho, sig), steps=4000)
-        assert abs(length - d) <= 1e-4 * d
+        length = path_length(WY, wy_geodesic(rho, sig))
+        assert abs(length - d) <= 1e-12 * d
 
 
-def test_path_length_second_order_convergence():
-    rho = random_density(2, 40)
-    sig = random_density(2, 41)
-    d = wy_distance(rho, sig)
-    path = wy_geodesic(rho, sig)
-    err = [abs(path_length(WY, path, steps=s) - d) for s in (100, 200, 400)]
-    assert 2.5 <= err[0] / err[1] <= 6.0
-    assert 2.5 <= err[1] / err[2] <= 6.0
+@pytest.mark.parametrize("f", ["sld", "bkm", "rld"])
+def test_path_length_nodes_resolve_catalog_speeds(f):
+    # guards LENGTH_NODES: a 64-node rule agrees with the 32-node length
+    entry = catalog_entry(f)
+    path = wy_geodesic(random_density(3, 120), random_density(3, 121))
+    reference = path_length_per_node(entry, path, 64)
+    assert abs(path_length(entry, path) - reference) <= 1e-13 * reference
+
+
+def _zero_velocity(t):
+    return np.zeros((*np.shape(t), 2, 2), dtype=complex)
 
 
 def test_path_length_rejects_bad_sample():
     rho = random_density(2, 42)
+    scaled = GeodesicPath(lambda t: rho * (1.0 + 0.1 * np.asarray(t)[..., None, None]),
+                          _zero_velocity)
     with pytest.raises(InvariantViolation) as exc:
-        path_length(WY, lambda t: rho * (1.0 + 0.1 * t), steps=100)
+        path_length(WY, scaled)
     assert exc.value.invariant == "density-sample"
     negative = np.diag([1.5, -0.5]).astype(complex)
+    jump = GeodesicPath(lambda t: np.where(np.asarray(t)[..., None, None] < 0.5, rho, negative),
+                        _zero_velocity)
     with pytest.raises(InvariantViolation) as exc:
-        path_length(WY, lambda t: rho if t < 0.5 else negative, steps=1000)
+        path_length(WY, jump)
     assert exc.value.invariant == "density-sample"
     assert "eigenvalue" in str(exc.value)
-    with pytest.raises(InvariantViolation):
-        path_length(WY, lambda t: rho, steps=10)
 
 
 def test_path_length_rejects_non_finite_speed():
-    # diag(1, 0) is on the boundary: the wy kernel 4/(sqrt x + sqrt y)^2 is infinite at (0, 0)
-    path = wy_geodesic(np.diag([1.0, 0.0]).astype(complex), np.eye(2) / 2)
+    # every node on the boundary: the wy kernel 4/(sqrt x + sqrt y)^2 is infinite at (0, 0)
+    pure = np.diag([1.0, 0.0]).astype(complex)
+    path = GeodesicPath(lambda t: np.broadcast_to(pure, (*np.shape(t), 2, 2)), _zero_velocity)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
-            path_length(WY, path, steps=100)
+            path_length(WY, path)
+
+
+def test_path_length_integrates_geodesic_from_boundary_endpoint():
+    # the nodes are interior, so a path that meets the boundary only at t = 0 has a length
+    rho, sig = np.diag([1.0, 0.0]).astype(complex), np.eye(2) / 2
+    assert path_length(WY, wy_geodesic(rho, sig)) == pytest.approx(np.pi / 2, rel=1e-14)
+    assert wy_distance(rho, sig) == pytest.approx(np.pi / 2, rel=1e-15)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
-@pytest.mark.parametrize("steps", [100, 1000, 1001])
-def test_path_length_equals_per_sample_reference(n, steps):
-    path = wy_geodesic(random_density(n, 60 + n), random_density(n, 70 + n))
-    assert path_length(WY, path, steps=steps) == path_length_per_sample(WY, path.sampler, steps)
+@pytest.mark.parametrize("seed", [100, 1000, 1001])
+def test_path_length_equals_per_sample_reference(n, seed):
+    path = wy_geodesic(random_density(n, seed + n), random_density(n, seed + 10 + n))
+    assert path_length(WY, path) == path_length_per_node(WY, path, LENGTH_NODES)
 
 
 # ---------------------------------------------------------------------------

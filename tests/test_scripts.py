@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 import pytest
+from test_report_digests import DIGESTS
 
 from wyinfo.curvature import scal1_shift
 from wyinfo.suites import SUITES
@@ -42,11 +43,13 @@ def test_curvature_table_wy_column_is_constant(monkeypatch, capsys):
 
 
 def test_verify_all_fast_passes_every_suite(monkeypatch, capsys):
-    code, out = run_script("verify_all", ["--fast"], monkeypatch, capsys)
+    code, out = run_script("verify_all", [], monkeypatch, capsys)
     assert code == 0
     rows = [line.split() for line in out.splitlines() if line.split()[0] in SUITES]
     assert [r[0] for r in rows] == list(SUITES)
     assert all(r[1] == "ok" for r in rows)
+    # the script's digests are those of `wyinfo verify`'s stdout, pinned at seed 0
+    assert {r[0]: r[3] for r in rows} == DIGESTS[0]
     assert out.splitlines()[-1] == "all suites passed"
 
 
