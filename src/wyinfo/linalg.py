@@ -16,6 +16,8 @@ and deterministic: randomness enters only through explicit seeds.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -43,18 +45,30 @@ def rng_from(seed: int, *stream: int) -> np.random.Generator:
 
 
 # numpy's SeedSequence hash (O'Neill's seed_seq, NEP 19) and PCG64's seeding
-# step (O'Neill 2014), ported to block arithmetic so that a whole block of
+# step (O'Neill 2014), ported to array arithmetic so that a whole block of
 # keys (seed, *stream) gets the PCG64 state rng_from(seed, *stream) starts
-# from.  The hash constants evolve independently of the data, so every key
-# of a group with the same number of entropy words shares them.
+# from.  The hash runs on uint32 arrays, one column per key; its constants
+# evolve independently of the data, so keys with the same number of entropy
+# words share them.  PCG64's 128-bit values are pairs of uint64 arrays (high
+# half, low half).  Array arithmetic wraps modulo 2^32 or 2^64 as the C code
+# does, while arithmetic on two numpy scalars warns on overflow, so every
+# operation has an array of keys as an operand.  The other operands are
+# scalars of the array's dtype: a Python int operand costs a conversion.
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG64_MULT_HI, _PCG64_MULT_LO = np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & _MASK64)
+# the two 32-bit limbs of _PCG64_MULT_LO, low first, as a column
+_PCG64_MULT_LO_LIMBS = np.array([[_PCG64_MULT & _MASK32], [_PCG64_MULT >> 32 & _MASK32]],
+                                dtype=np.uint64)
+_LIMB_SHIFTS = np.array([[0], [32]], dtype=np.uint64)
+_LIMB_BITS, _LIMB_MASK = np.uint64(32), np.uint64(_MASK32)
+_U64_1, _U64_58, _U64_63 = np.uint64(1), np.uint64(58), np.uint64(63)
 
 
 def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
@@ -65,99 +79,183 @@ def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
     return np.array(out, dtype=np.uint32)
 
 
-def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """seed_seq's hashmix of uint32 values with consts[:-1] and their successors consts[1:]."""
-    value = (value ^ consts[:-1]) * consts[1:]
-    return value ^ (value >> 16)
+@functools.cache
+def _hash_plan(length: int) -> tuple:
+    """(xor, multiplier) constant columns of each hashmix of a key with `length` entropy words.
+
+    In order: the pool's first hashmix; each pool word's mix into the other
+    three, in the row order _seed_state_words updates them; each entropy
+    word past the pool; and generate_state's hashmix of the eight state words.
+    """
+    a = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * max(length, _POOL_SIZE))
+    idx = [np.arange(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        # seed_seq mixes into the destinations in increasing order, skipping src
+        dst = [(src + i) % _POOL_SIZE for i in range(1, _POOL_SIZE)]
+        idx.append(_POOL_SIZE + (_POOL_SIZE - 1) * src + np.array([d - (d > src) for d in dst]))
+    for src in range(_POOL_SIZE, length):
+        idx.append(_POOL_SIZE * src + np.arange(_POOL_SIZE))
+    b = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+    plan = [(a[i, None], a[i + 1, None]) for i in idx]
+    plan.append((b[:-1].reshape(2, _POOL_SIZE, 1), b[1:].reshape(2, _POOL_SIZE, 1)))
+    for consts in plan:
+        for c in consts:
+            c.flags.writeable = False
+    return tuple(plan)
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = x * _MIX_MULT_L - y * _MIX_MULT_R
-    return r ^ (r >> 16)
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """seed_seq's hashmix of uint32 values with the hash constants xor and their successors mult."""
+    value = value ^ xor
+    value *= mult
+    value ^= value >> _XSHIFT
+    return value
+
+
+def _mix_into(x: np.ndarray, y: np.ndarray) -> None:
+    """x = seed_seq's mix(x, y), in place; y is overwritten."""
+    x *= _MIX_MULT_L
+    y *= _MIX_MULT_R
+    x -= y
+    x ^= x >> _XSHIFT
 
 
 def _seed_state_words(entropy: np.ndarray) -> np.ndarray:
     """SeedSequence(words).generate_state(4, uint64) for a block of keys with L words each.
 
     entropy is (L, k) uint32, row j holding word j of every key; the result is
-    (k, 4) uint64, row i the state words of key i.
+    (4, k) uint64, row i state word i of every key.
     """
-    length = len(entropy)
-    consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * max(length, _POOL_SIZE))[:, None]
-    head = entropy[:_POOL_SIZE]
-    pool = np.zeros((_POOL_SIZE, entropy.shape[1]), dtype=np.uint32)
-    pool[:len(head)] = head
-    pool = _hashmix(pool, consts[:_POOL_SIZE + 1])
-    c = _POOL_SIZE
-    # each source word mixes into every other pool word; the destinations
-    # of one source are independent, so they update together
+    length, k = entropy.shape
+    plan = _hash_plan(length)
+    # Rows 0-3 start as the pool.  Pool word s mixes into the other three
+    # through rows s+1 .. s+3, which hold them in cyclic order, so each mix
+    # updates one slice; then row s+4 takes word s, whose later updates
+    # happen there.  At the end rows 4-7 hold the pool in order.
+    buf = np.zeros((2 * _POOL_SIZE, k), dtype=np.uint32)
+    buf[:min(length, _POOL_SIZE)] = entropy[:_POOL_SIZE]
+    buf[:_POOL_SIZE] = _hashmix(buf[:_POOL_SIZE], *plan[0])
     for src in range(_POOL_SIZE):
-        dst = [d for d in range(_POOL_SIZE) if d != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[c:c + len(dst) + 1]))
-        c += len(dst)
-    for src in range(_POOL_SIZE, length):
-        pool = _mix(pool, _hashmix(entropy[src], consts[c:c + _POOL_SIZE + 1]))
-        c += _POOL_SIZE
-    state = _hashmix(np.tile(pool, (2, 1)), _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)[:, None])
-    # uint64 word i is uint32 words 2i (low half) and 2i + 1 (high half)
-    return ((state[1::2].astype(np.uint64) << 32) | state[::2]).T
+        _mix_into(buf[src + 1:src + _POOL_SIZE], _hashmix(buf[src], *plan[1 + src]))
+        buf[src + _POOL_SIZE] = buf[src]
+    pool = buf[_POOL_SIZE:]
+    for word, consts in zip(entropy[_POOL_SIZE:], plan[1 + _POOL_SIZE:-1]):
+        _mix_into(pool, _hashmix(word, *consts))
+    # eight uint32 state words from the pool twice over; uint64 word i is
+    # words 2i (low half) and 2i + 1 (high half)
+    state = _hashmix(pool, *plan[-1]).reshape(_POOL_SIZE, 2, k)
+    words = state[:, 1].astype(np.uint64)
+    words <<= _LIMB_BITS
+    words |= state[:, 0]
+    return words
 
 
-def _pcg64_seedings(keys) -> list:
-    """(state, inc) of rng_from(*key)'s PCG64 for each key (seed, *stream) of a sequence.
+def _entropy_words(keys) -> tuple:
+    """SeedSequence's uint32 entropy words of all keys (flat, in key order) and each key's count.
 
-    Entries are masked to 64 bits as rng_from does.  A masked entry gives
-    SeedSequence its low 32-bit word, then its high word when that is
-    nonzero; keys are hashed in groups of equal word count, in key order.
+    Entries are masked to 64 bits as rng_from does; a masked entry gives its
+    low 32-bit word, then its high word when that is nonzero.
     """
-    if not keys:
-        return []
-    u = np.array([int(v) & _MASK64 for key in keys for v in key], dtype=np.uint64)
-    hi = u >> 32
-    two = hi != 0
-    words = np.stack([u, hi], axis=-1).astype(np.uint32)[np.stack([np.ones_like(two), two], -1)]
-    entry_starts = np.cumsum([0] + [len(key) for key in keys[:-1]])
-    lengths = np.add.reduceat(1 + two, entry_starts)
-    starts = np.cumsum(lengths) - lengths
-    out = [None] * len(keys)
-    for length in set(lengths.tolist()):
-        idx = np.flatnonzero(lengths == length)
-        entropy = words[starts[idx] + np.arange(length)[:, None]]
-        for i, (s_hi, s_lo, q_hi, q_lo) in zip(idx.tolist(), _seed_state_words(entropy).tolist()):
-            inc = ((q_hi << 65) | (q_lo << 1) | 1) & _MASK128
-            out[i] = ((((s_hi << 64) | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128, inc
-    return out
+    sizes = np.fromiter(map(len, keys), dtype=np.intp, count=len(keys))
+    u = np.fromiter((int(v) & _MASK64 for v in itertools.chain.from_iterable(keys)),
+                    dtype=np.uint64)
+    halves = np.array([u, u >> _LIMB_BITS], dtype=np.uint32)  # low words, high words
+    kept = halves != 0
+    kept[0] = True
+    counts = np.add.reduceat(kept.sum(axis=0), np.add.accumulate(sizes) - sizes)
+    return halves.T[kept.T], counts
+
+
+def _pcg64_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray) -> tuple:
+    """PCG64's LCG step, state * _PCG64_MULT + inc mod 2^128, on uint64 halves.
+
+    The high half of lo * _PCG64_MULT_LO is summed from the 32-bit limb
+    products p[i, j] = lo_i * mult_j, which fit in 64 bits, so that no
+    partial sum overflows (Warren, Hacker's Delight, 8-2).
+    """
+    p = (lo >> _LIMB_SHIFTS & _LIMB_MASK)[:, None] * _PCG64_MULT_LO_LIMBS
+    t = p[1, 0] + (p[0, 0] >> _LIMB_BITS)
+    w = (t & _LIMB_MASK) + p[0, 1]
+    new_hi = p[1, 1] + (t >> _LIMB_BITS) + (w >> _LIMB_BITS)
+    new_hi += hi * _PCG64_MULT_LO
+    new_hi += lo * _PCG64_MULT_HI
+    new_hi += inc_hi
+    new_lo = lo * _PCG64_MULT_LO
+    new_lo += inc_lo
+    new_hi += new_lo < inc_lo
+    return new_hi, new_lo
+
+
+def _pcg64_seedings(keys) -> tuple:
+    """(state high, state low, inc high, inc low) of each rng_from(*key)'s PCG64, as uint64 arrays.
+
+    Keys are hashed in groups of equal word count.
+    """
+    words, counts = _entropy_words(keys)
+    seed = np.empty((4, len(keys)), dtype=np.uint64)
+    starts = np.add.accumulate(counts) - counts
+    for length in set(counts.tolist()):
+        idx = np.flatnonzero(counts == length)
+        seed[:, idx] = _seed_state_words(words[starts[idx] + np.arange(length)[:, None]])
+    # pcg64_set_seed, in place: rows 2-3 (seed words q) become inc = 2 q + 1,
+    # rows 0-1 (seed words s) become s + inc; the state steps from 0 to inc,
+    # adds s and steps again
+    s_hi, s_lo, inc_hi, inc_lo = seed
+    inc_hi <<= _U64_1
+    inc_hi |= inc_lo >> _U64_63
+    inc_lo <<= _U64_1
+    inc_lo |= _U64_1
+    s_lo += inc_lo
+    s_hi += inc_hi
+    s_hi += s_lo < inc_lo
+    hi, lo = _pcg64_step(s_hi, s_lo, inc_hi, inc_lo)
+    return hi, lo, inc_hi, inc_lo
 
 
 def seeded_stack(keys, draw: Callable[[np.random.Generator], np.ndarray]) -> np.ndarray:
     """np.stack([draw(rng_from(*key)) for key in keys]), bit for bit, without a Generator per key.
 
-    Each key's PCG64 state is written into one generator owned by this call.
+    The PCG64 states of all keys come from one uint64 array pass
+    (_pcg64_seedings); each is written into one generator owned by this call,
+    and each draw, an ndarray, into its slice of one stack allocated after the
+    first draw.  A draw of another shape or dtype than the first raises
+    ValueError, and so does an empty block, as np.stack does.
     """
+    if not keys:
+        raise ValueError("need at least one key to stack")
+    hi, lo, inc_hi, inc_lo = _pcg64_seedings(keys)
     gen = np.random.Generator(np.random.PCG64(0))
+    bitgen = gen.bit_generator
     pcg = {"state": 0, "inc": 0}
     bitgen_state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    out = []
-    for state, inc in _pcg64_seedings(keys):
-        pcg["state"], pcg["inc"] = state, inc
-        gen.bit_generator.state = bitgen_state
-        out.append(draw(gen))
-    return np.stack(out)
+    shape = dtype = stack = None
+    for i, (s_hi, s_lo, i_hi, i_lo) in enumerate(zip(hi.tolist(), lo.tolist(),
+                                                     inc_hi.tolist(), inc_lo.tolist())):
+        pcg["state"], pcg["inc"] = s_hi << 64 | s_lo, i_hi << 64 | i_lo
+        bitgen.state = bitgen_state
+        x = draw(gen)
+        if x.shape != shape or x.dtype != dtype:
+            if i:
+                raise ValueError(f"draw {i} has shape {x.shape} and dtype {x.dtype}, "
+                                 f"draw 0 {shape} and {dtype}")
+            shape, dtype = x.shape, x.dtype
+            stack = np.empty((len(keys), *shape), dtype=dtype)
+        stack[i] = x
+    return stack
 
 
 def trial_seeds(keys) -> list:
     """[int(rng_from(*key).integers(2**63)) for key in keys], bit for bit.
 
-    That integer is PCG64's first XSL-RR output shifted right by one, so no
-    Generator is built.
+    That integer is PCG64's first XSL-RR output shifted right by one.  It is
+    computed for all keys at once on uint64 halves, one more LCG step after
+    _pcg64_seedings, so no Generator and no 128-bit Python int is built.
     """
-    out = []
-    for state, inc in _pcg64_seedings(keys):
-        state = (state * _PCG64_MULT + inc) & _MASK128
-        x = (state >> 64) ^ (state & _MASK64)
-        rot = state >> 122
-        out.append(((x >> rot) | (x << (64 - rot)) & _MASK64) >> 1)
-    return out
+    hi, lo, inc_hi, inc_lo = _pcg64_seedings(keys)
+    hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
+    x = hi ^ lo
+    rot = hi >> _U64_58
+    return ((x >> rot | x << (-rot & _U64_63)) >> _U64_1).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ PCG64 seeding step; if an upstream numpy changes either, these tests fail.
 """
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,7 +48,9 @@ def test_keys_span_entropy_lengths():
 
 
 def test_pcg64_state_and_inc_equal_rng_from():
-    for key, (state, inc) in zip(KEYS, _pcg64_seedings(KEYS), strict=True):
+    halves = zip(*(h.tolist() for h in _pcg64_seedings(KEYS)))
+    for key, (s_hi, s_lo, i_hi, i_lo) in zip(KEYS, halves, strict=True):
+        state, inc = s_hi << 64 | s_lo, i_hi << 64 | i_lo
         ref = rng_from(*key).bit_generator.state["state"]
         assert (state, inc) == (ref["state"], ref["inc"]), key
 
@@ -62,6 +65,54 @@ def test_trial_seeds_equal_rng_from_integers():
     seeds = trial_seeds(KEYS)
     assert all(type(s) is int for s in seeds)
     assert seeds == [int(rng_from(*k).integers(2**63)) for k in KEYS]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("stream", STREAMS)
+def test_one_key_calls_equal_rng_from(stream):
+    # a one-key block runs on 1-element arrays; arithmetic on numpy scalars
+    # would warn where the arrays wrap, so a scalar fallback fails here
+    with pytest.raises(RuntimeWarning):
+        np.uint64(2**63) * np.uint64(3)
+    assert (np.array([2**63], dtype=np.uint64) * np.uint64(3)).tolist() == [2**63]
+    for seed in EDGE_SEEDS + MASKED_SEEDS:
+        key = (seed, *stream)
+        assert trial_seeds([key]) == [int(rng_from(*key).integers(2**63))], key
+        assert np.array_equal(seeded_stack([key], _draw), _draw(rng_from(*key))[None]), key
+
+
+def test_empty_blocks():
+    assert trial_seeds([]) == []
+    with pytest.raises(ValueError):
+        seeded_stack([], _draw)
+
+
+@pytest.mark.parametrize("second", [(3, 3), (2, 3, 3, 1), (3,)])
+def test_draws_of_another_shape_raise(second):
+    # (3, 3) and (3,) would broadcast into a (2, 3, 3) slice of a preallocated stack
+    shapes = iter([(2, 3, 3), second])
+    with pytest.raises(ValueError, match="shape"):
+        seeded_stack([(0,), (1,)], lambda rng: rng.standard_normal(next(shapes)))
+
+
+def test_draws_of_another_dtype_raise():
+    draws = iter([np.zeros(3), np.zeros(3, dtype=complex)])
+    with pytest.raises(ValueError, match="dtype"):
+        seeded_stack([(0,), (1,)], lambda rng: next(draws))
+
+
+def test_trial_seeds_peak_memory():
+    # 10,000 keys peaked at 5.0 MB when every key's state was a pair of
+    # 128-bit Python ints; the uint64 arrays and the result list need 1.75 MB
+    keys = [(0, t) for t in range(10_000)]
+    trial_seeds(keys[:1])  # the hash constants of 2-word keys are cached
+    tracemalloc.start()
+    try:
+        trial_seeds(keys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.4e6
 
 
 def test_mixed_word_counts_keep_key_order():
