@@ -23,7 +23,9 @@ All singularities at coinciding arguments are removable.  Near-coincident
 triples are evaluated per triple through divided differences at pair
 midpoints, which call the kernel again; where a derivative of a closed-form
 auxiliary is required it comes from linalg's complex step, Im f(t + ih) / h,
-which has no cancellation.  So every entry must be `complex_evaluable`.
+which has no cancellation.  Every call takes that step at its coincident
+triples, so a kernel that stays real on it raises `complex-evaluable`, and
+an entry without c or dc_dx raises `kernel-defined`.
 """
 
 from __future__ import annotations
@@ -105,12 +107,6 @@ def _t1(entry: MonotoneFunctionEntry, x: float, y: float, z: float,
     return (dd_xz - dd_zy) / (x - y)
 
 
-def _require_complex_evaluable(entry: MonotoneFunctionEntry) -> None:
-    if not entry.complex_evaluable:
-        raise InvariantViolation(
-            "complex-evaluable", f"'{entry.id}': the coincidence limits take complex steps")
-
-
 def _aux_terms(entry: MonotoneFunctionEntry, x: float, y: float, z: float,
                cxy: float, cxz: float, cyz: float, lzx: float, lzy: float) -> AuxTerms:
     """The auxiliary terms of one triple from its five kernel values.
@@ -135,11 +131,12 @@ def _aux_terms(entry: MonotoneFunctionEntry, x: float, y: float, z: float,
 
 def scal_aux_terms(entry: MonotoneFunctionEntry, x: float, y: float, z: float) -> AuxTerms:
     """The four auxiliary terms and their combination for one triple."""
-    _require_complex_evaluable(entry)
+    if entry.c is None or entry.dc_dx is None:
+        raise InvariantViolation("kernel-defined", f"'{entry.id}' lacks c or dc_dx")
     if not np.isfinite((x, y, z)).all():
         raise InvariantViolation("finite", f"triple ({x}, {y}, {z})")
     if min(x, y, z) <= 0.0:
-        raise ValueError(f"triple arguments must be positive, got ({x}, {y}, {z})")
+        raise InvariantViolation("strict-positivity", f"triple ({x}, {y}, {z})")
     cxy, cxz, cyz = float(entry.c(x, y)), float(entry.c(x, z)), float(entry.c(y, z))
     lzx, lzy = _log_c_prime(entry, z, x), _log_c_prime(entry, z, y)
     return _aux_terms(entry, x, y, z, cxy, cxz, cyz, lzx, lzy)
@@ -181,7 +178,6 @@ def scalar_curvature(entry: MonotoneFunctionEntry, rho) -> CurvatureReport:
     triples), then subtracts the n fully coincident terms; continuity at
     spectral degeneracies pins this convention.
     """
-    _require_complex_evaluable(entry)
     rho = assert_hermitian(rho, "rho")
     if not len(rho):
         raise InvariantViolation("dimension", "rho is 0 x 0")

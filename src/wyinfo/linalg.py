@@ -348,8 +348,11 @@ def spectral_function(decomposition: SpectralDecomposition, phi: Callable) -> np
 def kernel_grid(kernel: Callable, left, right) -> np.ndarray:
     """kernel(x_i, y_j) on the (..., n, m) grid of left (..., n) and right (..., m), as floats.
 
-    Raises DomainError where the kernel is not finite.
+    Raises DomainError where the kernel is not finite, and InvariantViolation
+    named kernel-defined for a kernel that is None (a catalog entry lacking it).
     """
+    if kernel is None:
+        raise InvariantViolation("kernel-defined", "the kernel is None")
     x, y = left[..., :, None], right[..., None, :]
     with np.errstate(all="ignore"):
         k = np.asarray(on_spectrum_grid(kernel, np.broadcast(x, y).shape, x, y), dtype=float)
@@ -530,11 +533,6 @@ def _haar_from_gaussian(g: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar unitary by phase-corrected QR of a Ginibre matrix."""
-    return _haar_from_gaussian(_complex_gaussian(rng, n, n))
-
-
 def random_density(n: int, seed) -> np.ndarray:
     """Wishart-style random density, mixed with I/n so eigenvalues >= DENSITY_FLOOR_EPS/n.
 
@@ -551,7 +549,10 @@ def random_density(n: int, seed) -> np.ndarray:
 
 
 def random_unitary(n: int, seed: int) -> np.ndarray:
-    return haar_unitary(n, rng_from(seed))
+    """Haar unitary (n, n), n >= 1, by phase-corrected QR of a Ginibre matrix."""
+    if n < 1:
+        raise InvariantViolation("dimension", f"n={n} < 1")
+    return _haar_from_gaussian(_seeded_gaussian(seed, n, n))
 
 
 def random_tangent(n: int, seed) -> np.ndarray:

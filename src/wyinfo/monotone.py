@@ -41,16 +41,15 @@ _BKM_NEAR = 3e-2
 class MonotoneFunctionEntry:
     """A named operator monotone function with its kernel and kernel derivative.
 
-    ``complex_evaluable`` asserts f, c and dc_dx accept complex scalars near
-    the positive real axis; the curvature engine requires it, because it
-    takes its coincidence limits by complex step.
+    c and dc_dx may be None; a use that needs a missing one raises
+    InvariantViolation named ``kernel-defined``.  The curvature engine
+    complex-steps them; one that stays real raises ``complex-evaluable``.
     """
 
     id: str
     f: Callable
     c: Optional[Callable] = None
     dc_dx: Optional[Callable] = None
-    complex_evaluable: bool = False
 
 
 # -- wy: f(x) = (sqrt(x) + 1)^2 / 4 -----------------------------------------
@@ -142,10 +141,10 @@ def _dc_rld(x, y):
 
 
 _CATALOG = (
-    MonotoneFunctionEntry("wy", _f_wy, _c_wy, _dc_wy, complex_evaluable=True),
-    MonotoneFunctionEntry("sld", _f_sld, _c_sld, _dc_sld, complex_evaluable=True),
-    MonotoneFunctionEntry("bkm", _f_bkm, _c_bkm, _dc_bkm, complex_evaluable=True),
-    MonotoneFunctionEntry("rld", _f_rld, _c_rld, _dc_rld, complex_evaluable=True),
+    MonotoneFunctionEntry("wy", _f_wy, _c_wy, _dc_wy),
+    MonotoneFunctionEntry("sld", _f_sld, _c_sld, _dc_sld),
+    MonotoneFunctionEntry("bkm", _f_bkm, _c_bkm, _dc_bkm),
+    MonotoneFunctionEntry("rld", _f_rld, _c_rld, _dc_rld),
 )
 
 

@@ -45,6 +45,18 @@ def test_probability_vector_rejects_non_finite():
     assert exc.value.invariant == "finite"
 
 
+@pytest.mark.parametrize("build, invariant", [
+    (lambda: classical.probability_vector([1.0]), "simplex-shape"),
+    (lambda: classical.fisher_rao_metric([0.5, 0.5], [0.1, -0.1, 0.0], [0.1, -0.1]),
+     "tangent-shape"),
+    (lambda: classical.ScoreVector(np.zeros(3), np.array([0.5, 0.5])), "score-shape"),
+], ids=["simplex", "tangent", "score"])
+def test_shape_mismatches_are_named(build, invariant):
+    with pytest.raises(InvariantViolation) as exc:
+        build()
+    assert exc.value.invariant == invariant
+
+
 def test_score_vector_must_be_centered():
     with pytest.raises(InvariantViolation):
         classical.ScoreVector(np.array([1.0, 1.0]), np.array([0.5, 0.5]))

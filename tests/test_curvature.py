@@ -14,9 +14,10 @@ from wyinfo.curvature import (
     scalar_curvature,
     wy_aux_closed_forms,
 )
+from wyinfo.divergence import g_entry, monotone_from_convex
 from wyinfo.errors import InvariantViolation
 from wyinfo.linalg import random_density, random_unitary
-from wyinfo.monotone import catalog, catalog_entry, metric_eval
+from wyinfo.monotone import MonotoneFunctionEntry, catalog, catalog_entry, metric_eval
 
 
 def wy_combined(x, y, z):
@@ -165,12 +166,38 @@ def test_aux_terms_reject_non_finite_arguments(triple):
 
 
 def test_engine_rejects_entry_that_is_not_complex_evaluable():
-    entry = dataclasses.replace(catalog_entry("sld"), id="sld-real", complex_evaluable=False)
+    # real-valued kernels: the complex step itself refuses them, no flag is read
+    sld = catalog_entry("sld")
+    entry = MonotoneFunctionEntry("sld-real", sld.f, lambda x, y: np.real(sld.c(x, y)),
+                                  lambda x, y: np.real(sld.dc_dx(x, y)))
     with pytest.raises(InvariantViolation) as exc:
-        scal_aux_terms(entry, 0.2, 0.5, 0.3)
-    assert exc.value.invariant == "complex-evaluable"
-    with pytest.raises(InvariantViolation):
         scalar_curvature(entry, random_density(2, 0))
+    assert exc.value.invariant == "complex-evaluable"
+    with pytest.raises(InvariantViolation) as exc:
+        scal_aux_terms(entry, 0.3, 0.3, 0.5)
+    assert exc.value.invariant == "complex-evaluable"
+    # a triple that takes no complex step gets the complex kernel's value
+    assert scal_aux_terms(entry, 0.2, 0.5, 0.3) == scal_aux_terms(sld, 0.2, 0.5, 0.3)
+
+
+def test_engine_names_a_missing_kernel():
+    rho = random_density(2, 0)
+    no_derivative = monotone_from_convex(g_entry("g_wy"))
+    with pytest.raises(InvariantViolation) as exc:
+        scalar_curvature(no_derivative, rho)
+    assert exc.value.invariant == "kernel-defined"
+    f_only = MonotoneFunctionEntry("f-only", catalog_entry("wy").f)
+    for entry in (no_derivative, f_only):
+        with pytest.raises(InvariantViolation) as exc:
+            scal_aux_terms(entry, 0.2, 0.5, 0.3)
+        assert exc.value.invariant == "kernel-defined"
+
+
+@pytest.mark.parametrize("triple", [(0.0, 0.5, 0.3), (0.2, -0.5, 0.3), (0.2, 0.5, -1e-300)])
+def test_aux_terms_reject_non_positive_arguments(triple):
+    with pytest.raises(InvariantViolation) as exc:
+        scal_aux_terms(catalog_entry("wy"), *triple)
+    assert exc.value.invariant == "strict-positivity"
 
 
 def test_bkm_curvature_smooth_through_gap_band():

@@ -10,6 +10,7 @@ from oracles import dual_pair_check_alone, path_length_per_node, self_duality_sc
 from wyinfo.errors import DomainError, InvariantViolation
 from wyinfo.geometry import (
     LENGTH_NODES,
+    C1Function,
     GeodesicPath,
     double_sqrt_function,
     dual_pair_check,
@@ -35,7 +36,7 @@ from wyinfo.linalg import (
     random_tangent,
     random_unitary,
 )
-from wyinfo.monotone import catalog_entry, metric_eval
+from wyinfo.monotone import MonotoneFunctionEntry, catalog_entry, metric_eval
 
 WY = catalog_entry("wy")
 st_seed = st.integers(min_value=0, max_value=2**32 - 1)
@@ -281,6 +282,13 @@ def test_path_length_rejects_non_finite_speed():
             path_length(WY, path)
 
 
+def test_path_length_names_a_missing_kernel():
+    path = wy_geodesic(random_density(2, 40), random_density(2, 41))
+    with pytest.raises(InvariantViolation) as exc:
+        path_length(MonotoneFunctionEntry("f-only", WY.f), path)
+    assert exc.value.invariant == "kernel-defined"
+
+
 def test_path_length_integrates_geodesic_from_boundary_endpoint():
     # the nodes are interior, so a path that meets the boundary only at t = 0 has a length
     rho, sig = np.diag([1.0, 0.0]).astype(complex), np.eye(2) / 2
@@ -418,6 +426,14 @@ def test_dual_pair_check_equals_reference():
 def test_self_duality_scan_rejects_excluded_exponents():
     with pytest.raises(InvariantViolation):
         self_duality_scan([0.5, 1.0])
+
+
+def test_dual_pair_check_flags_kernel_not_finite_on_grid():
+    # 1/(x - 1) has its pole at the grid point 1, where the difference quotient is infinite
+    pole = C1Function("pole", lambda x: 1.0 / (np.asarray(x) - 1.0))
+    report = dual_pair_check(pole, identity_function(), trials=5, n=2)
+    assert report.induced_c_valid is False
+    assert not report.passes
 
 
 def test_dual_pair_check_rejects_dimension_zero():

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from wyinfo.errors import DomainError, InvariantViolation
 from wyinfo.linalg import (
     KrausChannel,
+    _haar_from_gaussian,
     apply_channel,
     apply_kernel_superop,
     assert_density,
@@ -412,3 +413,33 @@ def test_apply_channel_dim_mismatch():
 def test_unitary_is_haar_unitary():
     u = random_unitary(4, 7)
     assert np.max(np.abs(u @ u.conj().T - np.eye(4))) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_random_unitary_bits(n, seed):
+    # phase-corrected QR of the Ginibre matrix drawn from rng_from(seed), written out
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
+    z = rng.standard_normal((2, n, n))
+    q, r = np.linalg.qr(z[0] + 1j * z[1])
+    d = np.diagonal(r)
+    assert np.array_equal(random_unitary(n, seed), q * (d / np.abs(d))[None, :])
+
+
+@pytest.mark.parametrize("draw", [
+    lambda: random_unitary(0, 1),
+    lambda: random_unitary(-1, 1),
+    lambda: random_density(1, 1),
+    lambda: random_tangent(1, 1),
+    lambda: random_kraus_channel(2, 2, 0, 1),
+], ids=["unitary-0", "unitary-negative", "density-1", "tangent-1", "kraus-env-0"])
+def test_generators_reject_dimension(draw):
+    with pytest.raises(InvariantViolation) as exc:
+        draw()
+    assert exc.value.invariant == "dimension"
+
+
+def test_isometry_needs_rows_for_its_columns():
+    with pytest.raises(InvariantViolation) as exc:
+        _haar_from_gaussian(np.ones((2, 3), dtype=complex))
+    assert exc.value.invariant == "isometry-dims"

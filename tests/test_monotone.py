@@ -73,7 +73,6 @@ def test_wy_closed_form_values():
 
 @pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.id)
 def test_kernel_derivative_matches_complex_step(entry):
-    assert entry.complex_evaluable
     h = 1e-20
     rng = np.random.default_rng(1)
     pts = list(zip(rng.uniform(0.05, 3.0, 20), rng.uniform(0.05, 3.0, 20)))
@@ -316,6 +315,30 @@ def test_monotonicity_rejects_dimension_zero():
     with pytest.raises(InvariantViolation) as exc:
         sampled_operator_monotonicity(catalog_entry("wy"), 5, 0, 0)
     assert exc.value.invariant == "dimension"
+
+
+def test_monotonicity_rejects_zero_trials():
+    with pytest.raises(InvariantViolation) as exc:
+        sampled_operator_monotonicity(catalog_entry("wy"), 0, 2, 0)
+    assert exc.value.invariant == "trials"
+
+
+def test_catalog_entry_rejects_unknown_id():
+    with pytest.raises(InvariantViolation) as exc:
+        catalog_entry("nope")
+    assert exc.value.invariant == "function-id"
+
+
+def test_metric_and_contraction_name_a_missing_kernel():
+    # an entry without c (as dual_pair_check induces) has no metric
+    entry = MonotoneFunctionEntry("f-only", catalog_entry("wy").f)
+    rho, a = random_density(2, 1), random_tangent(2, 2)
+    with pytest.raises(InvariantViolation) as exc:
+        metric_eval(entry, rho, a, a)
+    assert exc.value.invariant == "kernel-defined"
+    with pytest.raises(InvariantViolation) as exc:
+        contraction_check(entry, random_kraus_channel(2, 2, 2, 3), rho, a)
+    assert exc.value.invariant == "kernel-defined"
 
 
 def test_monotonicity_report_shape():
