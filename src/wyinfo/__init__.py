@@ -86,12 +86,11 @@ from .linalg import (
 from .monotone import (
     ContractionResult,
     MonotoneFunctionEntry,
-    MonotonicityReport,
     catalog,
     catalog_entry,
     contraction_check,
+    loewner_margin,
     metric_eval,
-    sampled_operator_monotonicity,
     skew_identity_residual,
     skew_information,
 )

@@ -7,13 +7,15 @@ geodesic distance and path, which the length integrator cross-checks.
 
 The module also carries the pull-back characterization machinery: which
 kernels arise as squared difference quotients of a scalar function, dual
-pairs of functions, and the self-duality scan over the power family; at
-coincident arguments a difference quotient takes linalg's complex step.
+pairs of functions (their induced f judged by its Loewner margin), and the
+self-duality scan over the power family; every difference quotient is
+linalg's divided difference, a complex step at coincident arguments.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, InvariantViolation
 from .linalg import (
-    _complex_step,
+    _divided_difference,
     _out,
     apply_kernel_superop,
     hs_inner,
@@ -29,7 +31,7 @@ from .linalg import (
     matrix_function,
     spectral_decompose,
 )
-from .monotone import MonotoneFunctionEntry, sampled_operator_monotonicity
+from .monotone import LOEWNER_ATOL, MonotoneFunctionEntry, loewner_margin
 
 # Window for clamping arccos arguments; amounts beyond it indicate a bug.
 CLAMP_WINDOW = 1e-12
@@ -159,7 +161,9 @@ class C1Function:
 
 
 def power_function(p: float) -> C1Function:
-    """x^p / p; p = 0 is excluded (use log_function)."""
+    """x^p / p for a finite p; p = 0 is excluded (use log_function)."""
+    if not math.isfinite(p):
+        raise InvariantViolation("power-exponent", f"p = {p} is not finite")
     if p == 0.0:
         raise InvariantViolation("power-exponent", "p = 0 has no x^p/p representative")
     return C1Function(f"power[{p:g}]", lambda x, p=p: np.asarray(x) ** p / p)
@@ -179,18 +183,7 @@ def double_sqrt_function() -> C1Function:
 
 def general_pullback_differential(phi: C1Function, rho, a) -> np.ndarray:
     """D phi at rho applied to A: the difference quotient of phi as a kernel (Daleckii-Krein)."""
-    return apply_kernel_superop(rho, lambda x, y: _difference_quotient(phi, x, y), a)
-
-
-def _difference_quotient(f: C1Function, a, b):
-    """(f(a) - f(b)) / (a - b), switching to f' at the midpoint (a complex step) for tiny gaps."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    near = np.abs(a - b) <= 1e-6 * np.maximum(np.abs(a), np.abs(b))
-    with np.errstate(all="ignore"):
-        q = np.asarray((f.fn(a) - f.fn(b)) / (a - b))
-        q[near] = _complex_step(f.fn, (0.5 * (a + b))[near])
-    return q
+    return apply_kernel_superop(rho, lambda x, y: _divided_difference(phi.fn, x, y), a)
 
 
 def pullback_condition_check(phi: C1Function, entry: MonotoneFunctionEntry) -> float:
@@ -200,7 +193,7 @@ def pullback_condition_check(phi: C1Function, entry: MonotoneFunctionEntry) -> f
     pull-back of the ambient metric through phi.
     """
     grid = np.logspace(-2.0, 2.0, 100)
-    q = kernel_grid(lambda x, y: _difference_quotient(phi, x, y), grid, grid)
+    q = kernel_grid(lambda x, y: _divided_difference(phi.fn, x, y), grid, grid)
     c = kernel_grid(entry.c, grid, grid)
     resid = np.abs(q * q - c) / (1.0 + np.abs(c))
     return float(np.max(resid))
@@ -215,21 +208,21 @@ class DualPairReport:
     induced_c_valid: bool
     f_normalized: bool
     f_symmetric: bool
-    monotonicity_violations: int
+    loewner_margin: float
     symmetry_residual: float
     induced_f: Callable = field(repr=False, compare=False, default=None)
 
     @property
     def passes(self) -> bool:
         return (self.induced_c_valid and self.f_normalized and self.f_symmetric
-                and self.monotonicity_violations == 0)
+                and self.loewner_margin >= -LOEWNER_ATOL)
 
 
 def induced_kernel(phi: C1Function, chi: C1Function) -> Callable:
     """Product of the two difference quotients; a candidate metric kernel."""
 
     def c(x, y):
-        return _difference_quotient(phi, x, y) * _difference_quotient(chi, x, y)
+        return _divided_difference(phi.fn, x, y) * _divided_difference(chi.fn, x, y)
 
     return c
 
@@ -239,14 +232,21 @@ def symmetry_margin(f: Callable, x: float) -> float:
     return float(abs(np.asarray(f(x)) - x * np.asarray(f(1.0 / x))))
 
 
-def _induced_pair(phi: C1Function, chi: C1Function) -> tuple:
-    """(entry of the induced f, DualPairReport of the pair with no monotonicity count yet)."""
+def dual_pair_check(phi: C1Function, chi: C1Function) -> DualPairReport:
+    """Test whether (phi, chi) induces a normalized symmetric monotone function.
+
+    The induced kernel is the product of difference quotients; from it,
+    f(t) = 1 / c(t, 1), which takes complex t.  Reports normalization
+    f(1) = 1, the symmetry f(x) = x f(1/x) on a log grid, and the Loewner
+    margin of f; a kernel or an f that is not finite on its grid is recorded
+    as failing (c invalid, margin -inf), not raised.
+    """
     grid = np.logspace(-2.0, 2.0, 41)
     c = induced_kernel(phi, chi)
 
     def f(t):
         with np.errstate(all="ignore"):
-            return 1.0 / c(t, np.ones_like(np.asarray(t, dtype=float)))
+            return 1.0 / c(t, np.ones_like(t, dtype=float))
 
     try:
         c_valid = bool(np.all(kernel_grid(c, grid, grid) > 0.0))
@@ -261,37 +261,23 @@ def _induced_pair(phi: C1Function, chi: C1Function) -> tuple:
     sym_resid = float(np.max(np.abs(fx - grid * finv) / (1.0 + np.abs(fx))))
     symmetric = bool(sym_resid <= 1e-9)
 
-    return (MonotoneFunctionEntry(f"induced[{phi.name},{chi.name}]", f),
-            DualPairReport(phi.name, chi.name, c_valid, normalized, symmetric, 0, sym_resid,
-                           induced_f=f))
+    try:
+        margin = loewner_margin(f)
+    except DomainError:
+        margin = -np.inf
+    return DualPairReport(phi.name, chi.name, c_valid, normalized, symmetric, margin, sym_resid,
+                          induced_f=f)
 
 
-def dual_pair_check(phi: C1Function, chi: C1Function, trials: int = 200, n: int = 3,
-                    seed: int = 0) -> DualPairReport:
-    """Test whether (phi, chi) induces a normalized symmetric monotone function.
-
-    The induced kernel is the product of difference quotients; from it,
-    f(t) = 1 / c(t, 1).  Reports normalization f(1) = 1, the symmetry
-    f(x) = x f(1/x) on a log grid, and sampled operator monotonicity of f.
-    """
-    entry, report = _induced_pair(phi, chi)
-    report.monotonicity_violations = sampled_operator_monotonicity(
-        entry, trials, n, seed).violations
-    return report
-
-
-def self_duality_scan(p_grid, trials: int = 200, n: int = 3, seed: int = 0) -> list:
+def self_duality_scan(p_grid) -> list:
     """dual_pair_check of the power pair (phi_p, phi_p) for each exponent.
 
     Rows are {"p", "report", "passes"}; only p = 1/2 can pass every flag.
-    Every exponent's f is sampled on the same pairs, in one monotonicity call.
     """
     ps = [float(p) for p in p_grid]
     for p in ps:
         if p in (0.0, 1.0):
             raise InvariantViolation("power-exponent", f"p={p} excluded from the scan")
-    pairs = [_induced_pair(phi, phi) for phi in map(power_function, ps)]
-    sampled = sampled_operator_monotonicity([entry for entry, _ in pairs], trials, n, seed)
-    for (_, report), mono in zip(pairs, sampled):
-        report.monotonicity_violations = mono.violations
-    return [{"p": p, "report": r, "passes": r.passes} for p, (_, r) in zip(ps, pairs)]
+    phis = list(map(power_function, ps))  # every exponent is checked before any pair runs
+    reports = [dual_pair_check(phi, phi) for phi in phis]
+    return [{"p": p, "report": r, "passes": r.passes} for p, r in zip(ps, reports)]

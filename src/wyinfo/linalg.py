@@ -6,8 +6,9 @@ random generators for states, tangents and channels.  The spectral functions
 take one matrix (n, n) or a stack (..., n, n); each slice of a stack gives
 the same bits as the slice on its own, and a scalar result is a float for
 one matrix, an array for a stack.  `kernel_action` is the one kernel action
-between two eigenbases, and `_complex_step` the one derivative at a
-coincidence (Squire and Trapp, SIAM Review 40, 1998).
+between two eigenbases, `_complex_step` the one derivative at a coincidence
+(Squire and Trapp, SIAM Review 40, 1998), and `_divided_difference` the one
+first divided difference.
 
 Matrices are plain complex ndarrays; the validators below enforce the
 structural invariants at construction/IO boundaries.  All functions are pure
@@ -376,6 +377,19 @@ def _complex_step(fn: Callable, t):
     if not (isinstance(ft, complex) or np.iscomplexobj(ft)):  # np.complex128 is a complex
         raise InvariantViolation("complex-evaluable", f"{fn!r} is real on a complex step")
     return np.imag(ft) / h
+
+
+def _divided_difference(fn: Callable, a, b):
+    """(fn(a) - fn(b)) / (a - b), fn' at the midpoint (a complex step) where the gap is tiny.
+
+    Integers are promoted to float; real and complex values keep their bits.
+    """
+    a, b = (x.astype(np.result_type(x, 1.0), copy=False) for x in map(np.asarray, (a, b)))
+    near = np.abs(a - b) <= 1e-6 * np.maximum(np.abs(a), np.abs(b))
+    with np.errstate(all="ignore"):
+        q = np.asarray((fn(a) - fn(b)) / (a - b))
+        q[near] = _complex_step(fn, (0.5 * (a + b))[near])
+    return q
 
 
 def _out(x):

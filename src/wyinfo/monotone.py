@@ -6,28 +6,28 @@ dc/dx.  The metric at a state rho is <A, B> = Tr(A c(L_rho, R_rho)(B)).
 
 Entries: "wy" (skew information), "sld" (Bures/symmetric logarithmic
 derivative), "bkm" (Kubo-Mori), "rld" (right logarithmic derivative).
+`loewner_margin` judges a scalar f for operator monotonicity (deterministic,
+no sampling).
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import InvariantViolation
 from .linalg import (
-    BLOCK_ENTRIES,
     KrausChannel,
+    _divided_difference,
     _out,
     apply_channel,
     apply_kernel_superop,
     commutator,
     hs_inner,
+    kernel_grid,
     matrix_function,
-    seeded_stack,
-    spectral_decompose,
-    spectral_function,
 )
 
 # Relative |x - y| gap below which the Kubo-Mori kernel and its derivative
@@ -192,53 +192,34 @@ def skew_identity_residual(rho, a):
 
 
 # ---------------------------------------------------------------------------
-# Sampled certification
+# Operator monotonicity: the Loewner margin
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MonotonicityReport:
-    function_id: str
-    trials: int
-    violations: int
-    worst_margin: float
-    skipped: int = 0
-
-    def as_dict(self) -> dict:
-        return asdict(self)
+# Nodes of the Loewner matrix.  None lies within _divided_difference's 1e-6
+# coincidence window of 1, so an f built from divided differences against 1
+# (as dual_pair_check's induced f is) is complex-stepped on its direct
+# quotients and the step never nests.
+LOEWNER_GRID = np.logspace(-3.0, 3.0, 48)
+LOEWNER_GRID.flags.writeable = False
+# A margin at or above -LOEWNER_ATOL passes; catalog f read -7.5e-13 to -2.6e-15.
+LOEWNER_ATOL = 1e-9
 
 
-def sampled_operator_monotonicity(entries, trials: int, n: int, seed: int):
-    """Check f(A) <= f(B) on random pairs 0 <= A <= B, B = A + P^dag P.
+def loewner_margin(f: Callable) -> float:
+    """Smallest eigenvalue of the Loewner matrix [f[x_i, x_j]] of f on LOEWNER_GRID.
 
-    A violation is the smallest eigenvalue of f(B) - f(A) dipping below
-    -1e-9; violations are counted, never raised.  Trial t draws its pair
-    from rng_from(seed, t); the trials are evaluated in stacked blocks.  One
-    entry gives one report; a sequence of entries gives a list of reports, all
-    checked on the same pairs, each block drawn and decomposed once.
+    f is operator monotone on (0, inf) exactly when its Loewner matrices are
+    positive semidefinite (Loewner's theorem; Bhatia, Matrix Analysis, ch. V).
+    The diagonal f'(x_i) comes from a complex step, so f must be vectorized
+    and accept complex arguments.  The matrix is scaled by |f'|^{-1/2} on both
+    sides (where f' is nonzero), a congruence that keeps the sign of the
+    smallest eigenvalue and gives a unit-magnitude diagonal.  Raises
+    DomainError where f or f' is not finite on the grid.
     """
-    if trials < 1:
-        raise InvariantViolation("trials", f"{trials} < 1")
-    if n < 1:
-        raise InvariantViolation("dimension", f"n={n} < 1")
-    single = isinstance(entries, MonotoneFunctionEntry)
-    entries = [entries] if single else list(entries)
-    violations, worst = [0] * len(entries), [np.inf] * len(entries)
-    rows = max(1, BLOCK_ENTRIES // (2 * n * n))
-    for lo in range(0, trials, rows):
-        # G then P, real parts before imaginary, from each trial's stream: (trials, 2, 2, n, n)
-        z = seeded_stack([(seed, t) for t in range(lo, min(trials, lo + rows))],
-                         lambda rng: rng.standard_normal((2, 2, n, n)))
-        g, p = z[:, 0, 0] + 1j * z[:, 0, 1], z[:, 1, 0] + 1j * z[:, 1, 1]
-        a = g.conj().swapaxes(-1, -2) @ g
-        pair = np.stack([a, a + p.conj().swapaxes(-1, -2) @ p], axis=1)
-        dec = spectral_decompose(0.5 * (pair + pair.conj().swapaxes(-1, -2)))
-        for i, entry in enumerate(entries):
-            f = spectral_function(dec, entry.f)
-            margins = np.linalg.eigvalsh(f[:, 1] - f[:, 0])[:, 0]
-            worst[i] = min(worst[i], float(np.min(margins)))
-            violations[i] += int(np.count_nonzero(margins < -1e-9))
-    out = [MonotonicityReport(e.id, trials, v, w) for e, v, w in zip(entries, violations, worst)]
-    return out[0] if single else out
+    lo = kernel_grid(lambda x, y: _divided_difference(f, x, y), LOEWNER_GRID, LOEWNER_GRID)
+    d = np.abs(np.diagonal(lo))
+    s = 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0))  # any positive scaling is a congruence
+    return float(np.linalg.eigvalsh(s[:, None] * lo * s[None, :])[0])
 
 
 @dataclass

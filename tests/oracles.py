@@ -3,14 +3,15 @@
 These stay deliberately separate from the library code paths they check:
 curvature from raw metric samples via coordinate finite differences, a
 plain classical Kullback-Leibler sum, the per-node path-length loop that
-the stacked `path_length` must reproduce bit for bit, and the per-pair and
+the stacked `path_length` must reproduce bit for bit, the per-pair and
 per-trial loops that the block-drawn distance-bound, monotonicity, pullback,
-skew-identity, hessian and classical suites and the stacked
-`sampled_operator_monotonicity` must reproduce likewise, the per-exponent
-dual-pair checks that the one-call self-duality scan must reproduce, and the per-term
-curvature auxiliaries (`scal_aux_terms`, one helper per term) that the
-shared-kernel-value engine must reproduce bit for bit.  Trial t of a suite
-runs at n_values[t % len].
+skew-identity, hessian and classical suites must reproduce likewise, and the
+per-term curvature auxiliaries (`scal_aux_terms`, one helper per term) that
+the shared-kernel-value engine must reproduce bit for bit.  Trial t of a
+suite runs at n_values[t % len].  Operator monotonicity is sampled here, one
+random pair 0 <= A <= B at a time (`sampled_monotonicity_per_trial`): the
+reference that the library's deterministic Loewner margin and the dual-pair
+verdicts built on it are checked against.
 """
 
 import numpy as np
@@ -22,9 +23,8 @@ from wyinfo.curvature import (
 )
 from wyinfo import classical
 from wyinfo.divergence import g_catalog, hessian_check
-from wyinfo.errors import DomainError, InvariantViolation
+from wyinfo.errors import DomainError
 from wyinfo.geometry import (
-    DualPairReport,
     induced_kernel,
     power_function,
     pullback_metric,
@@ -45,7 +45,6 @@ from wyinfo.monotone import (
     catalog_entry,
     contraction_check,
     metric_eval,
-    sampled_operator_monotonicity,
     skew_identity_residual,
     skew_information,
 )
@@ -237,7 +236,12 @@ def hessian_per_trial(cfg):
 
 
 def sampled_monotonicity_per_trial(entry, trials, n, seed, slack=1e-9):
-    """(violations, worst margin) of `sampled_operator_monotonicity`, one pair at a time."""
+    """(violations, worst margin) of f(A) <= f(B) on random pairs 0 <= A <= B, one pair at a time.
+
+    Trial t draws G and P from rng_from(seed, t) and sets A = G^dag G and
+    B = A + P^dag P; its margin is the smallest eigenvalue of f(B) - f(A),
+    and a margin below -slack is a violation.
+    """
     violations = 0
     worst = np.inf
     for t in range(trials):
@@ -290,8 +294,12 @@ def classical_per_trial(cfg):
     return worst_embed, worst_metric, worst_pull, worst_dual
 
 
-def dual_pair_check_alone(phi, chi, trials=200, n=3, seed=0):
-    """dual_pair_check with its own monotonicity call, one pair at a time."""
+def sampled_dual_pair(phi, chi, trials=200, n=3, seed=0):
+    """The flags of dual_pair_check from the pair's own induced f, monotonicity sampled.
+
+    A dict of induced_c_valid, f_normalized, f_symmetric, symmetry_residual,
+    the sampled violations of f at (trials, n, seed), passes, and f itself.
+    """
     grid = np.logspace(-2.0, 2.0, 41)
     c = induced_kernel(phi, chi)
 
@@ -313,31 +321,26 @@ def dual_pair_check_alone(phi, chi, trials=200, n=3, seed=0):
     symmetric = bool(sym_resid <= 1e-9)
 
     entry = MonotoneFunctionEntry(f"induced[{phi.name},{chi.name}]", f)
-    violations = sampled_operator_monotonicity(entry, trials, n, seed).violations
-
-    return DualPairReport(phi.name, chi.name, c_valid, normalized, symmetric,
-                          violations, sym_resid, induced_f=f)
-
-
-def self_duality_scan_per_exponent(p_grid, trials=200, n=3, seed=0):
-    """self_duality_scan with one dual_pair_check_alone, and so one sampling, per exponent."""
-    rows = []
-    for p in p_grid:
-        p = float(p)
-        if p in (0.0, 1.0):
-            raise InvariantViolation("power-exponent", f"p={p} excluded from the scan")
-        phi = power_function(p)
-        report = dual_pair_check_alone(phi, phi, trials=trials, n=n, seed=seed)
-        rows.append({"p": p, "report": report, "passes": report.passes})
-    return rows
+    violations = sampled_monotonicity_per_trial(entry, trials, n, seed)[0]
+    return {"induced_c_valid": c_valid, "f_normalized": normalized, "f_symmetric": symmetric,
+            "symmetry_residual": sym_resid, "violations": violations,
+            "passes": c_valid and normalized and symmetric and violations == 0, "f": f}
 
 
 def dual_pairs_per_exponent(cfg, grid):
-    """The check values of the dual-pairs suite over exponent grid, one scan row at a time."""
-    scans = [self_duality_scan_per_exponent(grid, trials=cfg.trials, n=n, seed=cfg.seed)
-             for n in cfg.n_values]
-    passing = [rows[0]["p"] for rows in zip(*scans) if all(row["passes"] for row in rows)]
-    margins = {row["p"]: symmetry_margin(row["report"].induced_f, 10.0) for row in scans[0]}
+    """The check values of the dual-pairs suite, each exponent sampled at every n of cfg.
+
+    An exponent passes only if its sampled pair passes at every n, with
+    cfg's trials and seed.
+    """
+    passing = []
+    margins = {}
+    for p in grid:
+        phi = power_function(p)
+        pairs = [sampled_dual_pair(phi, phi, cfg.trials, n, cfg.seed) for n in cfg.n_values]
+        if all(pair["passes"] for pair in pairs):
+            passing.append(p)
+        margins[p] = symmetry_margin(pairs[0]["f"], 10.0)
     return [1.0 * len(passing), passing[0] if passing else np.nan, margins[-1.0], margins[2.0]]
 
 

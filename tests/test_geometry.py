@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import dual_pair_check_alone, path_length_per_node, self_duality_scan_per_exponent
+from oracles import path_length_per_node, sampled_dual_pair
 
 from wyinfo.errors import DomainError, InvariantViolation
 from wyinfo.geometry import (
@@ -30,13 +30,21 @@ from wyinfo.geometry import (
     wy_geodesic,
 )
 from wyinfo.linalg import (
+    _complex_step,
     hs_inner,
     matrix_function,
     random_density,
     random_tangent,
     random_unitary,
 )
-from wyinfo.monotone import MonotoneFunctionEntry, catalog_entry, metric_eval
+from wyinfo.monotone import (
+    LOEWNER_ATOL,
+    LOEWNER_GRID,
+    MonotoneFunctionEntry,
+    catalog_entry,
+    metric_eval,
+)
+from wyinfo.suites import DUAL_PAIR_GRID
 
 WY = catalog_entry("wy")
 st_seed = st.integers(min_value=0, max_value=2**32 - 1)
@@ -370,7 +378,7 @@ def test_pullback_condition_identity_against_flat_fixture_kernel():
 # ---------------------------------------------------------------------------
 
 def test_dual_pair_identity_log_is_valid():
-    report = dual_pair_check(identity_function(), log_function(), trials=100, seed=0)
+    report = dual_pair_check(identity_function(), log_function())
     assert report.passes
     # induced f is the Kubo-Mori representative (x - 1) / log x
     bkm = catalog_entry("bkm")
@@ -380,7 +388,7 @@ def test_dual_pair_identity_log_is_valid():
 
 def test_dual_pair_sqrt_power_is_self_dual():
     phi = power_function(0.5)
-    report = dual_pair_check(phi, phi, trials=100, seed=1)
+    report = dual_pair_check(phi, phi)
     assert report.passes
     xs = np.logspace(-2, 2, 31)
     assert np.max(np.abs(report.induced_f(xs) - WY.f(xs))) <= 1e-9
@@ -388,14 +396,14 @@ def test_dual_pair_sqrt_power_is_self_dual():
 
 def test_dual_pair_linear_self_pair_fails_symmetry():
     phi = power_function(1.0)
-    report = dual_pair_check(phi, phi, trials=50, seed=2)
+    report = dual_pair_check(phi, phi)
     assert report.f_normalized
     assert not report.f_symmetric
     assert not report.passes
 
 
 def test_self_duality_scan_isolates_half():
-    rows = self_duality_scan([-1.0, -0.5, 0.5, 1.5, 2.0], trials=100, seed=3)
+    rows = self_duality_scan([-1.0, -0.5, 0.5, 1.5, 2.0])
     passes = {row["p"] for row in rows if row["passes"]}
     assert passes == {0.5}
 
@@ -403,24 +411,66 @@ def test_self_duality_scan_isolates_half():
 def test_self_duality_symmetry_margins_at_ten():
     for p in (-1.0, 2.0):
         phi = power_function(p)
-        report = dual_pair_check(phi, phi, trials=10, seed=4)
+        report = dual_pair_check(phi, phi)
         assert symmetry_margin(report.induced_f, 10.0) >= 1e-2
 
 
-# 130 trials at n = 3 are two blocks; the grid includes exponents whose f is not monotone
+def _flags(report):
+    return (report.induced_c_valid, report.f_normalized, report.f_symmetric,
+            report.symmetry_residual)
+
+
+def _sampled_flags(pair):
+    return tuple(pair[k] for k in ("induced_c_valid", "f_normalized", "f_symmetric",
+                                   "symmetry_residual"))
+
+
+# the grid includes exponents whose f is not monotone; a sampled violation
+# proves that f is not operator monotone, so the Loewner margin must fail there
 @pytest.mark.parametrize("n, trials, seed",
                          [(3, 200, 0), (3, 130, 1), (2, 50, 2), (4, 60, 2**64 - 1)])
 def test_self_duality_scan_equals_per_exponent_reference(n, trials, seed):
     grid = [-1.0, -0.5, 0.25, 0.5, 0.75, 1.5, 2.0, 3.0]
-    rows = self_duality_scan(grid, trials=trials, n=n, seed=seed)
-    assert rows == self_duality_scan_per_exponent(grid, trials=trials, n=n, seed=seed)
-    assert {row["p"] for row in rows if row["report"].monotonicity_violations} >= {2.0, 3.0}
+    rows = self_duality_scan(grid)
+    assert [row["p"] for row in rows] == grid
+    for p, row in zip(grid, rows):
+        pair = sampled_dual_pair(power_function(p), power_function(p), trials, n, seed)
+        report = row["report"]
+        assert _flags(report) == _sampled_flags(pair)
+        if pair["violations"]:
+            assert report.loewner_margin < -LOEWNER_ATOL
+        assert row["passes"] == report.passes
+    assert {row["p"] for row in rows if row["report"].loewner_margin < -1.0} >= {2.0, 3.0}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_loewner_verdicts_equal_sampled_verdicts_on_dual_pair_grid(seed):
+    for p in DUAL_PAIR_GRID:
+        phi = power_function(p)
+        report = dual_pair_check(phi, phi)
+        pair = sampled_dual_pair(phi, phi, trials=200, n=3, seed=seed)
+        assert (report.loewner_margin >= -LOEWNER_ATOL) == (pair["violations"] == 0), p
+        assert report.passes == pair["passes"], p
 
 
 def test_dual_pair_check_equals_reference():
     for phi, chi in [(identity_function(), log_function()), (power_function(2.0),) * 2]:
-        assert (dual_pair_check(phi, chi, trials=130, n=3, seed=5)
-                == dual_pair_check_alone(phi, chi, trials=130, n=3, seed=5))
+        report = dual_pair_check(phi, chi)
+        pair = sampled_dual_pair(phi, chi, trials=130, n=3, seed=5)
+        assert _flags(report) == _sampled_flags(pair)
+        assert (report.loewner_margin >= -LOEWNER_ATOL) == (pair["violations"] == 0)
+        assert report.passes == pair["passes"]
+
+
+def test_induced_f_takes_a_complex_step_without_a_warning():
+    phi = power_function(0.5)
+    f = dual_pair_check(phi, phi).induced_f
+    x = LOEWNER_GRID  # no node within the coincidence window of 1, where the step would nest
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        step = _complex_step(f, x)
+    # the induced f of the square-root pair is wy's, f' = (1 + x^-1/2) / 4
+    assert np.max(np.abs(step - 0.25 * (1.0 + x ** -0.5))) <= 1e-14
 
 
 def test_self_duality_scan_rejects_excluded_exponents():
@@ -431,23 +481,32 @@ def test_self_duality_scan_rejects_excluded_exponents():
 def test_dual_pair_check_flags_kernel_not_finite_on_grid():
     # 1/(x - 1) has its pole at the grid point 1, where the difference quotient is infinite
     pole = C1Function("pole", lambda x: 1.0 / (np.asarray(x) - 1.0))
-    report = dual_pair_check(pole, identity_function(), trials=5, n=2)
+    report = dual_pair_check(pole, identity_function())
     assert report.induced_c_valid is False
+    assert report.loewner_margin == -np.inf
     assert not report.passes
 
 
-def test_dual_pair_check_rejects_dimension_zero():
-    with pytest.raises(InvariantViolation) as exc:
-        dual_pair_check(power_function(0.5), power_function(0.5), trials=5, n=0)
-    assert exc.value.invariant == "dimension"
-
-
-def test_self_duality_scan_rejects_dimension_zero():
-    with pytest.raises(InvariantViolation) as exc:
-        self_duality_scan([0.5], trials=5, n=0)
-    assert exc.value.invariant == "dimension"
+def test_dual_pair_check_records_f_not_finite_on_the_loewner_grid():
+    # chi[t, 1] = t - x0 vanishes at the Loewner node x0, so f(t) = 1 / (t - x0) has its
+    # pole there; the 41-point log grid of the kernel check misses that node
+    x0 = LOEWNER_GRID[0]
+    chi = C1Function("root", lambda x: (np.asarray(x) - x0) * (np.asarray(x) - 1.0))
+    report = dual_pair_check(identity_function(), chi)
+    assert report.loewner_margin == -np.inf
+    assert not report.passes
 
 
 def test_power_function_rejects_zero():
     with pytest.raises(InvariantViolation):
         power_function(0.0)
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+def test_power_function_rejects_non_finite_exponents(p):
+    with pytest.raises(InvariantViolation) as exc:
+        power_function(p)
+    assert exc.value.invariant == "power-exponent"
+    with pytest.raises(InvariantViolation) as exc:
+        self_duality_scan([0.5, p])
+    assert exc.value.invariant == "power-exponent"

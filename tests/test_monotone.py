@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import sampled_monotonicity_per_trial
-from wyinfo.errors import InvariantViolation
+from wyinfo.errors import DomainError, InvariantViolation
 from wyinfo.linalg import (
     KrausChannel,
     hs_inner,
@@ -16,12 +16,14 @@ from wyinfo.linalg import (
     random_unitary,
 )
 from wyinfo.monotone import (
+    LOEWNER_ATOL,
+    LOEWNER_GRID,
     MonotoneFunctionEntry,
     catalog,
     catalog_entry,
     contraction_check,
+    loewner_margin,
     metric_eval,
-    sampled_operator_monotonicity,
     skew_identity_residual,
     skew_information,
 )
@@ -262,28 +264,23 @@ def test_skew_identity_residual_random():
 
 
 # ---------------------------------------------------------------------------
-# Sampled operator monotonicity
+# Operator monotonicity: the Loewner margin
 # ---------------------------------------------------------------------------
 
-SQUARE = MonotoneFunctionEntry("square-fixture", lambda x: np.asarray(x, float) ** 2)
+SQUARE = MonotoneFunctionEntry("square-fixture", lambda x: np.asarray(x) ** 2)
 
 
 def test_monotonicity_identity_function():
-    entry = MonotoneFunctionEntry("identity-fixture", lambda x: np.asarray(x, float))
-    report = sampled_operator_monotonicity(entry, trials=100, n=3, seed=0)
-    assert report.violations == 0
-    assert report.worst_margin >= -1e-12
+    # the Loewner matrix of the identity is all ones: eigenvalues 0 and 48
+    assert abs(loewner_margin(np.asarray)) <= 1e-12
 
 
 def test_monotonicity_wy_catalog():
-    report = sampled_operator_monotonicity(catalog_entry("wy"), trials=500, n=3, seed=1)
-    assert report.violations == 0
+    assert loewner_margin(catalog_entry("wy").f) >= -LOEWNER_ATOL
 
 
 def test_monotonicity_square_counterexample():
-    report = sampled_operator_monotonicity(SQUARE, trials=500, n=3, seed=2)
-    assert report.violations >= 1
-    assert report.worst_margin < -1e-9
+    assert loewner_margin(SQUARE.f) < -1.0
 
 
 # seeds 2^32 + 5 and 2^64 - 1 make every trial key three 32-bit words long
@@ -291,36 +288,51 @@ def test_monotonicity_square_counterexample():
     pytest.param(e, n, seed, id=f"{e.id}-{n}" + ("" if seed == 11 else f"-seed{seed}"))
     for seed in (11, 2**32 + 5, 2**64 - 1) for e in [*catalog(), SQUARE] for n in (2, 3, 4)])
 def test_sampled_monotonicity_equals_per_trial_reference(entry, n, seed):
-    # 300 trials span two blocks at n = 2, three at n = 3 and five at n = 4
-    report = sampled_operator_monotonicity(entry, trials=300, n=n, seed=seed)
+    # the Loewner verdict against 300 random pairs 0 <= A <= B checked one at a time
     violations, worst = sampled_monotonicity_per_trial(entry, 300, n, seed)
-    assert report.violations == violations
-    assert report.worst_margin == worst
+    assert (loewner_margin(entry.f) >= -LOEWNER_ATOL) == (violations == 0)
+    assert (violations == 0) == (worst >= -1e-9)
 
 
-def test_monotonicity_sequence_equals_one_call_per_entry(monkeypatch):
-    entries = [*catalog(), SQUARE]
-    singles = [sampled_operator_monotonicity(e, trials=300, n=3, seed=7) for e in entries]
-    eigh_calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda h: eigh_calls.append(1) or eigh(h))
-    # 300 trials at n = 3 are three blocks, each decomposed once for all five entries
-    assert sampled_operator_monotonicity(entries, trials=300, n=3, seed=7) == singles
-    assert len(eigh_calls) == 3
-    assert sampled_operator_monotonicity(iter(entries[:2]), 300, 3, 7) == singles[:2]
-    assert sampled_operator_monotonicity([], 300, 3, 7) == []
+# x^1 is the identity test above
+@pytest.mark.parametrize("f", [e.f for e in catalog()]
+                         + [lambda x, p=p: np.asarray(x) ** p for p in (0.25, 0.5)],
+                         ids=[e.id for e in catalog()] + ["x^0.25", "x^0.5"])
+def test_loewner_margin_passes_operator_monotone_functions(f):
+    # measured -7.5e-13 (sld) at worst
+    assert loewner_margin(f) >= -LOEWNER_ATOL
 
 
-def test_monotonicity_rejects_dimension_zero():
+# x^2 is the square counterexample above
+@pytest.mark.parametrize("f, bound", [
+    (lambda x: np.asarray(x) ** -0.01, -10.0),
+    (lambda x: np.asarray(x) ** 1.01, -0.1),
+    (lambda x: np.asarray(x) ** 1.5, -10.0),
+    (lambda x: catalog_entry("wy").f(x) + 0.05 * np.asarray(x) ** 2, -1.0),
+], ids=["x^-0.01", "x^1.01", "x^1.5", "wy+0.05x^2"])
+def test_loewner_margin_fails_functions_that_are_not_operator_monotone(f, bound):
+    # measured -26, -0.62, -126 and -37
+    assert loewner_margin(f) < bound
+
+
+def test_loewner_margin_keeps_the_sign_where_f_prime_vanishes():
+    # a constant is (weakly) operator monotone: its Loewner matrix is zero
+    assert loewner_margin(lambda x: 0.0 * np.asarray(x) + 3.0) == 0.0
+    assert loewner_margin(lambda x: -np.asarray(x)) < -1.0
+
+
+@pytest.mark.parametrize("f", [lambda x: 1.0 / (np.asarray(x) - LOEWNER_GRID[5]),
+                               lambda x: np.sqrt(np.asarray(x) - 1.0)],
+                         ids=["pole-on-grid", "nan-below-1"])
+def test_loewner_margin_rejects_f_not_finite_on_the_grid(f):
+    with pytest.raises(DomainError):
+        loewner_margin(f)
+
+
+def test_loewner_margin_needs_a_complex_evaluable_f():
     with pytest.raises(InvariantViolation) as exc:
-        sampled_operator_monotonicity(catalog_entry("wy"), 5, 0, 0)
-    assert exc.value.invariant == "dimension"
-
-
-def test_monotonicity_rejects_zero_trials():
-    with pytest.raises(InvariantViolation) as exc:
-        sampled_operator_monotonicity(catalog_entry("wy"), 0, 2, 0)
-    assert exc.value.invariant == "trials"
+        loewner_margin(lambda x: np.real(x) ** 0.5)
+    assert exc.value.invariant == "complex-evaluable"
 
 
 def test_catalog_entry_rejects_unknown_id():
@@ -339,13 +351,6 @@ def test_metric_and_contraction_name_a_missing_kernel():
     with pytest.raises(InvariantViolation) as exc:
         contraction_check(entry, random_kraus_channel(2, 2, 2, 3), rho, a)
     assert exc.value.invariant == "kernel-defined"
-
-
-def test_monotonicity_report_shape():
-    report = sampled_operator_monotonicity(catalog_entry("sld"), trials=5, n=2, seed=3)
-    d = report.as_dict()
-    assert set(d) == {"function_id", "trials", "violations", "worst_margin", "skipped"}
-    assert d["trials"] == 5
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from wyinfo.divergence import (
 from wyinfo.errors import InvariantViolation
 from wyinfo.geometry import (
     C1Function,
-    _difference_quotient,
     double_sqrt_function,
     identity_function,
     log_function,
@@ -28,6 +27,7 @@ from wyinfo.geometry import (
 )
 from wyinfo.linalg import (
     _complex_step,
+    _divided_difference,
     apply_kernel_superop,
     hs_inner,
     hs_norm,
@@ -115,7 +115,7 @@ CLOSED_FORMS += [
 def test_coincident_difference_quotient_matches_closed_form(phi, deriv):
     # measured worst case 6 ulps (power[1.5], complex pow); the bound allows 16
     x = np.logspace(-2.0, 2.0, 401)
-    got = _difference_quotient(phi, x, x)
+    got = _divided_difference(phi.fn, x, x)
     want = deriv(x)
     assert np.max(np.abs(got - want) / np.abs(want)) <= 16 * np.finfo(float).eps
 
@@ -132,5 +132,15 @@ def test_complex_step_rejects_a_real_valued_function():
     assert exc.value.invariant == "complex-evaluable"
     phi = C1Function("real-square", lambda x: np.real(x) ** 2)
     with pytest.raises(InvariantViolation) as exc:
-        _difference_quotient(phi, np.ones(3), np.ones(3))
+        _divided_difference(phi.fn, np.ones(3), np.ones(3))
     assert exc.value.invariant == "complex-evaluable"
+
+
+def test_divided_difference_promotes_ints_and_passes_complex_values():
+    # integer arguments are promoted: an integer array to a negative power would raise
+    assert _divided_difference(lambda x: x ** -1, 2, 1) == -0.5
+    assert _divided_difference(lambda x: x ** -1, [2, 4], [2, 4]).tolist() == [-0.25, -0.0625]
+    # a complex argument passes through, so the quotient can itself be complex-stepped:
+    # (t^2 - 1) / (t - 1) = t + 1 has derivative 1
+    step = _complex_step(lambda t: _divided_difference(lambda x: x ** 2, t, 1.0), 2.0)
+    assert abs(step - 1.0) <= 4 * np.finfo(float).eps
