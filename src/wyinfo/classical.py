@@ -18,18 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation
-from .linalg import _out
+from .linalg import _check, _out
 
 SIMPLEX_ATOL = 1e-12
-
-
-def _check(bad, invariant: str, fmt: str, values=None):
-    """Raise if any slice is bad, with fmt of the first bad slice's value (and its index)."""
-    if np.any(bad):
-        first = tuple(int(i) for i in np.argwhere(bad)[0])
-        value = None if values is None else np.asarray(values)[first]
-        where = f" in slice {first}" if first else ""
-        raise InvariantViolation(invariant, fmt.format(value) + where)
 
 
 def probability_vector(p) -> np.ndarray:

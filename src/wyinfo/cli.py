@@ -54,9 +54,17 @@ def _diagonal_probabilities(mat, name: str):
     return diag
 
 
+def _load_same_n(*specs):
+    """Load each (loader, path); files of different n raise shape-match naming every file."""
+    mats = [load(path) for load, path in specs]
+    if len({m.shape for m in mats}) > 1:
+        raise InvariantViolation("shape-match", ", ".join(
+            f"{path} has n = {len(m)}" for (_, path), m in zip(specs, mats)))
+    return mats
+
+
 def cmd_distance(args) -> int:
-    rho = matio.load_density(args.file_a)
-    sigma = matio.load_density(args.file_b)
+    rho, sigma = _load_same_n((matio.load_density, args.file_a), (matio.load_density, args.file_b))
     # load_density allows a trace error of TRACE_ATOL: near-coincident states
     # would read it as distance, and the simplex allows only SIMPLEX_ATOL
     rho, sigma = rho / np.trace(rho).real, sigma / np.trace(sigma).real
@@ -78,8 +86,7 @@ def cmd_distance(args) -> int:
 def cmd_geodesic(args) -> int:
     if args.samples < 2:
         raise InvariantViolation("samples", f"{args.samples} < 2")
-    rho = matio.load_density(args.file_a)
-    sigma = matio.load_density(args.file_b)
+    rho, sigma = _load_same_n((matio.load_density, args.file_a), (matio.load_density, args.file_b))
     path = wy_geodesic(rho, sigma)
     ts = [k / (args.samples - 1) for k in range(args.samples)]
     states = path.sampler(np.asarray(ts))
@@ -96,9 +103,8 @@ def cmd_curvature(args) -> int:
 
 def cmd_metric_eval(args) -> int:
     entry = catalog_entry(args.f)
-    rho = matio.load_density(args.rho)
-    a = matio.load_tangent(args.a)
-    b = matio.load_tangent(args.b)
+    rho, a, b = _load_same_n((matio.load_density, args.rho), (matio.load_tangent, args.a),
+                             (matio.load_tangent, args.b))
     value = metric_eval(entry, rho, a, b)
     if args.json:
         print(_dump({"function_id": entry.id, "value": value}))
@@ -109,8 +115,7 @@ def cmd_metric_eval(args) -> int:
 
 def cmd_divergence(args) -> int:
     g = g_entry(args.g)
-    rho = matio.load_density(args.rho)
-    sigma = matio.load_density(args.sigma)
+    rho, sigma = _load_same_n((matio.load_density, args.rho), (matio.load_density, args.sigma))
     value = relative_g_entropy(rho, sigma, g)
     print(_dump({"g_id": g.id, "value": value,
                  "inputs": {"rho": args.rho, "sigma": args.sigma}}))

@@ -28,13 +28,14 @@ def obj_to_matrix(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise InvariantViolation("schema", "matrix object must be a JSON object")
     try:
-        n = int(obj["n"])
+        n = obj["n"]
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvariantViolation("schema", f"expected keys n/re/im with numeric grids: {exc}")
-    if re.shape != (n, n) or im.shape != (n, n):
-        raise InvariantViolation("schema", f"re/im shapes {re.shape}/{im.shape} != ({n}, {n})")
+    # no int(n): 2.5 would read as 2; a bool equals 0 or 1, so it is refused by name
+    if isinstance(n, bool) or re.shape != (n, n) or im.shape != (n, n):
+        raise InvariantViolation("schema", f"re/im shapes {re.shape}/{im.shape} != ({n!r}, {n!r})")
     return re + 1j * im
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import InvariantViolation
 from .linalg import (
     KrausChannel,
+    _check,
     _divided_difference,
     _out,
     apply_channel,
@@ -195,10 +196,9 @@ def skew_identity_residual(rho, a):
 # Operator monotonicity: the Loewner margin
 # ---------------------------------------------------------------------------
 
-# Nodes of the Loewner matrix.  None lies within _divided_difference's 1e-6
-# coincidence window of 1, so an f built from divided differences against 1
-# (as dual_pair_check's induced f is) is complex-stepped on its direct
-# quotients and the step never nests.
+# Nodes of the Loewner matrix.  None lies within 13% of 1, so the complex step
+# of an f built from divided differences against 1 (as dual_pair_check's
+# induced f is) never nests inside _divided_difference's 1e-6 window.
 LOEWNER_GRID = np.logspace(-3.0, 3.0, 48)
 LOEWNER_GRID.flags.writeable = False
 # A margin at or above -LOEWNER_ATOL passes; catalog f read -7.5e-13 to -2.6e-15.
@@ -224,45 +224,33 @@ def loewner_margin(f: Callable) -> float:
 
 @dataclass
 class ContractionResult:
-    """Metric values before and after a channel.
-
-    For stacks every field is an array over the stack, and ``skipped`` holds
-    None or the reason for each slice.
-    """
+    """Metric values before and after a channel; arrays over the stack for stacks."""
 
     g_before: float
     g_after: float
     refloored: bool = False
-    skipped: Optional[str] = None
 
 
-def contraction_check(entry: MonotoneFunctionEntry, channel: KrausChannel, rho, a,
-                      refloor_eps: float = 1e-3) -> ContractionResult:
+def contraction_check(entry: MonotoneFunctionEntry, channel: KrausChannel,
+                      rho, a) -> ContractionResult:
     """Metric values before/after a stochastic map; monotone metrics contract.
 
-    If the mapped state's smallest eigenvalue falls below 1e-10 it is
-    re-floored by mixing with I/n (recorded); if even that fails the check is
-    skipped with reason.
-    A stack of channels, states and tangents is checked slice by slice, each
-    slice re-floored or skipped on its own, with the same bits as alone.
-    One input runs as a 0-d stack and gives a float, a bool and None or a str.
+    A mapped state rho' whose smallest eigenvalue falls below 1e-10 is
+    re-floored (recorded) to (1 - 1e-3) rho' + 1e-3 I/m, whose smallest
+    eigenvalue is at least 1e-3/m - O(u) for any positive semidefinite rho'.
+    One that is still not positive (rho was indefinite) raises
+    ``strict-positivity``.  A stack of channels, states and tangents is checked
+    slice by slice, with the same bits as alone; one input gives floats and a bool.
     """
     g_before = metric_eval(entry, rho, a, a)
-    rho_out = apply_channel(channel, rho)
-    rho_out = 0.5 * (rho_out + rho_out.conj().swapaxes(-1, -2))
-    a_out = apply_channel(channel, a)
-    a_out = 0.5 * (a_out + a_out.conj().swapaxes(-1, -2))
+    rho_out, a_out = (0.5 * (x + x.conj().swapaxes(-1, -2))
+                      for x in (apply_channel(channel, rho), apply_channel(channel, a)))
     refloored = np.linalg.eigvalsh(rho_out)[..., 0] < 1e-10
-    skipped = np.zeros_like(refloored)
     if refloored.any():
         m = channel.output_dim
-        floored = (1.0 - refloor_eps) * rho_out + refloor_eps * np.eye(m) / m
+        floored = (1.0 - 1e-3) * rho_out + 1e-3 * np.eye(m) / m
         rho_out = np.where(refloored[..., None, None], floored, rho_out)
-        skipped = refloored & (np.linalg.eigvalsh(rho_out)[..., 0] <= 0.0)
-    g_after = np.full(refloored.shape, np.nan)
-    keep = ~skipped
-    g_after[keep] = metric_eval(entry, rho_out[keep], a_out[keep], a_out[keep])
-    skipped = np.where(skipped, "output not full rank", None)
-    if not refloored.shape:
-        return ContractionResult(g_before, float(g_after), bool(refloored), skipped.item())
-    return ContractionResult(g_before, g_after, refloored, skipped)
+        lo = np.linalg.eigvalsh(rho_out)[..., 0]
+        _check(lo <= 0.0, "strict-positivity", "re-floored output smallest eigenvalue {:.3e}", lo)
+    g_after = metric_eval(entry, rho_out, a_out, a_out)
+    return ContractionResult(g_before, g_after, refloored if refloored.shape else bool(refloored))

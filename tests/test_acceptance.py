@@ -51,7 +51,8 @@ def test_criterion_04_entropy_hessian():
 
 
 def test_criterion_05_contraction_monotonicity():
-    # 500 random (channel, state, tangent) per catalog entry, zero violations, < 120 s
+    # 500 random (channel, state, tangent), each judged by all four catalog metrics,
+    # zero violations, < 120 s
     report = _run("monotonicity", (2, 3), 500, 120.0, label="5 metric contraction")
     for check in report.checks:
         if check.name.startswith("contraction-violations"):

@@ -73,6 +73,17 @@ def test_matio_rejects_bad_schema(tmp_path):
     assert exc.value.invariant == "schema"
 
 
+@pytest.mark.parametrize("n", [2.5, True, "2"])
+def test_matio_rejects_a_non_integer_n(tmp_path, n):
+    # int() would read 2.5 as 2 and true as 1, so grids of that size would load
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": n, "re": np.eye(int(n)).tolist(),
+                                "im": np.zeros((int(n), int(n))).tolist()}))
+    with pytest.raises(InvariantViolation) as exc:
+        matio.load_hermitian(str(path))
+    assert exc.value.invariant == "schema"
+
+
 def test_matio_rejects_malformed_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -266,6 +277,20 @@ def test_divergence_command(state_files):
     payload = json.loads(res.stdout)
     assert payload["g_id"] == "g_wy"
     assert payload["value"] == pytest.approx(4.0 * (1.0 - 0.6), rel=1e-11)
+
+
+@pytest.mark.parametrize("command", [["distance"], ["geodesic"], ["metric-eval", "a"],
+                                     ["divergence"]], ids=lambda c: c[0])
+def test_files_of_different_n_name_shape_match(tmp_path, state_files, capsys, command):
+    # the n = 3 file comes last; metric-eval reads (rho, a, b) with a tangent as a
+    a, _ = state_files
+    big, tangent = tmp_path / "big.json", tmp_path / "t.json"
+    matio.save_matrix(big, random_tangent(3, 1) if len(command) > 1 else random_density(3, 1))
+    matio.save_matrix(tangent, random_tangent(2, 2))
+    files = [a, str(tangent), str(big)] if len(command) > 1 else [a, str(big)]
+    assert cli.main([command[0], *files]) == 2
+    err = capsys.readouterr().err
+    assert "shape-match" in err and a in err and str(big) in err
 
 
 # ---------------------------------------------------------------------------

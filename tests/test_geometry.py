@@ -473,6 +473,18 @@ def test_induced_f_takes_a_complex_step_without_a_warning():
     assert np.max(np.abs(step - 0.25 * (1.0 + x ** -0.5))) <= 1e-14
 
 
+def test_induced_f_names_a_nested_complex_step():
+    # at t = 1 the step lands in the quotient's coincidence window, whose own
+    # complex step would read f'(1) = 0.444 instead of 0.5
+    phi = power_function(0.5)
+    f = dual_pair_check(phi, phi).induced_f
+    with pytest.raises(InvariantViolation) as exc:
+        _complex_step(f, 1.0)
+    assert exc.value.invariant == "nested-complex-step"
+    # just outside the window the step is back on the direct quotient
+    assert abs(_complex_step(f, 1.0 + 2e-6) - 0.5) <= 1e-4
+
+
 def test_self_duality_scan_rejects_excluded_exponents():
     with pytest.raises(InvariantViolation):
         self_duality_scan([0.5, 1.0])

@@ -389,7 +389,6 @@ def test_contraction_random_channels_never_expand():
             rho = random_density(n, seed + 1)
             a = random_tangent(n, seed + 2)
             res = contraction_check(entry, ch, rho, a)
-            assert res.skipped is None
             assert res.g_after <= res.g_before + 1e-9 * (1.0 + res.g_before)
 
 
@@ -413,11 +412,12 @@ def test_contraction_single_input_gives_python_scalars():
     rho, a = random_density(2, 3), random_tangent(2, 4)
     plain = contraction_check(wy, random_kraus_channel(2, 2, 2, 8), rho, a)
     floored = contraction_check(wy, _amplitude_damping(), rho, a)
-    skipped = contraction_check(wy, _amplitude_damping(gamma=1.0), rho, a, refloor_eps=0.0)
-    assert [type(v) for v in vars(plain).values()] == [float, float, bool, type(None)]
-    assert [type(v) for v in vars(floored).values()] == [float, float, bool, type(None)]
-    assert [type(v) for v in vars(skipped).values()] == [float, float, bool, str]
-    assert floored.refloored and skipped.refloored and not plain.refloored
+    # full damping maps every state to |0><0|, which the default floor repairs
+    damped = contraction_check(wy, _amplitude_damping(gamma=1.0), rho, a)
+    for res in (plain, floored, damped):
+        assert [type(v) for v in vars(res).values()] == [float, float, bool]
+    assert floored.refloored and damped.refloored and not plain.refloored
+    assert np.isfinite(damped.g_after)
 
 
 def _stacked(channels):
@@ -430,7 +430,7 @@ def _assert_stack_matches_slices(entry, channels, rhos, tangents):
     for k, ch in enumerate(channels):
         one = contraction_check(entry, ch, rhos[k], tangents[k])
         assert (res.g_before[k], res.g_after[k]) == (one.g_before, one.g_after)
-        assert (res.refloored[k], res.skipped[k]) == (one.refloored, one.skipped)
+        assert res.refloored[k] == one.refloored
     return res
 
 
@@ -452,21 +452,20 @@ def test_contraction_stack_refloors_only_the_damped_slice(entry):
     tangents = np.stack([random_tangent(2, 4)] * 2)
     res = _assert_stack_matches_slices(entry, channels, rhos, tangents)
     assert res.refloored.tolist() == [False, True]
-    assert res.skipped.tolist() == [None, None]
 
 
-def test_contraction_stack_skips_only_the_rank_deficient_slice():
-    # full damping maps every state to |0><0|; with a zero re-floor weight
-    # that output stays singular, so only its slice is skipped
-    channels = [random_kraus_channel(2, 2, 2, 8), _amplitude_damping(gamma=1.0)]
-    ch = _stacked(channels)
-    rhos = np.stack([random_density(2, 3)] * 2)
-    tangents = np.stack([random_tangent(2, 4)] * 2)
-    wy = catalog_entry("wy")
-    res = contraction_check(wy, ch, rhos, tangents, refloor_eps=0.0)
-    assert res.refloored.tolist() == [False, True]
-    assert res.skipped.tolist() == [None, "output not full rank"]
-    assert res.g_after[0] == contraction_check(wy, channels[0], rhos[0], tangents[0]).g_after
-    assert np.isnan(res.g_after[1])
-    alone = contraction_check(wy, channels[1], rhos[1], tangents[1], refloor_eps=0.0)
-    assert alone.skipped == "output not full rank" and np.isnan(alone.g_after)
+def test_contraction_indefinite_state_raises_strict_positivity():
+    # the floor repairs any positive semidefinite output; an indefinite rho
+    # stays indefinite under the identity channel, alone and in a stack
+    sld = catalog_entry("sld")
+    ch = KrausChannel(kraus=(np.eye(2),), input_dim=2, output_dim=2)
+    bad, a = np.diag([2.0, -1.0]).astype(complex), random_tangent(2, 4)
+    with pytest.raises(InvariantViolation) as exc:
+        contraction_check(sld, ch, bad, a)
+    assert exc.value.invariant == "strict-positivity"
+    assert "slice" not in str(exc.value)
+    rhos = np.stack([random_density(2, 3), bad])
+    with pytest.raises(InvariantViolation) as exc:
+        contraction_check(sld, _stacked([ch, ch]), rhos, np.stack([a, a]))
+    assert exc.value.invariant == "strict-positivity"
+    assert "in slice (1,)" in str(exc.value)

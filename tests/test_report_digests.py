@@ -17,7 +17,7 @@ DIGESTS = {
         "wy-curvature": "88047d73b09da7c25e03a06237e1667ce3ba1d74a0309d7c515bb0cd82e0aa5c",
         "pullback": "8418aee91b0b17cf399bedde801d4a4f9ab62ec407c684133509e77bb15bc3cd",
         "hessian": "96a387b834ec386c78e1a49b2bd9c1a651ea89ef77a17a85051ff4273542abb2",
-        "monotonicity": "2dc9842f11984e05fa0a3240a76c4884f829c2af807eafa68c73c6b20c25b19c",
+        "monotonicity": "318d4041830db34c99a129655697c7b3cbbaf96ede31d310f90a5b8e0e81908d",
         "geodesic-length": "1263e595d64a33fbb3de5269b53fb57821c910aa8be292e1e1cd85895bb0e563",
         "dual-pairs": "d87e452a3f43a3e53036f52cbf55786c10266eadd27bee79dd9d568fe2ada638",
         "classical": "d70983493465380f292575f539010d94b40e975f2282bbf29a9ae26e16b55e3c",
@@ -29,7 +29,7 @@ DIGESTS = {
         "wy-curvature": "9cdc89a499a7c7766dbc729de0586dfbd7b3497c6f5b32bd9bbb6b01644ac67d",
         "pullback": "3acb7bd67a3dd6d4fca27954dd82d3480345a8945f66aa329320f9c5969fb4c7",
         "hessian": "5c8de51d1166248b85baa66b30d0e7ab6a45332bfa2e0c9f11f2b5f0e83438dc",
-        "monotonicity": "78b8cd00a383395370ede860105e08c2071bcc0124e00eda98bb88ddce8b2ef0",
+        "monotonicity": "c8069d8891929edf4de700f7cd65dc97b5736669f88349f5cd1636b769086bb1",
         "geodesic-length": "7532a305b2f8d6201f93af65bc983dfb9ae4492f844ba6faa2e033996f62e3ff",
         "dual-pairs": "f7015a0a0a93364341a67188c710b75e013dbf4734d6826673b9d87b6dae69e4",
         "classical": "6aeb20130297b7cbe00f6df5c74ab32205a7958f353c15cc3a6dfc4541961fad",
@@ -41,7 +41,7 @@ DIGESTS = {
         "wy-curvature": "a3bc5b9179ec17b4d06fe83312406b66fb3c1521c1efa3ffbf8f223ae223cbc9",
         "pullback": "ae5f8a74b7bba51aea4432b5c4ae174223d0db021ca20ac435d25b31effa06d5",
         "hessian": "ede5364bd7c09e6ee34247edc05e45c7539b9baad396e079491d18bcee4ebec5",
-        "monotonicity": "d8d7dd1298912ec6d4e0317a8e670fd9083457375a55221abc42f2acb23ee660",
+        "monotonicity": "a6cd0db5ed20bc83ef443b9f662bf923982b86d13236fe623bce72f18030f7a6",
         "geodesic-length": "645ffe974a019c5a22e7e2766f09a1ffe1b69d3ebbcc1cad3e1d76a712647534",
         "dual-pairs": "7000383aecb0b33c591b1d938774f3de32d8e58b58491dd56f89b36c6e1f61cb",
         "classical": "bbda827154f92b6bead5dcd2085d1250aa8106179eea5b98fe51260a193b1ea6",

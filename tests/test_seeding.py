@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from wyinfo import linalg
 from wyinfo.linalg import (
     _complex_gaussian,
     _pcg64_seedings,
@@ -19,6 +20,7 @@ from wyinfo.linalg import (
     seeded_stack,
     trial_seeds,
 )
+from wyinfo.suites import SUITES, default_config, run_suite
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**63 + 2, 2**64 - 1]
 MASKED_SEEDS = [-1, 2**64 + 5]  # rng_from masks every entry to 64 bits
@@ -136,6 +138,27 @@ def test_interleaved_calls_equal_sequential_calls():
     assert np.array_equal(outer, seeded_stack(outer_keys, lambda rng: rng.standard_normal(8)))
     sequential_inner = seeded_stack(inner_keys, _draw)
     assert all(np.array_equal(x, sequential_inner) for x in inner)
+
+
+# Calls per suite at its defaults and seed 0.  Each call pays a fixed cost of
+# about 90 us, so a suite that goes back to one draw per entry or per trial
+# fails here; monotonicity drew per catalog entry at 136 calls.
+SEEDING_CALLS = {"wy-curvature": 6, "pullback": 15, "hessian": 20, "monotonicity": 34,
+                 "geodesic-length": 7, "dual-pairs": 0, "classical": 3, "skew-identity": 9,
+                 "alpha": 0, "distance-bound": 122}
+
+
+def test_seeding_calls_per_default_pass(monkeypatch):
+    calls = []
+    monkeypatch.setattr(linalg, "_pcg64_seedings",
+                        lambda keys: calls.append(None) or _pcg64_seedings(keys))
+    counts = {}
+    for suite in SUITES:
+        before = len(calls)
+        run_suite(default_config(suite))
+        counts[suite] = len(calls) - before
+    assert counts == SEEDING_CALLS
+    assert sum(counts.values()) == 216
 
 
 @pytest.mark.parametrize("rows, cols", [(3, 3), (6, 2)])

@@ -17,7 +17,7 @@ from oracles import (
 from wyinfo import linalg, suites
 from wyinfo.errors import InvariantViolation
 from wyinfo.linalg import BLOCK_ENTRIES
-from wyinfo.monotone import contraction_check
+from wyinfo.monotone import MonotoneFunctionEntry, catalog, contraction_check, loewner_margin
 from wyinfo.suites import SUITE_DEFAULTS, SUITES, SuiteConfig, default_config, run_suite
 
 
@@ -77,6 +77,20 @@ def test_monotonicity_equals_per_trial_reference(monkeypatch, seed, n_values, tr
     # the counts are all zero, so also compare every trial's metric values
     assert len(stacked) == 4 * cfg.trials
     assert sorted(stacked) == sorted(per_trial)
+
+
+def test_monotonicity_counts_a_non_monotone_metric(monkeypatch):
+    # f(x) = (x^2 + 1/x) / 2 is normalized and symmetric but not operator
+    # monotone (Loewner margin -99.9), so its metric expands under some channels
+    heinz = MonotoneFunctionEntry("heinz", lambda x: 0.5 * (x**2 + 1.0 / x),
+                                  lambda x, y: 2.0 * x * y / (x**3 + y**3))
+    assert loewner_margin(heinz.f) < -99.0
+    monkeypatch.setattr(suites, "catalog", lambda: catalog() + (heinz,))
+    report = run_suite(default_config("monotonicity", n_values=(2,), trials=200))
+    rows = {c.name: c.actual for c in report.checks}
+    assert rows.pop("contraction-violations-heinz") > 0
+    assert set(rows.values()) == {0.0} and len(rows) == 4
+    assert not report.passed
 
 
 # (2,) with 1,500 trials makes three blocks of 576; n = 7 is above the old caps
