@@ -11,7 +11,7 @@ Usage: python scripts/curvature_table.py [--dims 2,3,4] [--trials N] [--seed S]
 import argparse
 
 from wyinfo.curvature import scal1_shift, scalar_curvature
-from wyinfo.linalg import random_density, trial_seeds
+from wyinfo.linalg import TrialStream, random_density
 from wyinfo.monotone import catalog
 
 
@@ -31,7 +31,8 @@ def main():
     print("-" * len(header))
     for n in dims:
         row = f"{n:>3} {scal1_shift(n):>10.3f}"
-        states = random_density(n, trial_seeds([(args.seed, n, t) for t in range(args.trials)]))
+        # trial t of dimension n reads counter index t of the key (seed, n)
+        states = random_density(n, TrialStream(args.seed, n, 0, args.trials))
         for e in entries:
             vals = [scalar_curvature(e, rho).scal1 for rho in states]
             row += f"  [{min(vals):>12.6f}, {max(vals):>12.6f}]"

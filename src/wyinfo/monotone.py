@@ -27,8 +27,10 @@ from .linalg import (
     apply_kernel_superop,
     commutator,
     hs_inner,
+    kernel_action,
     kernel_grid,
     matrix_function,
+    spectral_decompose,
 )
 
 # Relative |x - y| gap below which the Kubo-Mori kernel and its derivative
@@ -231,8 +233,7 @@ class ContractionResult:
     refloored: bool = False
 
 
-def contraction_check(entry: MonotoneFunctionEntry, channel: KrausChannel,
-                      rho, a) -> ContractionResult:
+def contraction_check(entries, channel: KrausChannel, rho, a):
     """Metric values before/after a stochastic map; monotone metrics contract.
 
     A mapped state rho' whose smallest eigenvalue falls below 1e-10 is
@@ -241,8 +242,12 @@ def contraction_check(entry: MonotoneFunctionEntry, channel: KrausChannel,
     One that is still not positive (rho was indefinite) raises
     ``strict-positivity``.  A stack of channels, states and tangents is checked
     slice by slice, with the same bits as alone; one input gives floats and a bool.
+
+    One catalog entry gives its ContractionResult; a sequence of entries gives
+    a tuple of them, each the bits of its entry alone, with the map, the
+    re-floor and the eigendecompositions of rho and rho' made once for all.
     """
-    g_before = metric_eval(entry, rho, a, a)
+    many = not isinstance(entries, MonotoneFunctionEntry)
     rho_out, a_out = (0.5 * (x + x.conj().swapaxes(-1, -2))
                       for x in (apply_channel(channel, rho), apply_channel(channel, a)))
     refloored = np.linalg.eigvalsh(rho_out)[..., 0] < 1e-10
@@ -252,5 +257,10 @@ def contraction_check(entry: MonotoneFunctionEntry, channel: KrausChannel,
         rho_out = np.where(refloored[..., None, None], floored, rho_out)
         lo = np.linalg.eigvalsh(rho_out)[..., 0]
         _check(lo <= 0.0, "strict-positivity", "re-floored output smallest eigenvalue {:.3e}", lo)
-    g_after = metric_eval(entry, rho_out, a_out, a_out)
-    return ContractionResult(g_before, g_after, refloored if refloored.shape else bool(refloored))
+    before, after = spectral_decompose(rho), spectral_decompose(rho_out)
+    refloored = refloored if refloored.shape else bool(refloored)
+    results = tuple(ContractionResult(hs_inner(a, kernel_action(before, before, e.c, a)),
+                                      hs_inner(a_out, kernel_action(after, after, e.c, a_out)),
+                                      refloored)
+                    for e in (entries if many else (entries,)))
+    return results if many else results[0]

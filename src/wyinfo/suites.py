@@ -13,7 +13,7 @@ import numbers
 import operator
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Dict, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -32,11 +32,10 @@ from .geometry import (
 )
 from .linalg import (
     BLOCK_ENTRIES,
+    TrialStream,
     random_density,
     random_kraus_channel,
     random_tangent,
-    seeded_stack,
-    trial_seeds,
 )
 from .monotone import (
     catalog,
@@ -133,34 +132,56 @@ class SuiteReport:
         }
 
 
+class Block(NamedTuple):
+    """Trials start, start + 1, ... of the (n, width) group of one suite run.
+
+    `trials` holds their suite trial indices t.  Draw `tag` of the block reads
+    the Philox key (config seed, suite tag << 48 | tag << 32 | n << 16 | width)
+    at its group indices, so trial j of a group alone is
+    Block(seed, suite, n, width, j, [t]).stream(tag).
+    """
+
+    seed: int
+    suite: int
+    n: int
+    width: int
+    start: int
+    trials: Sequence[int]
+
+    def stream(self, tag: int) -> TrialStream:
+        word = self.suite << 48 | tag << 32 | self.n << 16 | self.width
+        return TrialStream(self.seed, word, self.start, self.start + len(self.trials))
+
+
 class _Checks:
-    """The check rows of one suite run, with its tolerance overrides and trial seeds."""
+    """The check rows of one suite run, with its tolerance overrides and trial blocks."""
 
     def __init__(self, cfg: SuiteConfig):
         self.cfg = cfg
         self.rows: list = []
         self.names: list = []  # every check name tol() was asked for, in order
 
-    def seeds(self, streams) -> list:
-        """One seed per trial, int(rng_from(config seed, *stream).integers(2**63)) for each stream."""
-        return trial_seeds([(self.cfg.seed, *stream) for stream in streams])
-
-    def blocks(self, width: Callable[[int, int], int] = lambda t, n: 1) -> Iterator[tuple]:
-        """The trial plan: (n, width, trials) blocks that cover every trial once.
+    def blocks(self, width: Callable[[int, int], int] = lambda t, n: 1,
+               trials: Optional[int] = None) -> Iterator[Block]:
+        """The trial plan: blocks that cover trials 0 .. trials - 1 (default cfg.trials) once.
 
         Trial t runs at n = n_values[t % len(n_values)]; trials are grouped by
-        (n, width(t, n)) in order of first appearance, in blocks of at most
-        BLOCK_ENTRIES // (width n^2) trials.
+        (n, width(t, n)) in order of first appearance.
         """
         dims = self.cfg.n_values
         groups: Dict[tuple, list] = {}
-        for t in range(self.cfg.trials):
+        for t in range(self.cfg.trials if trials is None else trials):
             n = dims[t % len(dims)]
             groups.setdefault((n, width(t, n)), []).append(t)
-        for (n, w), trials in groups.items():
-            rows = max(1, BLOCK_ENTRIES // (w * n * n))
-            for lo in range(0, len(trials), rows):
-                yield n, w, trials[lo:lo + rows]
+        for (n, w), ts in groups.items():
+            yield from self.group(n, w, ts)
+
+    def group(self, n: int, width: int, trials: Sequence[int]) -> Iterator[Block]:
+        """These trials as the (n, width) group, in blocks of <= BLOCK_ENTRIES // (width n^2)."""
+        rows = max(1, BLOCK_ENTRIES // (width * n * n))
+        for lo in range(0, len(trials), rows):
+            yield Block(self.cfg.seed, SUITE_TAGS[self.cfg.suite], n, width, lo,
+                        trials[lo:lo + rows])
 
     def tol(self, name: str, default: float) -> float:
         self.names.append(name)
@@ -194,12 +215,14 @@ class _Checks:
 
 SUITES: Dict[str, Callable[[SuiteConfig], SuiteReport]] = {}
 SUITE_DEFAULTS: Dict[str, dict] = {}
+SUITE_TAGS: Dict[str, int] = {}
 
 
-def _suite(name: str, *, n_values: tuple, trials: int):
+def _suite(name: str, *, tag: int, n_values: tuple, trials: int):
     """Register body(cfg, checks) in SUITES as a timed cfg -> SuiteReport runner.
 
-    The default n_values and trials go into SUITE_DEFAULTS under the same name.
+    The default n_values and trials go into SUITE_DEFAULTS under the same
+    name, and the suite's stream tag (its part of every draw's key) into SUITE_TAGS.
     """
 
     def wrap(body):
@@ -214,6 +237,7 @@ def _suite(name: str, *, n_values: tuple, trials: int):
 
         SUITES[name] = run
         SUITE_DEFAULTS[name] = {"n_values": n_values, "trials": trials}
+        SUITE_TAGS[name] = tag
         return run
 
     return wrap
@@ -223,69 +247,63 @@ def _suite(name: str, *, n_values: tuple, trials: int):
 # Suites
 # ---------------------------------------------------------------------------
 
-@_suite("wy-curvature", n_values=(2, 3, 4), trials=20)
+@_suite("wy-curvature", tag=1, n_values=(2, 3, 4), trials=20)
 def run_wy_curvature(cfg: SuiteConfig, checks: _Checks):
     """Generic triple-sum engine reproduces the constant wy curvature."""
     wy = catalog_entry("wy")
     for n in cfg.n_values:
         expected = scal1_shift(n)
         worst = expected
-        seeds = checks.seeds((n, t) for t in range(cfg.trials))
-        rows = max(1, BLOCK_ENTRIES // (n * n))
-        for lo in range(0, len(seeds), rows):
-            for rho in random_density(n, seeds[lo:lo + rows]):
+        # every n runs all trials: one (n, 1) group each
+        for block in checks.group(n, 1, range(cfg.trials)):
+            for rho in random_density(n, block.stream(0)):
                 rep = scalar_curvature(wy, rho)
                 if abs(rep.scal1 - expected) > abs(worst - expected):
                     worst = rep.scal1
         checks.close(f"scal1-constant-n{n}", expected, worst, 1e-6, relative=True)
 
 
-@_suite("pullback", n_values=(2, 3, 4, 5), trials=100)
+@_suite("pullback", tag=2, n_values=(2, 3, 4, 5), trials=100)
 def run_pullback(cfg: SuiteConfig, checks: _Checks):
     """Pushed-forward Hilbert-Schmidt product equals the wy metric."""
     wy = catalog_entry("wy")
     worst = 0.0
-    rho_seed, a_seed, b_seed = (checks.seeds((t, j) for t in range(cfg.trials)) for j in range(3))
-    for n, _, trials in checks.blocks():
-        rho = random_density(n, [rho_seed[t] for t in trials])
-        a = random_tangent(n, [a_seed[t] for t in trials])
-        b = random_tangent(n, [b_seed[t] for t in trials])
+    for block in checks.blocks():
+        n = block.n
+        rho = random_density(n, block.stream(0))
+        a, b = (random_tangent(n, block.stream(tag)) for tag in (1, 2))
         gm = metric_eval(wy, rho, a, b)
         gap = np.abs(pullback_metric(rho, a, b) - gm) / (1.0 + np.abs(gm))
         worst = max(worst, float(np.max(gap)))
     checks.below("pullback-equals-wy", worst, 1e-10)
 
 
-@_suite("hessian", n_values=(2, 3, 4), trials=50)
+@_suite("hessian", tag=3, n_values=(2, 3, 4), trials=50)
 def run_hessian(cfg: SuiteConfig, checks: _Checks):
     """Finite-difference entropy Hessian matches the induced metric kernel."""
     for gi, g in enumerate(g_catalog()):
         worst = 0.0
-        trial_seed = checks.seeds((gi, t) for t in range(cfg.trials))
-        for n, _, trials in checks.blocks():
-            seeds = [trial_seed[t] for t in trials]
-            rho = (1.0 - n * 5e-2) * random_density(n, seeds) + 5e-2 * np.eye(n)
-            # per-slice norms: the stacked norm differs in the last bit on some slices
-            a, b = (np.stack([d / np.linalg.norm(d)
-                              for d in random_tangent(n, [s + k for s in seeds])])
-                    for k in (1, 2))
+        # convex g number gi draws rho, A and B as draws 3 gi, 3 gi + 1 and 3 gi + 2
+        for block in checks.blocks():
+            n = block.n
+            rho = (1.0 - n * 5e-2) * random_density(n, block.stream(3 * gi)) + 5e-2 * np.eye(n)
+            a, b = (d / np.linalg.norm(d, axis=(-2, -1), keepdims=True)
+                    for d in (random_tangent(n, block.stream(3 * gi + k)) for k in (1, 2)))
             worst = max(worst, float(np.max(hessian_check(g, rho, a, b).residual)))
         checks.below(f"hessian-{g.id}", worst, 1e-4)
 
 
-@_suite("monotonicity", n_values=(2, 3), trials=500)
+@_suite("monotonicity", tag=4, n_values=(2, 3), trials=500)
 def run_monotonicity(cfg: SuiteConfig, checks: _Checks):
     """Every catalog metric contracts under random stochastic maps, all on one draw per trial."""
     violations = dict.fromkeys(catalog(), 0)
-    trial_seed = checks.seeds((0, t) for t in range(cfg.trials))
     # Trial t has 1 + t % n^2 Kraus matrices.
-    for n, env, trials in checks.blocks(width=lambda t, n: 1 + t % (n * n)):
-        seeds = [trial_seed[t] for t in trials]
-        channel = random_kraus_channel(n, n, env, seeds)
-        rho = random_density(n, [s + 1 for s in seeds])
-        a = random_tangent(n, [s + 2 for s in seeds])
-        for entry in violations:
-            res = contraction_check(entry, channel, rho, a)
+    for block in checks.blocks(width=lambda t, n: 1 + t % (n * n)):
+        n = block.n
+        channel = random_kraus_channel(n, n, block.width, block.stream(0))
+        rho = random_density(n, block.stream(1))
+        a = random_tangent(n, block.stream(2))
+        for entry, res in zip(violations, contraction_check(tuple(violations), channel, rho, a)):
             excess = res.g_after - res.g_before - 1e-9 * (1.0 + res.g_before)
             violations[entry] += int(np.count_nonzero(excess > 0))
     for entry, count in violations.items():
@@ -303,46 +321,43 @@ def _diagonal(x: np.ndarray) -> np.ndarray:
     return np.where(np.eye(x.shape[-1], dtype=bool), x[..., None], 0.0).astype(complex)
 
 
-@_suite("geodesic-length", n_values=(2, 3), trials=20)
+@_suite("geodesic-length", tag=5, n_values=(2, 3), trials=20)
 def run_geodesic_length(cfg: SuiteConfig, checks: _Checks):
     """Integrated wy length of the closed-form geodesic equals the distance."""
     wy = catalog_entry("wy")
     worst = 0.0
-    trial_seed = checks.seeds((t,) for t in range(cfg.trials))
-    for n, _, trials in checks.blocks():
-        # even trials: two random states from seeds s and s + 1; odd trials: a
-        # commuting pair, two Dirichlet draws from the stream of seed s
-        pairs = []
-        rand = [trial_seed[t] for t in trials if t % 2 == 0]
-        if rand:
-            states = random_density(n, rand + [s + 1 for s in rand])
-            pairs.extend(zip(states[:len(rand)], states[len(rand):]))
-        comm = [(trial_seed[t],) for t in trials if t % 2]
-        if comm:
-            z = seeded_stack(comm, lambda rng: rng.dirichlet(np.ones(n), 2))
-            pairs.extend(_diagonal(_floored(z)))
+    # even trials (width 1): two random states, draws 0 and 1; odd trials
+    # (width 2): a commuting pair from two Dirichlet vectors, draw 2
+    for block in checks.blocks(width=lambda t, n: 1 + t % 2):
+        n = block.n
+        if block.width == 1:
+            pairs = zip(random_density(n, block.stream(0)), random_density(n, block.stream(1)))
+        else:
+            pairs = _diagonal(_floored(block.stream(2).dirichlet((2, n))))
         for rho, sig in pairs:
             d = wy_distance_audit(rho, sig)[0]
             length = path_length(wy, wy_geodesic(rho, sig))
             worst = max(worst, abs(length - d) / d)
     checks.below("length-matches-distance", worst, 1e-4)
-    # The exact velocity against central differences of the sampler (h = 1e-5).
+    # The exact velocity against central differences of the sampler (h = 1e-5),
+    # on random pairs (draws 3 and 4) of the first three trials.
     h, ts = 1e-5, np.array([0.25, 0.5, 0.75])
     worst = 0.0
-    for t, seed in enumerate(checks.seeds((1000 + t,) for t in range(min(cfg.trials, 3)))):
-        n = cfg.n_values[t % len(cfg.n_values)]
-        path = wy_geodesic(*random_density(n, [seed, seed + 1]))
-        v = path.velocity(ts)
-        diff = (path.sampler(ts + h) - path.sampler(ts - h)) / (2.0 * h)
-        rel = np.linalg.norm(v - diff, axis=(-2, -1)) / np.linalg.norm(v, axis=(-2, -1))
-        worst = max(worst, float(np.max(rel)))
+    for block in checks.blocks(trials=min(cfg.trials, 3)):
+        n = block.n
+        for rho, sig in zip(random_density(n, block.stream(3)), random_density(n, block.stream(4))):
+            path = wy_geodesic(rho, sig)
+            v = path.velocity(ts)
+            diff = (path.sampler(ts + h) - path.sampler(ts - h)) / (2.0 * h)
+            rel = np.linalg.norm(v - diff, axis=(-2, -1)) / np.linalg.norm(v, axis=(-2, -1))
+            worst = max(worst, float(np.max(rel)))
     checks.below("velocity-matches-differences", worst, 1e-6)
 
 
 DUAL_PAIR_GRID = (-1.0, -0.5, 0.25, 0.5, 0.75, 1.5, 2.0)
 
 
-@_suite("dual-pairs", n_values=(3,), trials=200)
+@_suite("dual-pairs", tag=6, n_values=(3,), trials=200)
 def run_dual_pairs(cfg: SuiteConfig, checks: _Checks):
     """Only the square-root power pair induces a valid symmetric metric kernel.
 
@@ -358,17 +373,17 @@ def run_dual_pairs(cfg: SuiteConfig, checks: _Checks):
     checks.at_least("symmetry-margin-p2", margins[2.0], 1e-2)
 
 
-@_suite("classical", n_values=(2, 3, 4), trials=50)
+@_suite("classical", tag=7, n_values=(2, 3, 4), trials=50)
 def run_classical(cfg: SuiteConfig, checks: _Checks):
     """Simplex geometry: diagonal embedding, sphere pull-back, transport duality."""
     wy = catalog_entry("wy")
     worst = [0.0] * 4
-    for n, _, trials in checks.blocks():
-        # each trial draws p, q, then the normals of u, v from its own stream: (trials, 4, n)
-        z = seeded_stack([(cfg.seed, t) for t in trials], lambda rng: np.concatenate(
-            [rng.dirichlet(np.ones(n), 2), rng.standard_normal((2, n))]))
-        p, q = _floored(z[:, 0]), _floored(z[:, 1])
-        u, v = (x - x.mean(axis=-1, keepdims=True) for x in (z[:, 2], z[:, 3]))
+    for block in checks.blocks():
+        # each trial draws p and q (draw 0), then the normals of u and v (draw 1)
+        pq = _floored(block.stream(0).dirichlet((2, block.n)))
+        p, q = pq[:, 0], pq[:, 1]
+        u, v = (x - x.mean(axis=-1, keepdims=True)
+                for x in block.stream(1).normals((2, block.n)).swapaxes(0, 1))
         fr = classical.fisher_rao_metric(p, u, v)
         du, dv = (classical.sphere_map_differential(p, x) for x in (u, v))
         s, w = (classical.score_from_tangent(x, p) for x in (u, v))
@@ -385,40 +400,34 @@ def run_classical(cfg: SuiteConfig, checks: _Checks):
         checks.below(name, value, bound)
 
 
-@_suite("skew-identity", n_values=(2, 3, 4, 5), trials=100)
+@_suite("skew-identity", tag=8, n_values=(2, 3, 4, 5), trials=100)
 def run_skew_identity(cfg: SuiteConfig, checks: _Checks):
     """Metric norm of i[rho, A] equals four times the skew information."""
     worst = 0.0
-    trial_seed = checks.seeds((t,) for t in range(cfg.trials))
-    for n, _, trials in checks.blocks():
-        seeds = [trial_seed[t] for t in trials]
-        rho = random_density(n, seeds)
-        a = random_tangent(n, [s + 1 for s in seeds])
+    for block in checks.blocks():
+        rho = random_density(block.n, block.stream(0))
+        a = random_tangent(block.n, block.stream(1))
         resid = skew_identity_residual(rho, a)
         worst = max(worst, float(np.max(resid / (1.0 + 4.0 * np.abs(skew_information(rho, a))))))
     checks.below("skew-identity", worst, 1e-9)
 
 
-@_suite("alpha", n_values=(2,), trials=1)
+@_suite("alpha", tag=9, n_values=(2,), trials=1)
 def run_alpha(cfg: SuiteConfig, checks: _Checks):
     """Connection parameters of the catalog convex functions."""
     checks.close("alpha-g_wy", 0.0, alpha_parameter(g_entry("g_wy")), 1e-12)
     checks.close("alpha-g_umegaki", -1.0, alpha_parameter(g_entry("g_umegaki")), 1e-12)
 
 
-@_suite("distance-bound", n_values=(2, 3, 4, 5), trials=10_000)
+@_suite("distance-bound", tag=10, n_values=(2, 3, 4, 5), trials=10_000)
 def run_distance_bound(cfg: SuiteConfig, checks: _Checks):
     """wy distance is below the loose bound 2 pi (sharp: pi); clamping stays in its window."""
     worst_d = 0.0
     worst_clamp = 0.0
     clamp_events = 0
-    for n, _, trials in checks.blocks():
-        # seeds per block: all 10,000 at once would peak at 1.75 MB in
-        # trial_seeds instead of 0.12 MB and add 0.9 MB to this suite's peak RSS;
-        # one draw for both states: rho from seed s, sigma from s + 1
-        seeds = checks.seeds((t,) for t in trials)
-        states = random_density(n, seeds + [s + 1 for s in seeds])
-        d, clamp = wy_distance_audit(states[:len(seeds)], states[len(seeds):])
+    for block in checks.blocks():
+        d, clamp = wy_distance_audit(*(random_density(block.n, block.stream(tag))
+                                       for tag in (0, 1)))
         worst_d = max(worst_d, float(np.max(d)))
         worst_clamp = max(worst_clamp, float(np.max(clamp)))
         clamp_events += int(np.count_nonzero(clamp > 0.0))

@@ -5,7 +5,8 @@ curvature from raw metric samples via coordinate finite differences, a
 plain classical Kullback-Leibler sum, the per-node path-length loop that
 the stacked `path_length` must reproduce bit for bit, the per-pair and
 per-trial loops that the block-drawn distance-bound, monotonicity, pullback,
-skew-identity, hessian and classical suites must reproduce likewise, and the
+skew-identity, hessian and classical suites must reproduce likewise, each
+trial read alone at its stream counter (`trials_alone`), and the
 per-term curvature auxiliaries (`scal_aux_terms`, one helper per term) that
 the shared-kernel-value engine must reproduce bit for bit.  Trial t of a
 suite runs at n_values[t % len].  Operator monotonicity is sampled here, one
@@ -13,6 +14,8 @@ random pair 0 <= A <= B at a time (`sampled_monotonicity_per_trial`): the
 reference that the library's deterministic Loewner margin and the dual-pair
 verdicts built on it are checked against.
 """
+
+import collections
 
 import numpy as np
 
@@ -32,6 +35,7 @@ from wyinfo.geometry import (
     wy_distance_audit,
 )
 from wyinfo.linalg import (
+    KrausChannel,
     kernel_grid,
     matrix_function,
     random_density,
@@ -48,6 +52,7 @@ from wyinfo.monotone import (
     skew_identity_residual,
     skew_information,
 )
+from wyinfo.suites import SUITE_TAGS, Block
 
 
 def traceless_hermitian_basis(n: int):
@@ -144,16 +149,28 @@ def path_length_per_node(entry, path, nodes):
     return float(weights @ speeds)
 
 
+def trials_alone(cfg, width=lambda t, n: 1):
+    """For each trial t of cfg's suite in order, the one-trial Block that reads it alone.
+
+    Trial t runs at n = n_values[t % len]; its group index counts the earlier
+    trials of its (n, width(t, n)) group.
+    """
+    seen = collections.Counter()
+    for t in range(cfg.trials):
+        n = cfg.n_values[t % len(cfg.n_values)]
+        w = width(t, n)
+        yield Block(cfg.seed, SUITE_TAGS[cfg.suite], n, w, seen[n, w], [t])
+        seen[n, w] += 1
+
+
 def distance_bound_per_pair(cfg):
     """(worst distance, worst clamp, clamp events) of the distance-bound suite, pair by pair."""
-    dims = cfg.n_values
     worst_d = 0.0
     worst_clamp = 0.0
     clamp_events = 0
-    for t in range(cfg.trials):
-        n = dims[t % len(dims)]
-        seed = int(rng_from(cfg.seed, t).integers(2**63))
-        d, clamp = wy_distance_audit(random_density(n, seed), random_density(n, seed + 1))
+    for one in trials_alone(cfg):
+        rho, sig = (random_density(one.n, one.stream(tag))[0] for tag in (0, 1))
+        d, clamp = wy_distance_audit(rho, sig)
         worst_d = max(worst_d, d)
         worst_clamp = max(worst_clamp, clamp)
         clamp_events += clamp > 0.0
@@ -161,19 +178,18 @@ def distance_bound_per_pair(cfg):
 
 
 def monotonicity_per_trial(cfg):
-    """Violations per catalog entry of the monotonicity suite, trial by trial.
+    """Violations per catalog entry of the monotonicity suite, trial by trial and entry by entry.
 
     Each trial's channel, state and tangent are drawn once and serve every entry.
     """
-    dims = cfg.n_values
     entries = catalog()
     violations = [0] * len(entries)
-    for t in range(cfg.trials):
-        n = dims[t % len(dims)]
-        seed = int(rng_from(cfg.seed, 0, t).integers(2**63))
-        channel = random_kraus_channel(n, n, 1 + t % (n * n), seed)
-        rho = random_density(n, seed + 1)
-        a = random_tangent(n, seed + 2)
+    for one in trials_alone(cfg, width=lambda t, n: 1 + t % (n * n)):
+        n = one.n
+        kraus = random_kraus_channel(n, n, one.width, one.stream(0)).kraus[0]
+        channel = KrausChannel(kraus, n, n)
+        rho = random_density(n, one.stream(1))[0]
+        a = random_tangent(n, one.stream(2))[0]
         for k, entry in enumerate(entries):
             res = contraction_check(entry, channel, rho, a)
             if res.g_after - res.g_before - 1e-9 * (1.0 + res.g_before) > 0:
@@ -184,15 +200,11 @@ def monotonicity_per_trial(cfg):
 def pullback_per_trial(cfg):
     """Worst relative gap of the pullback suite, trial by trial."""
     wy = catalog_entry("wy")
-    dims = cfg.n_values
     worst = 0.0
-    for t in range(cfg.trials):
-        n = dims[t % len(dims)]
-        rho_seed, a_seed, b_seed = (int(rng_from(cfg.seed, t, j).integers(2**63))
-                                    for j in range(3))
-        rho = random_density(n, rho_seed)
-        a = random_tangent(n, a_seed)
-        b = random_tangent(n, b_seed)
+    for one in trials_alone(cfg):
+        n = one.n
+        rho = random_density(n, one.stream(0))[0]
+        a, b = (random_tangent(n, one.stream(tag))[0] for tag in (1, 2))
         gm = metric_eval(wy, rho, a, b)
         worst = max(worst, abs(pullback_metric(rho, a, b) - gm) / (1.0 + abs(gm)))
     return worst
@@ -200,13 +212,10 @@ def pullback_per_trial(cfg):
 
 def skew_identity_per_trial(cfg):
     """Worst relative residual of the skew-identity suite, trial by trial."""
-    dims = cfg.n_values
     worst = 0.0
-    for t in range(cfg.trials):
-        n = dims[t % len(dims)]
-        seed = int(rng_from(cfg.seed, t).integers(2**63))
-        rho = random_density(n, seed)
-        a = random_tangent(n, seed + 1)
+    for one in trials_alone(cfg):
+        rho = random_density(one.n, one.stream(0))[0]
+        a = random_tangent(one.n, one.stream(1))[0]
         resid = skew_identity_residual(rho, a)
         worst = max(worst, resid / (1.0 + 4.0 * abs(skew_information(rho, a))))
     return worst
@@ -214,19 +223,15 @@ def skew_identity_per_trial(cfg):
 
 def hessian_per_trial(cfg):
     """Worst residual per convex g of the hessian suite, trial by trial."""
-    dims = cfg.n_values
     out = []
     for gi, g in enumerate(g_catalog()):
         worst = 0.0
-        for t in range(cfg.trials):
-            n = dims[t % len(dims)]
-            seed = int(rng_from(cfg.seed, gi, t).integers(2**63))
-            rho = random_density(n, seed)
+        for one in trials_alone(cfg):
+            n = one.n
+            rho = random_density(n, one.stream(3 * gi))[0]
             rho = (1.0 - n * 5e-2) * rho + 5e-2 * np.eye(n)
-            a = random_tangent(n, seed + 1)
-            b = random_tangent(n, seed + 2)
-            a /= np.linalg.norm(a)
-            b /= np.linalg.norm(b)
+            a, b = (random_tangent(n, one.stream(3 * gi + k)) for k in (1, 2))
+            a, b = (d[0] / np.linalg.norm(d, axis=(-2, -1), keepdims=True)[0] for d in (a, b))
             worst = max(worst, hessian_check(g, rho, a, b).residual)
         out.append(worst)
     return out
@@ -255,27 +260,25 @@ def sampled_monotonicity_per_trial(entry, trials, n, seed, slack=1e-9):
     return violations, worst
 
 
-def _floored_dirichlet(rng: np.random.Generator, n: int) -> np.ndarray:
-    p = (1.0 - 1e-2) * rng.dirichlet(np.ones(n)) + 1e-2 / n
+def _floored(p: np.ndarray) -> np.ndarray:
+    p = (1.0 - 1e-2) * p + 1e-2 / len(p)
     return p / p.sum()
 
 
 def classical_per_trial(cfg):
     """The four worst gaps of the classical suite, trial by trial, one vector at a time."""
     wy = catalog_entry("wy")
-    dims = cfg.n_values
     worst_embed = 0.0
     worst_metric = 0.0
     worst_pull = 0.0
     worst_dual = 0.0
-    for t in range(cfg.trials):
-        n = dims[t % len(dims)]
-        rng = rng_from(cfg.seed, t)
-        p, q = _floored_dirichlet(rng, n), _floored_dirichlet(rng, n)
+    for one in trials_alone(cfg):
+        n = one.n
+        p, q = map(_floored, one.stream(0).dirichlet((2, n))[0])
         worst_embed = max(worst_embed, abs(
             wy_distance_audit(np.diag(p).astype(complex), np.diag(q).astype(complex))[0]
             - classical.bhattacharyya_distance(p, q)))
-        u, v = (z - z.mean() for z in (rng.standard_normal(n), rng.standard_normal(n)))
+        u, v = (z - z.mean() for z in one.stream(1).normals((2, n))[0])
         fr = classical.fisher_rao_metric(p, u, v)
         worst_metric = max(worst_metric, abs(
             metric_eval(wy, np.diag(p).astype(complex), np.diag(u).astype(complex),

@@ -16,6 +16,7 @@ from wyinfo.divergence import (
 from wyinfo.errors import DomainError, InvariantViolation, StepTooLargeError
 from wyinfo.geometry import wy_distance
 from wyinfo.linalg import (
+    TrialStream,
     apply_channel,
     matrix_function,
     random_density,
@@ -154,9 +155,8 @@ def test_entropy_data_processing_sampled():
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 @pytest.mark.parametrize("g", g_catalog(), ids=lambda g: g.id)
 def test_entropy_stack_equals_single_pairs(g, n):
-    seeds = list(range(10 * n, 10 * n + 7))
-    rho = random_density(n, seeds)
-    sig = random_density(n, [s + 100 for s in seeds])
+    rho = random_density(n, TrialStream(n, 0, 0, 7))
+    sig = random_density(n, TrialStream(n, 1, 0, 7))
     stacked = relative_g_entropy(rho, sig, g)
     assert stacked.shape == (7,)
     assert stacked.tolist() == [relative_g_entropy(r, s, g) for r, s in zip(rho, sig)]

@@ -30,6 +30,7 @@ from wyinfo.geometry import (
     wy_geodesic,
 )
 from wyinfo.linalg import (
+    TrialStream,
     _complex_step,
     hs_inner,
     matrix_function,
@@ -150,8 +151,8 @@ def test_distance_triangle_inequality_sampled():
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_wy_distance_audit_stack_equals_per_pair(n):
-    rhos = random_density(n, list(range(12)))
-    sigmas = random_density(n, list(range(100, 112)))
+    rhos = random_density(n, TrialStream(n, 0, 0, 12))
+    sigmas = random_density(n, TrialStream(n, 1, 0, 12))
     sigmas[:4] = rhos[:4]  # equal pairs, where the arccos argument can need clamping
     dist, clamp = wy_distance_audit(rhos, sigmas)
     pairs = [wy_distance_audit(r, s) for r, s in zip(rhos, sigmas)]

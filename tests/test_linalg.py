@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from wyinfo.errors import DomainError, InvariantViolation
 from wyinfo.linalg import (
     KrausChannel,
+    TrialStream,
     _haar_from_gaussian,
     apply_channel,
     apply_kernel_superop,
@@ -253,44 +254,48 @@ def test_random_generators_deterministic():
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_random_density_seed_sequence_equals_per_seed(n):
-    # Python-int seeds up to and past 2**63, which int64 cannot hold
-    seeds = [0, 1, 7, 2**32, 2**63 - 1, 2**63, 2**64 - 1]
-    stack = random_density(n, seeds)
-    assert stack.shape == (len(seeds), n, n)
-    assert np.all(stack == np.stack([random_density(n, s) for s in seeds]))
+    # a stream's trials are a sequence of per-trial streams; config seeds up
+    # to and past 2**63, which int64 cannot hold, and a negative one (masked)
+    for seed in [0, 1, 2**63, 2**64 - 1, -1]:
+        stack = random_density(n, TrialStream(seed, 7, 3, 10))
+        assert stack.shape == (7, n, n)
+        alone = [random_density(n, TrialStream(seed, 7, j, j + 1)) for j in range(3, 10)]
+        assert np.array_equal(stack, np.concatenate(alone))
+    assert np.array_equal(random_density(n, TrialStream(-1, 7, 0, 2)),
+                          random_density(n, TrialStream(2**64 - 1, 7, 0, 2)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_seeded_stacks_equal_per_seed(n):
-    seeds = [0, 7, 2**32, 2**63, 2**64 - 1]
-    tangents = random_tangent(n, seeds)
-    channels = random_kraus_channel(n, n + 1, 3, seeds)
-    assert tangents.shape == (len(seeds), n, n)
-    assert channels.kraus.shape == (len(seeds), 3, n + 1, n)
-    for k, s in enumerate(seeds):
-        assert np.array_equal(tangents[k], random_tangent(n, s))
-        assert np.array_equal(channels.kraus[k], random_kraus_channel(n, n + 1, 3, s).kraus)
+    stream = TrialStream(2**64 - 1, 2**63 + 5, 11, 16)
+    tangents = random_tangent(n, stream)
+    channels = random_kraus_channel(n, n + 1, 3, stream)
+    assert tangents.shape == (5, n, n)
+    assert channels.kraus.shape == (5, 3, n + 1, n)
+    for k in range(5):
+        one = stream._replace(start=11 + k, stop=12 + k)
+        assert np.array_equal(tangents[k], random_tangent(n, one)[0])
+        assert np.array_equal(channels.kraus[k], random_kraus_channel(n, n + 1, 3, one).kraus[0])
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_channel_and_metric_stacks_match_slices_bitwise(n):
-    seeds = [30 * n + k for k in range(4)]
-    channels = random_kraus_channel(n, n, 3, seeds)
-    rhos = random_density(n, seeds)
-    xs = random_tangent(n, [s + 1 for s in seeds])
-    ys = random_tangent(n, [s + 2 for s in seeds])
+    channels = random_kraus_channel(n, n, 3, TrialStream(n, 0, 0, 4))
+    rhos = random_density(n, TrialStream(n, 1, 0, 4))
+    xs = random_tangent(n, TrialStream(n, 2, 0, 4))
+    ys = random_tangent(n, TrialStream(n, 3, 0, 4))
     out = apply_channel(channels, rhos)
-    one_channel = apply_channel(random_kraus_channel(n, n, 3, seeds[0]), rhos)
+    first = KrausChannel(channels.kraus[0], n, n)
+    one_channel = apply_channel(first, rhos)
     bkm = catalog_entry("bkm")
     g = metric_eval(bkm, rhos, xs, ys)
-    assert g.shape == (len(seeds),)
-    for k, s in enumerate(seeds):
-        channel = random_kraus_channel(n, n, 3, s)
+    assert g.shape == (4,)
+    for k in range(4):
+        channel = KrausChannel(channels.kraus[k], n, n)
         in_order = sum(m @ rhos[k] @ m.conj().T for m in channel.kraus)
         assert np.array_equal(out[k], in_order)
         assert np.array_equal(out[k], apply_channel(channel, rhos[k]))
-        assert np.array_equal(one_channel[k],
-                              apply_channel(random_kraus_channel(n, n, 3, seeds[0]), rhos[k]))
+        assert np.array_equal(one_channel[k], apply_channel(first, rhos[k]))
         assert g[k] == metric_eval(bkm, rhos[k], xs[k], ys[k])
 
 
@@ -327,7 +332,7 @@ def test_kraus_channel_rejects_non_trace_preserving():
 
 
 def _channel_stack():
-    return random_kraus_channel(3, 2, 2, [1, 2, 3, 4]).kraus.copy()  # (4, 2, 2, 3)
+    return random_kraus_channel(3, 2, 2, TrialStream(1, 0, 0, 4)).kraus.copy()  # (4, 2, 2, 3)
 
 
 def test_kraus_stack_rejects_one_non_trace_preserving_channel():

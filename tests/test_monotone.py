@@ -9,6 +9,7 @@ from oracles import sampled_monotonicity_per_trial
 from wyinfo.errors import DomainError, InvariantViolation
 from wyinfo.linalg import (
     KrausChannel,
+    TrialStream,
     hs_inner,
     random_density,
     random_kraus_channel,
@@ -437,12 +438,33 @@ def _assert_stack_matches_slices(entry, channels, rhos, tangents):
 @pytest.mark.parametrize("n", [2, 3, 5])
 @pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.id)
 def test_contraction_stack_matches_slices_bitwise(entry, n):
-    seeds = [100 * n + k for k in range(4)]
-    channels = [random_kraus_channel(n, n, 3, s) for s in seeds]
-    rhos = random_density(n, [s + 1 for s in seeds])
-    tangents = random_tangent(n, [s + 2 for s in seeds])
+    channels = [random_kraus_channel(n, n, 3, 100 * n + k) for k in range(4)]
+    rhos = random_density(n, TrialStream(n, 1, 0, 4))
+    tangents = random_tangent(n, TrialStream(n, 2, 0, 4))
     res = _assert_stack_matches_slices(entry, channels, rhos, tangents)
     assert not res.refloored.any()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_contraction_of_several_entries_equals_each_entry_alone(n):
+    # one map, re-floor and pair of eigendecompositions serve every entry
+    channel = random_kraus_channel(n, n, 2, TrialStream(n, 0, 0, 6))
+    rhos = random_density(n, TrialStream(n, 1, 0, 6))
+    tangents = random_tangent(n, TrialStream(n, 2, 0, 6))
+    first = KrausChannel(channel.kraus[0], n, n)
+    cases = [(channel, rhos, tangents), (first, rhos[0], tangents[0])]
+    if n == 2:  # a stack with one re-floored slice
+        damped = _stacked([random_kraus_channel(2, 2, 2, 8), _amplitude_damping()])
+        cases.append((damped, np.stack([rhos[0]] * 2), np.stack([tangents[0]] * 2)))
+    for args in cases:
+        many = contraction_check(catalog(), *args)
+        assert isinstance(many, tuple) and len(many) == len(catalog())
+        for entry, res in zip(catalog(), many):
+            one = contraction_check(entry, *args)
+            assert np.array_equal(res.g_before, one.g_before)
+            assert np.array_equal(res.g_after, one.g_after)
+            assert np.array_equal(res.refloored, one.refloored)
+            assert type(res.g_before) is type(one.g_before)
 
 
 @pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.id)

@@ -1,10 +1,13 @@
-"""Block seeding against rng_from, bit for bit, under the installed numpy.
+"""Counter-based trial streams and the single-seed path, bit for bit.
 
-`seeded_stack` and `trial_seeds` re-derive numpy's SeedSequence hash and
-PCG64 seeding step; if an upstream numpy changes either, these tests fail.
+A block of trials is one Philox read; each test here compares it against
+its trials read alone, in this process (the bits of np.log, np.cos and
+np.sin may differ between CPUs, never between a block and its trials).
+The single-int-seed generators and `rng_from` keep their bits, which the
+benchmark's inputs depend on.
 """
 
-import random
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -12,153 +15,75 @@ import pytest
 
 from wyinfo import linalg
 from wyinfo.linalg import (
-    _complex_gaussian,
-    _pcg64_seedings,
+    TrialStream,
+    _gaussian,
     hs_norm,
+    random_density,
+    random_kraus_channel,
     random_tangent,
+    random_unitary,
     rng_from,
-    seeded_stack,
-    trial_seeds,
 )
 from wyinfo.suites import SUITES, default_config, run_suite
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**63 + 2, 2**64 - 1]
-MASKED_SEEDS = [-1, 2**64 + 5]  # rng_from masks every entry to 64 bits
+MASKED_SEEDS = [-1, 2**64 + 5]  # rng_from and TrialStream mask the seed to 64 bits
 STREAMS = [(), (3,), (3, 7), (2**40, 5)]
 
 
-def _keys():
-    """Edge and masked seeds on every stream, then 10,007 random seeds of 1-64 bits."""
-    rnd = random.Random(20031)
-    keys = [(s, *stream) for s in EDGE_SEEDS + MASKED_SEEDS for stream in STREAMS]
-    for i in range(10_007):
-        keys.append((rnd.getrandbits(rnd.randint(1, 64)), *STREAMS[i % len(STREAMS)]))
-    return keys
+def _alone(stream, draw):
+    """draw() of each trial of the stream read alone, concatenated."""
+    return np.concatenate([draw(stream._replace(start=j, stop=j + 1))
+                           for j in range(stream.start, stream.stop)])
 
 
-KEYS = _keys()
+# (seed, word, start, stop): blocks from the group's start and from its middle
+BLOCKS = [(0, 0, 0, 9), (2**64 - 1, 2**64 - 1, 5, 12),
+          (-1, 4 << 48 | 2 << 32 | 3 << 16 | 9, 61, 70)]
 
 
-def _draw(rng):
-    return rng.standard_normal((2, 3, 3))
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("draw", [
+    lambda s: s.uniforms(7),
+    lambda s: s.uniforms(8),
+    lambda s: s.normals((2, 3, 3)),
+    lambda s: s.normals((5,)),
+    lambda s: s.dirichlet((2, 4)),
+    lambda s: random_density(3, s),
+    lambda s: random_tangent(4, s),
+    lambda s: random_unitary(3, s),
+    lambda s: random_kraus_channel(2, 3, 4, s).kraus,
+], ids=["uniforms-7", "uniforms-8", "normals-2x3x3", "normals-5", "dirichlet-2x4", "density",
+        "tangent", "unitary", "kraus"])
+def test_block_equals_its_trials_read_alone(draw, block):
+    stream = TrialStream(*block)
+    x = draw(stream)
+    assert x.shape[0] == stream.stop - stream.start
+    assert np.array_equal(x, _alone(stream, draw))
 
 
-def test_keys_span_entropy_lengths():
-    # entries below 2^32 hash as one word, others as two: one block mixes 1- to 5-word keys
-    lengths = {sum(1 + ((int(v) & (2**64 - 1)) >= 2**32) for v in k) for k in KEYS}
-    assert lengths == {1, 2, 3, 4, 5}
+def test_stream_reads_the_philox_key_and_counter():
+    # trial j of a draw of k counter steps reads steps [j k, (j + 1) k) of the key
+    # (seed, word): numpy's Philox steps its counter before each 4-word output
+    seed, word, j = 2**64 - 7, 3 << 48 | 1 << 32 | 5 << 16 | 2, 11
+    for size, k in [(1, 1), (4, 1), (5, 2), (50, 13)]:
+        key = np.array([seed, word], dtype=np.uint64)
+        bits = np.random.Philox(key=key, counter=j * k).random_raw(4 * k)
+        u = TrialStream(seed, word, j, j + 1).uniforms(size)[0]
+        assert np.array_equal(u, ((bits[:size] >> 11) + 1) * 2.0**-53)
 
 
-def test_pcg64_state_and_inc_equal_rng_from():
-    halves = zip(*(h.tolist() for h in _pcg64_seedings(KEYS)))
-    for key, (s_hi, s_lo, i_hi, i_lo) in zip(KEYS, halves, strict=True):
-        state, inc = s_hi << 64 | s_lo, i_hi << 64 | i_lo
-        ref = rng_from(*key).bit_generator.state["state"]
-        assert (state, inc) == (ref["state"], ref["inc"]), key
-
-
-def test_seeded_stack_equals_rng_from_draws():
-    stack = seeded_stack(KEYS, _draw)
-    assert stack.shape == (len(KEYS), 2, 3, 3)
-    assert np.array_equal(stack, np.stack([_draw(rng_from(*k)) for k in KEYS]))
-
-
-def test_trial_seeds_equal_rng_from_integers():
-    seeds = trial_seeds(KEYS)
-    assert all(type(s) is int for s in seeds)
-    assert seeds == [int(rng_from(*k).integers(2**63)) for k in KEYS]
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("stream", STREAMS)
-def test_one_key_calls_equal_rng_from(stream):
-    # a one-key block runs on 1-element arrays; arithmetic on numpy scalars
-    # would warn where the arrays wrap, so a scalar fallback fails here
-    with pytest.raises(RuntimeWarning):
-        np.uint64(2**63) * np.uint64(3)
-    assert (np.array([2**63], dtype=np.uint64) * np.uint64(3)).tolist() == [2**63]
-    for seed in EDGE_SEEDS + MASKED_SEEDS:
-        key = (seed, *stream)
-        assert trial_seeds([key]) == [int(rng_from(*key).integers(2**63))], key
-        assert np.array_equal(seeded_stack([key], _draw), _draw(rng_from(*key))[None]), key
-
-
-def test_empty_blocks():
-    assert trial_seeds([]) == []
-    with pytest.raises(ValueError):
-        seeded_stack([], _draw)
-
-
-@pytest.mark.parametrize("second", [(3, 3), (2, 3, 3, 1), (3,)])
-def test_draws_of_another_shape_raise(second):
-    # (3, 3) and (3,) would broadcast into a (2, 3, 3) slice of a preallocated stack
-    shapes = iter([(2, 3, 3), second])
-    with pytest.raises(ValueError, match="shape"):
-        seeded_stack([(0,), (1,)], lambda rng: rng.standard_normal(next(shapes)))
-
-
-def test_draws_of_another_dtype_raise():
-    draws = iter([np.zeros(3), np.zeros(3, dtype=complex)])
-    with pytest.raises(ValueError, match="dtype"):
-        seeded_stack([(0,), (1,)], lambda rng: next(draws))
-
-
-def test_trial_seeds_peak_memory():
-    # 10,000 keys peaked at 5.0 MB when every key's state was a pair of
-    # 128-bit Python ints; the uint64 arrays and the result list need 1.75 MB
-    keys = [(0, t) for t in range(10_000)]
-    trial_seeds(keys[:1])  # the hash constants of 2-word keys are cached
-    tracemalloc.start()
-    try:
-        trial_seeds(keys)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.4e6
-
-
-def test_mixed_word_counts_keep_key_order():
-    # 1-, 2- and 3-word keys interleaved, so each group's results land back in key order
-    keys = [(5,), (2**40,), (2**40, 3), (7,), (2**64 - 1, 2**33), (0, 1), (9,), (2**32,)]
-    assert trial_seeds(keys) == [int(rng_from(*k).integers(2**63)) for k in keys]
-    assert np.array_equal(seeded_stack(keys, _draw), np.stack([_draw(rng_from(*k)) for k in keys]))
-
-
-def test_interleaved_calls_equal_sequential_calls():
-    outer_keys = [(11, t) for t in range(5)]
-    inner_keys = [(12, t) for t in range(3)]
-    inner = []
-
-    def draw_with_inner_call(rng):
-        first = rng.standard_normal(4)
-        inner.append(seeded_stack(inner_keys, _draw))
-        return np.concatenate([first, rng.standard_normal(4)])
-
-    outer = seeded_stack(outer_keys, draw_with_inner_call)
-    assert np.array_equal(outer, seeded_stack(outer_keys, lambda rng: rng.standard_normal(8)))
-    sequential_inner = seeded_stack(inner_keys, _draw)
-    assert all(np.array_equal(x, sequential_inner) for x in inner)
-
-
-# Calls per suite at its defaults and seed 0.  Each call pays a fixed cost of
-# about 90 us, so a suite that goes back to one draw per entry or per trial
-# fails here; monotonicity drew per catalog entry at 136 calls.
-SEEDING_CALLS = {"wy-curvature": 6, "pullback": 15, "hessian": 20, "monotonicity": 34,
-                 "geodesic-length": 7, "dual-pairs": 0, "classical": 3, "skew-identity": 9,
-                 "alpha": 0, "distance-bound": 122}
-
-
-def test_seeding_calls_per_default_pass(monkeypatch):
-    calls = []
-    monkeypatch.setattr(linalg, "_pcg64_seedings",
-                        lambda keys: calls.append(None) or _pcg64_seedings(keys))
-    counts = {}
-    for suite in SUITES:
-        before = len(calls)
-        run_suite(default_config(suite))
-        counts[suite] = len(calls) - before
-    assert counts == SEEDING_CALLS
-    assert sum(counts.values()) == 216
+def test_draws_are_in_range_and_distributed():
+    stream = TrialStream(3, 1, 0, 20_000)
+    u = stream.uniforms(6)
+    assert 0.0 < u.min() and u.max() <= 1.0
+    z = stream.normals((3,))
+    assert abs(z.mean()) < 0.02 and abs(z.var() - 1.0) < 0.02
+    p = stream.dirichlet((3,))
+    assert np.allclose(p.sum(axis=-1), 1.0, rtol=0.0, atol=1e-15) and p.min() > 0.0
+    # Dirichlet(1) on 3 points: each coordinate has mean 1/3 and variance 1/18
+    assert np.allclose(p.mean(axis=0), 1.0 / 3.0, atol=0.01)
+    assert np.allclose(p.var(axis=0), 1.0 / 18.0, atol=0.005)
 
 
 @pytest.mark.parametrize("rows, cols", [(3, 3), (6, 2)])
@@ -166,11 +91,89 @@ def test_complex_gaussian_one_draw_equals_two_draws(rows, cols):
     for seed in EDGE_SEEDS:
         rng = rng_from(seed)
         two = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-        assert np.array_equal(_complex_gaussian(rng_from(seed), rows, cols), two)
+        assert np.array_equal(_gaussian(seed, rows, cols), two)
+
+
+@pytest.mark.parametrize("stream", STREAMS)
+def test_one_key_calls_equal_rng_from(stream):
+    # rng_from is PCG64 seeded by SeedSequence of the words masked to 64 bits
+    for seed in EDGE_SEEDS + MASKED_SEEDS:
+        words = [seed & (2**64 - 1)] + [s & (2**64 - 1) for s in stream]
+        ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+        assert rng_from(seed, *stream).bit_generator.state == ref.bit_generator.state
+
+
+def test_single_seed_bits_are_pinned():
+    # the benchmark builds its curvature states and distance pairs with int seeds
+    rho = random_density(3, 5)
+    assert hashlib.sha256(rho.tobytes()).hexdigest() == (
+        "7773e7328c0ab1def086cca0fa03800dffef4baa7347c25704e8ccea2af1c098")
+
+
+def test_trial_seeds_equal_rng_from_integers():
+    # the benchmark's distance oracle seeds pair t with int(rng_from(seed, t).integers(2**63)):
+    # PCG64's first output under SeedSequence([seed, t]), shifted right by one
+    assert int(rng_from(0, 7).integers(2**63)) == 358430033472707036
+    for seed, t in [(0, 7), (1, 0), (2**64 - 1, 199)]:
+        first = int(np.random.PCG64(np.random.SeedSequence([seed, t])).random_raw())
+        assert int(rng_from(seed, t).integers(2**63)) == first >> 1
+
+
+def test_empty_blocks():
+    empty = TrialStream(0, 0, 5, 5)
+    assert empty.normals((2, 3, 3)).shape == (0, 2, 3, 3)
+    assert empty.dirichlet((2, 3)).shape == (0, 2, 3)
+    assert random_density(3, empty).shape == (0, 3, 3)
+    assert random_kraus_channel(2, 2, 3, empty).kraus.shape == (0, 3, 2, 2)
+
+
+def test_interleaved_calls_equal_sequential_calls():
+    # a stream holds no state: reads of other streams in between change nothing
+    a, b = TrialStream(11, 0, 0, 5), TrialStream(12, 0, 3, 6)
+    first = a.normals((8,))
+    inner = [b.normals((2, 3, 3)), random_density(3, 4), b.uniforms(3)]
+    assert np.array_equal(a.normals((8,)), first)
+    assert np.array_equal(b.normals((2, 3, 3)), inner[0])
+    assert np.array_equal(b.uniforms(3), inner[2])
+
+
+def test_block_read_peak_memory():
+    # the largest block a suite draws (BLOCK_ENTRIES matrix entries) allocates
+    # about 5 times its output, the uniforms and their temporaries
+    stream = TrialStream(0, 0, 0, linalg.BLOCK_ENTRIES // 4)
+    random_density(2, stream)
+    tracemalloc.start()
+    try:
+        rho = random_density(2, stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * rho.nbytes
+
+
+# Philox reads per suite at its defaults and seed 0: one per draw tag and block
+STREAM_READS = {"wy-curvature": 3, "pullback": 12, "hessian": 18, "monotonicity": 33,
+                "geodesic-length": 7, "dual-pairs": 0, "classical": 6, "skew-identity": 8,
+                "alpha": 0, "distance-bound": 122}
+
+
+def test_seeding_calls_per_default_pass(monkeypatch):
+    # each read keys one Philox generator and sets its counter
+    calls = []
+    uniforms = TrialStream.uniforms
+    monkeypatch.setattr(TrialStream, "uniforms",
+                        lambda self, size: calls.append(None) or uniforms(self, size))
+    counts = {}
+    for suite in SUITES:
+        before = len(calls)
+        run_suite(default_config(suite))
+        counts[suite] = len(calls) - before
+    assert counts == STREAM_READS
+    assert sum(counts.values()) == 209
 
 
 def test_hs_norm_of_stack_equals_slices_bitwise():
-    stack = random_tangent(3, [1, 2, 3])
+    stack = random_tangent(3, TrialStream(1, 0, 0, 3))
     norms = hs_norm(stack)
     assert norms.shape == (3,)
     assert isinstance(hs_norm(stack[0]), float)

@@ -26,6 +26,7 @@ from wyinfo.geometry import (
     wy_distance_audit,
 )
 from wyinfo.linalg import (
+    TrialStream,
     _complex_step,
     _divided_difference,
     apply_kernel_superop,
@@ -65,10 +66,8 @@ def _stacked_inputs(shape: tuple, n: int):
     differ between slices.
     """
     k = int(np.prod(shape))
-    rho = random_density(n, list(range(k)))
-    sig = random_density(n, list(range(100, 100 + k)))
-    a = random_tangent(n, list(range(200, 200 + k)))
-    b = random_tangent(n, list(range(300, 300 + k)))
+    rho, sig = (random_density(n, TrialStream(n, tag, 0, k)) for tag in (0, 1))
+    a, b = (random_tangent(n, TrialStream(n, tag, 0, k)) for tag in (2, 3))
     w = np.linspace(1.0, 2.0, n)
     w[1] = w[0]
     u = random_unitary(n, 7)

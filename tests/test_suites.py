@@ -56,9 +56,11 @@ def _record_contractions(monkeypatch, module):
     seen = []
 
     def record(*args, **kwargs):
-        res = contraction_check(*args, **kwargs)
-        seen.extend(zip(np.atleast_1d(res.g_before).tolist(), np.atleast_1d(res.g_after).tolist()))
-        return res
+        out = contraction_check(*args, **kwargs)
+        for res in out if isinstance(out, tuple) else (out,):
+            seen.extend(zip(np.atleast_1d(res.g_before).tolist(),
+                            np.atleast_1d(res.g_after).tolist()))
+        return out
 
     monkeypatch.setattr(module, "contraction_check", record)
     return seen
@@ -121,12 +123,18 @@ def test_hessian_equals_per_trial_reference(seed, n_values, trials):
     ((16,), 20, lambda t, n: 1),
 ])
 def test_trial_plan_covers_each_trial_once_at_its_dimension(n_values, trials, width):
-    cfg = SuiteConfig(suite="distance-bound", n_values=n_values, trials=trials)
+    cfg = SuiteConfig(suite="distance-bound", n_values=n_values, trials=trials, seed=9)
     seen = []
-    for n, w, block in suites._Checks(cfg).blocks(width):
-        assert 1 <= len(block) <= max(1, BLOCK_ENTRIES // (w * n * n))
-        assert all(n == n_values[t % len(n_values)] and w == width(t, n) for t in block)
-        seen += block
+    for block in suites._Checks(cfg).blocks(width):
+        n, w = block.n, block.width
+        assert (block.seed, block.suite) == (9, suites.SUITE_TAGS["distance-bound"])
+        assert 1 <= len(block.trials) <= max(1, BLOCK_ENTRIES // (w * n * n))
+        assert all(n == n_values[t % len(n_values)] and w == width(t, n) for t in block.trials)
+        # block.start is the group index of its first trial: the earlier trials of its group
+        first = block.trials[0]
+        assert block.start == sum(n_values[t % len(n_values)] == n and width(t, n) == w
+                                  for t in range(first))
+        seen += block.trials
     assert sorted(seen) == list(range(trials))
 
 
@@ -265,6 +273,13 @@ def test_suite_defaults_table():
         ("distance-bound", {"n_values": (2, 3, 4, 5), "trials": 10_000}),
     ]
     assert list(SUITE_DEFAULTS) == list(SUITES)
+
+
+def test_suite_tags_are_distinct_16_bit_words():
+    # a tag is the top 16 bits of every draw's key word
+    assert list(suites.SUITE_TAGS) == list(SUITES)
+    tags = list(suites.SUITE_TAGS.values())
+    assert len(set(tags)) == len(tags) and all(0 < t < 2**16 for t in tags)
 
 
 def test_default_config_merges_overrides():
