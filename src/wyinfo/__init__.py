@@ -12,23 +12,15 @@ __version__ = "0.1.0"  # read by suites (report "version") and pyproject.toml
 from .classical import (
     ScoreVector,
     bhattacharyya_distance,
-    classical_geodesic,
     exponential_transport,
     fisher_rao_metric,
-    fisher_rao_scal_constant,
     mixture_transport,
     probability_vector,
     score_from_tangent,
     score_inner,
-    simplex_sphere_map,
     sphere_map_differential,
 )
-from .curvature import (
-    CurvatureReport,
-    scal_aux_terms,
-    scalar_curvature,
-    wy_aux_closed_forms,
-)
+from .curvature import CurvatureReport, scal_aux_terms, scalar_curvature
 from .divergence import (
     HessianResult,
     OperatorConvexG,
@@ -39,25 +31,18 @@ from .divergence import (
     hessian_check,
     monotone_from_convex,
     relative_g_entropy,
-    relative_modular_apply,
 )
 from .errors import DomainError, InvariantViolation, StepTooLargeError
 from .geometry import (
     C1Function,
     DualPairReport,
     GeodesicPath,
-    double_sqrt_function,
     dual_pair_check,
-    general_pullback_differential,
-    identity_function,
-    log_function,
     path_length,
     power_function,
-    pullback_condition_check,
     pullback_differential,
     pullback_metric,
     self_duality_scan,
-    sqrt_pullback,
     symmetry_margin,
     wy_distance,
     wy_distance_audit,
@@ -66,7 +51,6 @@ from .geometry import (
 from .linalg import (
     KrausChannel,
     SpectralDecomposition,
-    TangentSplit,
     apply_channel,
     apply_kernel_superop,
     assert_density,
@@ -74,14 +58,11 @@ from .linalg import (
     assert_tangent,
     commutator,
     hs_inner,
-    hs_norm,
     matrix_function,
     random_density,
     random_kraus_channel,
     random_tangent,
-    random_unitary,
     spectral_decompose,
-    tangent_split,
 )
 from .monotone import (
     ContractionResult,

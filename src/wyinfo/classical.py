@@ -1,10 +1,10 @@
 """Fisher-Rao geometry on the open probability simplex.
 
 The simplex maps onto the radius-2 sphere via p -> 2 sqrt(p); that pull-back
-gives the metric sum(u_i v_i / p_i), the spherical (Bhattacharyya) distance,
-and the normalized mixture geodesic.  Parallel transports for the mixture and
-exponential connections act on score representatives and satisfy the exact
-duality pairing <U^m s, U^e t>_q = <s, t>_p.
+gives the metric sum(u_i v_i / p_i) and the spherical (Bhattacharyya)
+distance.  Parallel transports for the mixture and exponential connections
+act on score representatives and satisfy the exact duality pairing
+<U^m s, U^e t>_q = <s, t>_p.
 
 Every function takes one vector (n,) or a stack (..., n), each slice the same
 bits as alone: a float for one vector, an array for a stack, whose validation
@@ -56,28 +56,10 @@ def bhattacharyya_distance(p, q):
     return _out(2.0 * np.arccos(np.minimum(1.0, np.maximum(-1.0, arg))))
 
 
-def classical_geodesic(p, q, t: float) -> np.ndarray:
-    """Geodesic sample ((1-t) sqrt(p) + t sqrt(q))^2, renormalized to sum one."""
-    p = probability_vector(p)
-    q = probability_vector(q)
-    m = ((1.0 - t) * np.sqrt(p) + t * np.sqrt(q)) ** 2
-    return m / np.sum(m, axis=-1, keepdims=True)
-
-
-def simplex_sphere_map(p) -> np.ndarray:
-    """Embedding 2 sqrt(p) onto the radius-2 sphere in R^n."""
-    return 2.0 * np.sqrt(probability_vector(p))
-
-
 def sphere_map_differential(p, u) -> np.ndarray:
     """Differential of the embedding: u / sqrt(p)."""
     p = probability_vector(p)
     return _tangent(u, p.shape) / np.sqrt(p)
-
-
-def fisher_rao_scal_constant(n: int) -> float:
-    """Constant scalar curvature of the simplex with the Fisher-Rao metric."""
-    return 0.25 * (n - 1) * (n - 2)
 
 
 # ---------------------------------------------------------------------------
@@ -107,10 +89,6 @@ def score_from_tangent(u, p) -> ScoreVector:
     """Score representative s = u / p of a simplex tangent u at p."""
     p = probability_vector(p)
     return ScoreVector(_tangent(u, p.shape) / p, p)
-
-
-def tangent_from_score(s: ScoreVector) -> np.ndarray:
-    return s.values * s.base
 
 
 def score_inner(s: ScoreVector, t: ScoreVector):

@@ -142,17 +142,6 @@ def scal_aux_terms(entry: MonotoneFunctionEntry, x: float, y: float, z: float) -
     return _aux_terms(entry, x, y, z, cxy, cxz, cyz, lzx, lzy)
 
 
-def wy_aux_closed_forms(x: float, y: float, z: float):
-    """Exact auxiliary terms for the skew-information kernel c = 4/(sqrt x + sqrt y)^2."""
-    sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
-    t1 = (sx * sy + 3.0 * sx * sz + 3.0 * sy * sz + z) / (
-        4.0 * (sx + sy) ** 2 * (sx + sz) * (sy + sz))
-    t2 = (sx + sy + 2.0 * sz) ** 2 / (4.0 * (sx + sz) ** 2 * (sy + sz) ** 2)
-    t3 = sz / ((sx + sy) * (sx + sz) * (sy + sz))
-    t4 = 1.0 / ((sx + sz) * (sy + sz))
-    return t1, t2, t3, t4
-
-
 def scal1_shift(n: int) -> float:
     """Curvature shift between the positive cone and its trace-one slice; also
     the constant trace-one curvature of the skew-information metric."""

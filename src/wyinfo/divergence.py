@@ -64,15 +64,6 @@ def g_entry(g_id: str) -> OperatorConvexG:
 # Relative modular operator and g-entropy
 # ---------------------------------------------------------------------------
 
-def relative_modular_apply(rho, sigma, g: Callable, x) -> np.ndarray:
-    """g(L_sigma R_rho^{-1}) applied to X: entrywise g(mu_i / lambda_j) in mixed bases.
-
-    Stacks of states and matrices (..., n, n) are applied slice by slice.
-    """
-    return kernel_action(spectral_decompose(sigma), spectral_decompose(rho),
-                         lambda m, l: g(m / l), x)
-
-
 def relative_g_entropy(rho, sigma, g: OperatorConvexG):
     """H_g(rho, sigma) = Tr(sqrt(rho) g(Delta)(sqrt(rho))); zero at rho = sigma.
 

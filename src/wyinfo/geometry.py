@@ -5,11 +5,11 @@ radius-2 sphere of Hermitian matrices; its pull-back of the Hilbert-Schmidt
 metric is exactly the "wy" catalog metric.  That gives closed forms for the
 geodesic distance and path, which the length integrator cross-checks.
 
-The module also carries the pull-back characterization machinery: which
-kernels arise as squared difference quotients of a scalar function, dual
-pairs of functions (their induced f judged by its Loewner margin), and the
-self-duality scan over the power family; every difference quotient is
-linalg's divided difference, a complex step at coincident arguments.
+The module also carries the dual-pair characterization of pull-back
+metrics: pairs of functions whose difference quotients induce a kernel,
+their induced f judged by its Loewner margin, and the self-duality scan over
+the power family; every difference quotient is linalg's divided
+difference, a complex step at coincident arguments.
 """
 
 from __future__ import annotations
@@ -39,11 +39,6 @@ CLAMP_WINDOW = 1e-12
 
 def _sqrt_kernel(x, y):
     return 2.0 / (np.sqrt(x) + np.sqrt(y))
-
-
-def sqrt_pullback(rho) -> np.ndarray:
-    """Image of rho on the radius-2 sphere: 2 sqrt(rho)."""
-    return 2.0 * matrix_function(rho, np.sqrt)
 
 
 def pullback_differential(rho, a) -> np.ndarray:
@@ -149,7 +144,7 @@ def path_length(entry: MonotoneFunctionEntry, path: GeodesicPath) -> float:
 
 
 # ---------------------------------------------------------------------------
-# General pull-backs and the dual-pair classification
+# The dual-pair classification
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -161,42 +156,12 @@ class C1Function:
 
 
 def power_function(p: float) -> C1Function:
-    """x^p / p for a finite p; p = 0 is excluded (use log_function)."""
+    """x^p / p for a finite p; p = 0 is excluded (its representative is log)."""
     if not math.isfinite(p):
         raise InvariantViolation("power-exponent", f"p = {p} is not finite")
     if p == 0.0:
         raise InvariantViolation("power-exponent", "p = 0 has no x^p/p representative")
     return C1Function(f"power[{p:g}]", lambda x, p=p: np.asarray(x) ** p / p)
-
-
-def log_function() -> C1Function:
-    return C1Function("log", np.log)
-
-
-def identity_function() -> C1Function:
-    return C1Function("identity", np.asarray)
-
-
-def double_sqrt_function() -> C1Function:
-    return C1Function("2sqrt", lambda x: 2.0 * np.sqrt(x))
-
-
-def general_pullback_differential(phi: C1Function, rho, a) -> np.ndarray:
-    """D phi at rho applied to A: the difference quotient of phi as a kernel (Daleckii-Krein)."""
-    return apply_kernel_superop(rho, lambda x, y: _divided_difference(phi.fn, x, y), a)
-
-
-def pullback_condition_check(phi: C1Function, entry: MonotoneFunctionEntry) -> float:
-    """Max scaled residual of ((phi(x)-phi(y))/(x-y))^2 = c(x, y) over a log grid.
-
-    Zero (to machine precision) exactly when the metric of `entry` is the
-    pull-back of the ambient metric through phi.
-    """
-    grid = np.logspace(-2.0, 2.0, 100)
-    q = kernel_grid(lambda x, y: _divided_difference(phi.fn, x, y), grid, grid)
-    c = kernel_grid(entry.c, grid, grid)
-    resid = np.abs(q * q - c) / (1.0 + np.abs(c))
-    return float(np.max(resid))
 
 
 @dataclass

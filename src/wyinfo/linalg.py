@@ -1,8 +1,8 @@
 """Hermitian linear-algebra substrate.
 
 Spectral decomposition, scalar functional calculus, kernel superoperators,
-the commuting/commutator tangent decomposition, Kraus channels, and seeded
-random generators for states, tangents and channels.  The spectral functions
+Kraus channels, and seeded random generators for states, tangents and
+channels.  The spectral functions
 take one matrix (n, n) or a stack (..., n, n); each slice of a stack gives
 the same bits as the slice on its own, and a scalar result is a float for
 one matrix, an array for a stack.  `kernel_action` is the one kernel action
@@ -28,9 +28,6 @@ from .errors import DomainError, InvariantViolation
 
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-10
-# Eigenvalues closer than this (relative to max(1, lambda_max)) are treated
-# as one degenerate block when splitting tangents.
-DEGENERACY_GAP_RTOL = 1e-8
 # random_density mixes with I/n at this weight so spectra stay away from the
 # boundary of the positive cone.
 DENSITY_FLOOR_EPS = 1e-3
@@ -211,45 +208,10 @@ def hs_inner(a, b):
     return _out(np.real(np.sum(a.conj() * b, axis=(-2, -1))))
 
 
-def hs_norm(a):
-    """Hilbert-Schmidt norm: a float for one matrix, an array over a stack (..., n, n)."""
-    return _out(np.sqrt(np.maximum(hs_inner(a, a), 0.0)))
-
-
 def commutator(a, b) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     return a @ b - b @ a
-
-
-# ---------------------------------------------------------------------------
-# Tangent decomposition
-# ---------------------------------------------------------------------------
-
-class TangentSplit(NamedTuple):
-    commuting: np.ndarray  # part commuting with rho
-    generator: np.ndarray  # Hermitian U with orthogonal part i[rho, U]
-
-
-def tangent_split(rho, a) -> TangentSplit:
-    """Split a tangent A = A_c + i[rho, U] with [A_c, rho] = 0.
-
-    In the eigenbasis of rho, A_c keeps the entries inside degenerate
-    eigenvalue blocks and U_ij = A_ij / (i (w_i - w_j)) outside them, which is
-    the unique choice making i[rho, U] reproduce the off-block part.
-    """
-    w, u = spectral_decompose(rho)
-    uh = u.conj().swapaxes(-1, -2)
-    at = uh @ np.asarray(a, dtype=complex) @ u
-    gap = DEGENERACY_GAP_RTOL * np.maximum(1.0, w[..., -1:])
-    # Chain consecutive near-equal eigenvalues into blocks (w is ascending).
-    block = np.cumsum(np.diff(w, axis=-1, prepend=w[..., :1]) > gap, axis=-1)
-    same = block[..., :, None] == block[..., None, :]
-    commuting_t = np.where(same, at, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gen_t = at / (1j * (w[..., :, None] - w[..., None, :]))
-    gen_t = np.where(same, 0.0, gen_t)
-    return TangentSplit(u @ commuting_t @ uh, u @ gen_t @ uh)
 
 
 # ---------------------------------------------------------------------------
@@ -405,13 +367,6 @@ def random_density(n: int, seed) -> np.ndarray:
     rho /= np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
     rho = (1.0 - DENSITY_FLOOR_EPS) * rho + DENSITY_FLOOR_EPS * np.eye(n) / n
     return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
-
-
-def random_unitary(n: int, seed) -> np.ndarray:
-    """Haar unitary (n, n), n >= 1, by phase-corrected QR of a Ginibre matrix."""
-    if n < 1:
-        raise InvariantViolation("dimension", f"n={n} < 1")
-    return _haar_from_gaussian(_gaussian(seed, n, n))
 
 
 def random_tangent(n: int, seed) -> np.ndarray:

@@ -66,7 +66,11 @@ def _tolerance(name: str, value) -> float:
 
 @dataclass
 class SuiteConfig:
-    """One suite run; n_values, trials and tolerances left as None take the suite's defaults."""
+    """One suite run; n_values, trials and tolerances left as None take the suite's defaults.
+
+    A suite that draws nothing (no default n_values or trials) refuses both;
+    its n_values and trials stay None.  Every suite takes a seed in [0, 2^64).
+    """
 
     suite: str
     n_values: Optional[Sequence[int]] = None
@@ -78,15 +82,26 @@ class SuiteConfig:
         if self.suite not in SUITE_DEFAULTS:
             known = ", ".join(sorted(SUITE_DEFAULTS))
             raise InvariantViolation("suite-name", f"unknown '{self.suite}'; suites: {known}")
-        defaults = SUITE_DEFAULTS[self.suite]
-        self.n_values = tuple(_integer(n, "dimension") for n in
-                              (defaults["n_values"] if self.n_values is None else self.n_values))
-        self.trials = _integer(defaults["trials"] if self.trials is None else self.trials, "trials")
         self.seed = _integer(self.seed, "seed")
+        if not 0 <= self.seed < 2**64:
+            raise InvariantViolation("seed", f"{self.seed} is outside [0, 2^64)")
         tolerances = {} if self.tolerances is None else self.tolerances
         if not isinstance(tolerances, Mapping) or not all(isinstance(k, str) for k in tolerances):
             raise InvariantViolation("tolerance-name", f"{tolerances!r} not keyed by check names")
         self.tolerances = {name: _tolerance(name, v) for name, v in tolerances.items()}
+        defaults = SUITE_DEFAULTS[self.suite]
+        if not defaults:
+            if self.n_values is not None or self.trials is not None:
+                raise InvariantViolation(
+                    "no-draws", f"{self.suite} draws nothing: it takes no n_values or trials")
+            return
+        n_values = defaults["n_values"] if self.n_values is None else self.n_values
+        try:
+            self.n_values = tuple(_integer(n, "dimension") for n in n_values)
+        except TypeError:  # not iterable, as a bare int
+            raise InvariantViolation(
+                "dimension", f"n_values {n_values!r} is not a sequence") from None
+        self.trials = _integer(defaults["trials"] if self.trials is None else self.trials, "trials")
         if self.trials < 1:
             raise InvariantViolation("trials", f"{self.trials} < 1")
         if not self.n_values or not all(2 <= n <= 16 for n in self.n_values):
@@ -117,18 +132,18 @@ class SuiteReport:
 
     def as_dict(self) -> dict:
         # wall_time is left out so identical (suite, config) runs serialize
-        # byte-identically.
+        # byte-identically; config holds only what the run used.
+        cfg = self.config
+        config = {"tolerances": dict(sorted(cfg.tolerances.items()))}
+        if cfg.trials is not None:
+            config = {"n_values": list(cfg.n_values), "trials": cfg.trials, "seed": cfg.seed,
+                      **config}
         return {
             "suite": self.suite,
             "passed": self.passed,
             "checks": [c.as_dict() for c in self.checks],
             "version": __version__,
-            "config": {
-                "n_values": list(self.config.n_values),
-                "trials": self.config.trials,
-                "seed": self.config.seed,
-                "tolerances": dict(sorted(self.config.tolerances.items())),
-            },
+            "config": config,
         }
 
 
@@ -218,10 +233,11 @@ SUITE_DEFAULTS: Dict[str, dict] = {}
 SUITE_TAGS: Dict[str, int] = {}
 
 
-def _suite(name: str, *, tag: int, n_values: tuple, trials: int):
+def _suite(name: str, *, tag: int, **draws):
     """Register body(cfg, checks) in SUITES as a timed cfg -> SuiteReport runner.
 
-    The default n_values and trials go into SUITE_DEFAULTS under the same
+    The default n_values and trials of a suite that draws (its `draws`; a
+    suite that draws nothing gives none) go into SUITE_DEFAULTS under the same
     name, and the suite's stream tag (its part of every draw's key) into SUITE_TAGS.
     """
 
@@ -236,7 +252,7 @@ def _suite(name: str, *, tag: int, n_values: tuple, trials: int):
                                time.perf_counter() - t0, cfg)
 
         SUITES[name] = run
-        SUITE_DEFAULTS[name] = {"n_values": n_values, "trials": trials}
+        SUITE_DEFAULTS[name] = draws
         SUITE_TAGS[name] = tag
         return run
 
@@ -357,12 +373,11 @@ def run_geodesic_length(cfg: SuiteConfig, checks: _Checks):
 DUAL_PAIR_GRID = (-1.0, -0.5, 0.25, 0.5, 0.75, 1.5, 2.0)
 
 
-@_suite("dual-pairs", tag=6, n_values=(3,), trials=200)
+@_suite("dual-pairs", tag=6)
 def run_dual_pairs(cfg: SuiteConfig, checks: _Checks):
     """Only the square-root power pair induces a valid symmetric metric kernel.
 
-    Every flag, the Loewner margin included, is deterministic: the config's
-    n_values, trials and seed are echoed in the report and not used.
+    Every flag, the Loewner margin included, is deterministic: nothing is drawn.
     """
     rows = self_duality_scan(DUAL_PAIR_GRID)
     passing = [row["p"] for row in rows if row["passes"]]
@@ -412,7 +427,7 @@ def run_skew_identity(cfg: SuiteConfig, checks: _Checks):
     checks.below("skew-identity", worst, 1e-9)
 
 
-@_suite("alpha", tag=9, n_values=(2,), trials=1)
+@_suite("alpha", tag=9)
 def run_alpha(cfg: SuiteConfig, checks: _Checks):
     """Connection parameters of the catalog convex functions."""
     checks.close("alpha-g_wy", 0.0, alpha_parameter(g_entry("g_wy")), 1e-12)
@@ -421,7 +436,7 @@ def run_alpha(cfg: SuiteConfig, checks: _Checks):
 
 @_suite("distance-bound", tag=10, n_values=(2, 3, 4, 5), trials=10_000)
 def run_distance_bound(cfg: SuiteConfig, checks: _Checks):
-    """wy distance is below the loose bound 2 pi (sharp: pi); clamping stays in its window."""
+    """wy distance is at most pi, as Tr(sqrt(rho) sqrt(sigma)) >= 0; clamps stay in their window."""
     worst_d = 0.0
     worst_clamp = 0.0
     clamp_events = 0
@@ -431,7 +446,7 @@ def run_distance_bound(cfg: SuiteConfig, checks: _Checks):
         worst_d = max(worst_d, float(np.max(d)))
         worst_clamp = max(worst_clamp, float(np.max(clamp)))
         clamp_events += int(np.count_nonzero(clamp > 0.0))
-    checks.below("distance-bound", worst_d, 2.0 * np.pi)
+    checks.below("distance-bound", worst_d, np.pi)
     checks.below("clamp-max", worst_clamp, CLAMP_WINDOW)
     checks.below("clamp-events", float(clamp_events), float(cfg.trials))
 

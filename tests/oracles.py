@@ -13,9 +13,17 @@ suite runs at n_values[t % len].  Operator monotonicity is sampled here, one
 random pair 0 <= A <= B at a time (`sampled_monotonicity_per_trial`): the
 reference that the library's deterministic Loewner margin and the dual-pair
 verdicts built on it are checked against.
+
+The last section holds reference routes that no suite or command needs: the
+tangent split, the Hilbert-Schmidt norm, the Haar unitary, the classical
+geodesic, sphere map, curvature constant and score-to-tangent map, the
+square-root image, the general pull-back differential and condition with their
+test functions, the relative modular operator and the wy auxiliary closed
+forms.
 """
 
 import collections
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +34,9 @@ from wyinfo.curvature import (
 )
 from wyinfo import classical
 from wyinfo.divergence import g_catalog, hessian_check
-from wyinfo.errors import DomainError
+from wyinfo.errors import DomainError, InvariantViolation
 from wyinfo.geometry import (
+    C1Function,
     induced_kernel,
     power_function,
     pullback_metric,
@@ -36,12 +45,20 @@ from wyinfo.geometry import (
 )
 from wyinfo.linalg import (
     KrausChannel,
+    _divided_difference,
+    _gaussian,
+    _haar_from_gaussian,
+    _out,
+    apply_kernel_superop,
+    hs_inner,
+    kernel_action,
     kernel_grid,
     matrix_function,
     random_density,
     random_kraus_channel,
     random_tangent,
     rng_from,
+    spectral_decompose,
 )
 from wyinfo.monotone import (
     MonotoneFunctionEntry,
@@ -327,17 +344,17 @@ def sampled_dual_pair(phi, chi, trials=200, n=3, seed=0):
             "passes": c_valid and normalized and symmetric and violations == 0, "f": f}
 
 
-def dual_pairs_per_exponent(cfg, grid):
-    """The check values of the dual-pairs suite, each exponent sampled at every n of cfg.
+def dual_pairs_per_exponent(grid, n_values, trials, seed):
+    """The check values of the dual-pairs suite, each exponent sampled at every n of n_values.
 
-    An exponent passes only if its sampled pair passes at every n, with
-    cfg's trials and seed.
+    An exponent passes only if its sampled pair passes at every n, with the
+    given trials and seed.
     """
     passing = []
     margins = {}
     for p in grid:
         phi = power_function(p)
-        pairs = [sampled_dual_pair(phi, phi, cfg.trials, n, cfg.seed) for n in cfg.n_values]
+        pairs = [sampled_dual_pair(phi, phi, trials, n, seed) for n in n_values]
         if all(pair["passes"] for pair in pairs):
             passing.append(p)
         margins[p] = symmetry_margin(pairs[0]["f"], 10.0)
@@ -440,3 +457,125 @@ def scal_aux_terms(entry: MonotoneFunctionEntry, x: float, y: float, z: float) -
     t3 = _t3(entry, x, y, z)
     t4 = _t4(entry, x, y, z)
     return AuxTerms(t1, t2, t3, t4, t1 - 0.5 * t2 + 2.0 * t3 - t4)
+
+
+# -- Reference routes that no suite or command needs.
+
+# Eigenvalues closer than this (relative to max(1, lambda_max)) are treated
+# as one degenerate block when splitting tangents.
+DEGENERACY_GAP_RTOL = 1e-8
+
+
+class TangentSplit(NamedTuple):
+    commuting: np.ndarray  # part commuting with rho
+    generator: np.ndarray  # Hermitian U with orthogonal part i[rho, U]
+
+
+def tangent_split(rho, a) -> TangentSplit:
+    """Split a tangent A = A_c + i[rho, U] with [A_c, rho] = 0.
+
+    In the eigenbasis of rho, A_c keeps the entries inside degenerate
+    eigenvalue blocks and U_ij = A_ij / (i (w_i - w_j)) outside them, which is
+    the unique choice making i[rho, U] reproduce the off-block part.
+    """
+    w, u = spectral_decompose(rho)
+    uh = u.conj().swapaxes(-1, -2)
+    at = uh @ np.asarray(a, dtype=complex) @ u
+    gap = DEGENERACY_GAP_RTOL * np.maximum(1.0, w[..., -1:])
+    # Chain consecutive near-equal eigenvalues into blocks (w is ascending).
+    block = np.cumsum(np.diff(w, axis=-1, prepend=w[..., :1]) > gap, axis=-1)
+    same = block[..., :, None] == block[..., None, :]
+    commuting_t = np.where(same, at, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gen_t = at / (1j * (w[..., :, None] - w[..., None, :]))
+    gen_t = np.where(same, 0.0, gen_t)
+    return TangentSplit(u @ commuting_t @ uh, u @ gen_t @ uh)
+
+
+def hs_norm(a):
+    """Hilbert-Schmidt norm: a float for one matrix, an array over a stack (..., n, n)."""
+    return _out(np.sqrt(np.maximum(hs_inner(a, a), 0.0)))
+
+
+def random_unitary(n: int, seed) -> np.ndarray:
+    """Haar unitary (n, n), n >= 1, by phase-corrected QR of a Ginibre matrix."""
+    if n < 1:
+        raise InvariantViolation("dimension", f"n={n} < 1")
+    return _haar_from_gaussian(_gaussian(seed, n, n))
+
+
+def classical_geodesic(p, q, t: float) -> np.ndarray:
+    """Geodesic sample ((1-t) sqrt(p) + t sqrt(q))^2, renormalized to sum one."""
+    p = classical.probability_vector(p)
+    q = classical.probability_vector(q)
+    m = ((1.0 - t) * np.sqrt(p) + t * np.sqrt(q)) ** 2
+    return m / np.sum(m, axis=-1, keepdims=True)
+
+
+def simplex_sphere_map(p) -> np.ndarray:
+    """Embedding 2 sqrt(p) onto the radius-2 sphere in R^n."""
+    return 2.0 * np.sqrt(classical.probability_vector(p))
+
+
+def fisher_rao_scal_constant(n: int) -> float:
+    """Constant scalar curvature of the simplex with the Fisher-Rao metric."""
+    return 0.25 * (n - 1) * (n - 2)
+
+
+def tangent_from_score(s: classical.ScoreVector) -> np.ndarray:
+    return s.values * s.base
+
+
+def sqrt_pullback(rho) -> np.ndarray:
+    """Image of rho on the radius-2 sphere: 2 sqrt(rho)."""
+    return 2.0 * matrix_function(rho, np.sqrt)
+
+
+def log_function() -> C1Function:
+    return C1Function("log", np.log)
+
+
+def identity_function() -> C1Function:
+    return C1Function("identity", np.asarray)
+
+
+def double_sqrt_function() -> C1Function:
+    return C1Function("2sqrt", lambda x: 2.0 * np.sqrt(x))
+
+
+def general_pullback_differential(phi: C1Function, rho, a) -> np.ndarray:
+    """D phi at rho applied to A: the difference quotient of phi as a kernel (Daleckii-Krein)."""
+    return apply_kernel_superop(rho, lambda x, y: _divided_difference(phi.fn, x, y), a)
+
+
+def pullback_condition_check(phi: C1Function, entry: MonotoneFunctionEntry) -> float:
+    """Max scaled residual of ((phi(x)-phi(y))/(x-y))^2 = c(x, y) over a log grid.
+
+    Zero (to machine precision) exactly when the metric of `entry` is the
+    pull-back of the ambient metric through phi.
+    """
+    grid = np.logspace(-2.0, 2.0, 100)
+    q = kernel_grid(lambda x, y: _divided_difference(phi.fn, x, y), grid, grid)
+    c = kernel_grid(entry.c, grid, grid)
+    resid = np.abs(q * q - c) / (1.0 + np.abs(c))
+    return float(np.max(resid))
+
+
+def relative_modular_apply(rho, sigma, g, x) -> np.ndarray:
+    """g(L_sigma R_rho^{-1}) applied to X: entrywise g(mu_i / lambda_j) in mixed bases.
+
+    Stacks of states and matrices (..., n, n) are applied slice by slice.
+    """
+    return kernel_action(spectral_decompose(sigma), spectral_decompose(rho),
+                         lambda m, l: g(m / l), x)
+
+
+def wy_aux_closed_forms(x: float, y: float, z: float):
+    """Exact auxiliary terms for the skew-information kernel c = 4/(sqrt x + sqrt y)^2."""
+    sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
+    t1 = (sx * sy + 3.0 * sx * sz + 3.0 * sy * sz + z) / (
+        4.0 * (sx + sy) ** 2 * (sx + sz) * (sy + sz))
+    t2 = (sx + sy + 2.0 * sz) ** 2 / (4.0 * (sx + sz) ** 2 * (sy + sz) ** 2)
+    t3 = sz / ((sx + sy) * (sx + sz) * (sy + sz))
+    t4 = 1.0 / ((sx + sz) * (sy + sz))
+    return t1, t2, t3, t4

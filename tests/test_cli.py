@@ -365,6 +365,23 @@ def test_verify_bad_n_flag_names_invariant(flag, capsys):
     assert repr(flag) in err
 
 
+@pytest.mark.parametrize("suite", ["dual-pairs", "alpha"])
+@pytest.mark.parametrize("flags", [["--n", "3"], ["--trials", "200"]])
+def test_verify_deterministic_suite_refuses_n_and_trials(suite, flags, capsys):
+    assert cli.main(["verify", suite, *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "invariant violated: no-draws" in err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_verify_seed_outside_64_bits_exit_2(seed, capsys):
+    assert cli.main(["verify", "pullback", "--trials", "2", "--seed", seed]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "invariant violated: seed" in err
+
+
 def test_verify_runs_the_dimension_it_reports(capsys):
     # n = 7 is above the cap pullback once applied silently
     assert cli.main(["verify", "pullback", "--n", "7", "--trials", "4"]) == 0

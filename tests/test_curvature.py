@@ -5,18 +5,22 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import fd_scalar_curvature, traceless_hermitian_basis
+from oracles import (
+    fd_scalar_curvature,
+    random_unitary,
+    traceless_hermitian_basis,
+    wy_aux_closed_forms,
+)
 from wyinfo.curvature import (
     T1_GAP_RTOL,
     T23_GAP_RTOL,
     scal1_shift,
     scal_aux_terms,
     scalar_curvature,
-    wy_aux_closed_forms,
 )
 from wyinfo.divergence import g_entry, monotone_from_convex
 from wyinfo.errors import InvariantViolation
-from wyinfo.linalg import random_density, random_unitary
+from wyinfo.linalg import random_density
 from wyinfo.monotone import MonotoneFunctionEntry, catalog, catalog_entry, metric_eval
 
 

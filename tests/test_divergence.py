@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import classical_g_divergence, classical_kl
+from oracles import classical_g_divergence, classical_kl, relative_modular_apply
 from wyinfo.divergence import (
     OperatorConvexG,
     alpha_parameter,
@@ -11,7 +11,6 @@ from wyinfo.divergence import (
     hessian_check,
     monotone_from_convex,
     relative_g_entropy,
-    relative_modular_apply,
 )
 from wyinfo.errors import DomainError, InvariantViolation, StepTooLargeError
 from wyinfo.geometry import wy_distance

@@ -5,25 +5,29 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import path_length_per_node, sampled_dual_pair
+from oracles import (
+    double_sqrt_function,
+    general_pullback_differential,
+    identity_function,
+    log_function,
+    path_length_per_node,
+    pullback_condition_check,
+    random_unitary,
+    sampled_dual_pair,
+    sqrt_pullback,
+)
 
 from wyinfo.errors import DomainError, InvariantViolation
 from wyinfo.geometry import (
     LENGTH_NODES,
     C1Function,
     GeodesicPath,
-    double_sqrt_function,
     dual_pair_check,
-    general_pullback_differential,
-    identity_function,
-    log_function,
     path_length,
     power_function,
-    pullback_condition_check,
     pullback_differential,
     pullback_metric,
     self_duality_scan,
-    sqrt_pullback,
     symmetry_margin,
     wy_distance,
     wy_distance_audit,
@@ -36,7 +40,6 @@ from wyinfo.linalg import (
     matrix_function,
     random_density,
     random_tangent,
-    random_unitary,
 )
 from wyinfo.monotone import (
     LOEWNER_ATOL,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import random_unitary, tangent_split
 from wyinfo.errors import DomainError, InvariantViolation
 from wyinfo.linalg import (
     KrausChannel,
@@ -18,9 +19,7 @@ from wyinfo.linalg import (
     random_density,
     random_kraus_channel,
     random_tangent,
-    random_unitary,
     spectral_decompose,
-    tangent_split,
 )
 from wyinfo.monotone import catalog_entry, metric_eval
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import sampled_monotonicity_per_trial
+from oracles import random_unitary, sampled_monotonicity_per_trial, tangent_split
 from wyinfo.errors import DomainError, InvariantViolation
 from wyinfo.linalg import (
     KrausChannel,
@@ -14,7 +14,6 @@ from wyinfo.linalg import (
     random_density,
     random_kraus_channel,
     random_tangent,
-    random_unitary,
 )
 from wyinfo.monotone import (
     LOEWNER_ATOL,
@@ -186,7 +185,7 @@ def test_metric_positive_definite_on_unit_tangents():
 
 
 def test_metric_splits_orthogonally():
-    from wyinfo.linalg import commutator, tangent_split
+    from wyinfo.linalg import commutator
     wy = catalog_entry("wy")
     for seed in range(10):
         rho = random_density(4, seed)

@@ -19,11 +19,11 @@ DIGESTS = {
         "hessian": "53c2aee88c13e35a5915877b25ddc135081cbdfb486f83a23983566fc6a1dd3f",
         "monotonicity": "318d4041830db34c99a129655697c7b3cbbaf96ede31d310f90a5b8e0e81908d",
         "geodesic-length": "e053004ef5f7cdee88dd1933227832141906d8b51a531369715ef0faec11b3b5",
-        "dual-pairs": "d87e452a3f43a3e53036f52cbf55786c10266eadd27bee79dd9d568fe2ada638",
+        "dual-pairs": "fe9f03ae1b7c45b39766702f34e3f29506b0faef16ec6a736a4e2c1c73f1e8d5",
         "classical": "cae72d0a9581b6fcc94a1002a8faee3f1e8724d3c7bb226c6c685cdb3a443e94",
         "skew-identity": "71990705e09d6df093a2f3f1a86bf3bbfc86eb32b5a165deb3a5030d48a77d47",
-        "alpha": "c3fdb8938bb1d9155390b99524c39af2643f4b0efac901414cecd0140e2b8ef3",
-        "distance-bound": "b4b12f7468506d62d2be8eeb64b2009588af0a8f676f873c510560a17e4da3d1",
+        "alpha": "c157e3e84057eb5eb72ea9afd90d4f65837352fb59a6a14e406b65a8da87ebcb",
+        "distance-bound": "afb93aaaadfc75b8701d7756c6243bcf625aedee970e89b36ed3d749c87839ce",
     },
     1: {
         "wy-curvature": "76275aa00f54816eb76dbf4f3c6f74b110e8fb35dc790d2fb424c35af09e5c6f",
@@ -31,11 +31,11 @@ DIGESTS = {
         "hessian": "adbd791cd533d5857cbb66bb195a335512cf821f5fa4ea66b1a87b435e8a0871",
         "monotonicity": "c8069d8891929edf4de700f7cd65dc97b5736669f88349f5cd1636b769086bb1",
         "geodesic-length": "3835d57f0b06479f798e9fdbe83269d520c30ab064be12e18f600af37b8d60a6",
-        "dual-pairs": "f7015a0a0a93364341a67188c710b75e013dbf4734d6826673b9d87b6dae69e4",
+        "dual-pairs": "fe9f03ae1b7c45b39766702f34e3f29506b0faef16ec6a736a4e2c1c73f1e8d5",
         "classical": "a3a7df5c851feedff3458db8a39a36baa61d5e823f5ae7d5bc75b043cf942cda",
         "skew-identity": "740dc1ae06d6b9888cf769ef03e0921694f1de648e19b2a7836c68baefc3aed7",
-        "alpha": "3e0f3125142d65f37569b9a2f1524b2811d3cfc4935c1834b43654b6e82202cf",
-        "distance-bound": "02ec0ac187c9137b28fcfb77fd4e539ea582c37585059dea503ea99550f1ad49",
+        "alpha": "c157e3e84057eb5eb72ea9afd90d4f65837352fb59a6a14e406b65a8da87ebcb",
+        "distance-bound": "2f32c9662820bc8918ccc21958eeeeb386b6eed64962370f83962608fc23bfa9",
     },
     2: {
         "wy-curvature": "b3821d18caf29b431fc3c691a87db2c4f12dceb9ba472c673285e3568bdb4eac",
@@ -43,11 +43,11 @@ DIGESTS = {
         "hessian": "2ddefbb0071482d4d069c44e213960caff3eaf94ac935cc5d219a177e7547951",
         "monotonicity": "a6cd0db5ed20bc83ef443b9f662bf923982b86d13236fe623bce72f18030f7a6",
         "geodesic-length": "8f3ee961057b99a2054151094dcd7c246a2aa1a0943291be6c798ec5f6d686ab",
-        "dual-pairs": "7000383aecb0b33c591b1d938774f3de32d8e58b58491dd56f89b36c6e1f61cb",
+        "dual-pairs": "fe9f03ae1b7c45b39766702f34e3f29506b0faef16ec6a736a4e2c1c73f1e8d5",
         "classical": "abe5071ce982ebba589745a8bf90daf72df6a0f72ee8c206efd9bbfa4f7b1c20",
         "skew-identity": "ccd8e11f98d7d4ad269c6a02d6f73015d7b90b0e934cc03bfb6283b4d56dc6f3",
-        "alpha": "717ebba678cf0abcb0482949c9a00375e55b9c391223062ed9d1f91beff9702c",
-        "distance-bound": "20c4ad8c5d9d849897ccd74132f8d14fe25c65c556515c082d125c6c10e4c842",
+        "alpha": "c157e3e84057eb5eb72ea9afd90d4f65837352fb59a6a14e406b65a8da87ebcb",
+        "distance-bound": "95d7a1be2eedb7ae4c039104a319ebdba41ef25680275be537d59537de5645d6",
     },
 }
 

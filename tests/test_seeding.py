@@ -13,15 +13,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import hs_norm, random_unitary
 from wyinfo import linalg
 from wyinfo.linalg import (
     TrialStream,
     _gaussian,
-    hs_norm,
     random_density,
     random_kraus_channel,
     random_tangent,
-    random_unitary,
     rng_from,
 )
 from wyinfo.suites import SUITES, default_config, run_suite

@@ -9,33 +9,26 @@ one complex step, which must match the closed-form derivatives.
 import numpy as np
 import pytest
 
-from wyinfo.divergence import (
-    bures_distance,
-    g_entry,
-    relative_g_entropy,
-    relative_modular_apply,
-)
-from wyinfo.errors import InvariantViolation
-from wyinfo.geometry import (
-    C1Function,
+from oracles import (
     double_sqrt_function,
+    hs_norm,
     identity_function,
     log_function,
-    power_function,
-    pullback_differential,
-    wy_distance_audit,
+    random_unitary,
+    relative_modular_apply,
+    tangent_split,
 )
+from wyinfo.divergence import bures_distance, g_entry, relative_g_entropy
+from wyinfo.errors import InvariantViolation
+from wyinfo.geometry import C1Function, power_function, pullback_differential, wy_distance_audit
 from wyinfo.linalg import (
     TrialStream,
     _complex_step,
     _divided_difference,
     apply_kernel_superop,
     hs_inner,
-    hs_norm,
     random_density,
     random_tangent,
-    random_unitary,
-    tangent_split,
 )
 from wyinfo.monotone import catalog_entry, metric_eval, skew_information
 

@@ -28,10 +28,10 @@ def test_all_registered_suites_pass_at_smoke_scale():
         "hessian": dict(n_values=(2,), trials=3),
         "monotonicity": dict(n_values=(2,), trials=20),
         "geodesic-length": dict(n_values=(2,), trials=2),
-        "dual-pairs": dict(n_values=(3,), trials=30),
+        "dual-pairs": dict(),
         "classical": dict(n_values=(2, 3), trials=10),
         "skew-identity": dict(n_values=(2, 3), trials=10),
-        "alpha": dict(n_values=(2,), trials=1),
+        "alpha": dict(),
         "distance-bound": dict(n_values=(2,), trials=100),
     }
     assert set(small) == set(SUITES)
@@ -146,14 +146,15 @@ def test_classical_equals_per_trial_reference(seed, n_values, trials):
     assert tuple(c.actual for c in report.checks) == classical_per_trial(cfg)
 
 
-# the suite ignores n_values, trials and seed; the sampled oracle uses them, and at
-# (2, 3, 4) with 130 trials an exponent passes only if it passes at every n
+# the suite draws nothing; the sampled oracle draws 200 pairs at n = 3 per seed where
+# n_values and trials are None, and at (2, 3, 4) with 130 trials an exponent passes
+# only if it passes at every n
 @pytest.mark.parametrize("seed, n_values, trials", [(0, None, None), (1, None, None),
                                                     (2, None, None), (0, (2, 3, 4), 130)])
 def test_dual_pairs_equals_per_exponent_reference(seed, n_values, trials):
-    cfg = default_config("dual-pairs", seed=seed, n_values=n_values, trials=trials)
-    report = run_suite(cfg)
-    reference = dual_pairs_per_exponent(cfg, suites.DUAL_PAIR_GRID)
+    report = run_suite(SuiteConfig(suite="dual-pairs"))
+    reference = dual_pairs_per_exponent(suites.DUAL_PAIR_GRID, n_values or (3,),
+                                        trials or 200, seed)
     assert [c.actual for c in report.checks] == reference
 
 
@@ -165,12 +166,15 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def test_dual_pairs_ignores_n_trials_and_seed():
-    # every dual-pairs flag is deterministic; the config is only echoed
-    checks = [[c.as_dict() for c in run_suite(cfg).checks] for cfg in
-              (SuiteConfig(suite="dual-pairs"),
-               SuiteConfig(suite="dual-pairs", n_values=(2, 16), trials=1, seed=2**64 - 1))]
-    assert checks[0] == checks[1]
+@pytest.mark.parametrize("suite", ["dual-pairs", "alpha"])
+def test_deterministic_suites_take_no_n_values_or_trials(suite):
+    # they draw nothing: n_values and trials raise, and the seed leaves the report as it is
+    for kwargs in (dict(n_values=(3,)), dict(trials=200), dict(n_values=(3,), trials=200)):
+        with pytest.raises(InvariantViolation, match="no-draws"):
+            SuiteConfig(suite=suite, **kwargs)
+    reports = [run_suite(SuiteConfig(suite=suite, seed=seed)).as_dict() for seed in (0, 2**64 - 1)]
+    assert reports[0] == reports[1]
+    assert reports[0]["config"] == {"tolerances": {}}
 
 
 @pytest.mark.parametrize("suite", list(SUITES))
@@ -184,7 +188,9 @@ def test_suite_draws_without_rng_from(monkeypatch, suite):
 def test_config_takes_suite_defaults():
     cfg = SuiteConfig(suite="pullback")
     assert (cfg.n_values, cfg.trials) == ((2, 3, 4, 5), 100)
-    assert SuiteConfig(suite="alpha", trials=3).n_values == (2,)
+    assert SuiteConfig(suite="classical", trials=3).n_values == (2, 3, 4)
+    cfg = SuiteConfig(suite="alpha")
+    assert (cfg.n_values, cfg.trials) == (None, None)
 
 
 def test_unknown_suite_raises():
@@ -193,12 +199,12 @@ def test_unknown_suite_raises():
 
 
 def test_config_validation():
-    with pytest.raises(InvariantViolation):
-        SuiteConfig(suite="alpha", trials=0)
-    with pytest.raises(InvariantViolation):
-        SuiteConfig(suite="alpha", n_values=(1,))
-    with pytest.raises(InvariantViolation):
-        SuiteConfig(suite="alpha", n_values=(17,))
+    with pytest.raises(InvariantViolation, match="trials"):
+        SuiteConfig(suite="skew-identity", trials=0)
+    with pytest.raises(InvariantViolation, match="dimension"):
+        SuiteConfig(suite="skew-identity", n_values=(1,))
+    with pytest.raises(InvariantViolation, match="dimension"):
+        SuiteConfig(suite="skew-identity", n_values=(17,))
     with pytest.raises(InvariantViolation, match="dimension"):
         SuiteConfig(suite="pullback", n_values=())
     with pytest.raises(InvariantViolation, match="dimension"):
@@ -212,10 +218,21 @@ def test_config_validation():
     (dict(trials=True), "trials"),
     (dict(seed=1.5), "seed"),
     (dict(seed=True), "seed"),
+    (dict(n_values=3), "dimension"),
+    (dict(n_values=np.int64(3)), "dimension"),
 ])
 def test_config_rejects_non_integers(kwargs, invariant):
     with pytest.raises(InvariantViolation, match=invariant):
         SuiteConfig(suite="pullback", **kwargs)
+
+
+# the streams mask the seed to 64 bits, so -1 would run as 2^64 - 1 and echo -1
+@pytest.mark.parametrize("suite", ["pullback", "alpha"])
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+def test_config_rejects_a_seed_outside_64_bits(suite, seed):
+    with pytest.raises(InvariantViolation, match="seed"):
+        SuiteConfig(suite=suite, seed=seed)
+    assert SuiteConfig(suite=suite, seed=2**64 - 1).seed == 2**64 - 1
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1.0, -1e-300,
@@ -266,10 +283,10 @@ def test_suite_defaults_table():
         ("hessian", {"n_values": (2, 3, 4), "trials": 50}),
         ("monotonicity", {"n_values": (2, 3), "trials": 500}),
         ("geodesic-length", {"n_values": (2, 3), "trials": 20}),
-        ("dual-pairs", {"n_values": (3,), "trials": 200}),
+        ("dual-pairs", {}),
         ("classical", {"n_values": (2, 3, 4), "trials": 50}),
         ("skew-identity", {"n_values": (2, 3, 4, 5), "trials": 100}),
-        ("alpha", {"n_values": (2,), "trials": 1}),
+        ("alpha", {}),
         ("distance-bound", {"n_values": (2, 3, 4, 5), "trials": 10_000}),
     ]
     assert list(SUITE_DEFAULTS) == list(SUITES)
@@ -291,7 +308,7 @@ def test_default_config_merges_overrides():
 
 
 def test_report_serialization_is_flat_and_versioned():
-    report = run_suite(SuiteConfig(suite="alpha", trials=1))
+    report = run_suite(SuiteConfig(suite="alpha"))
     d = report.as_dict()
     assert set(d) == {"suite", "passed", "checks", "version", "config"}
     assert all(set(c) == {"name", "expected", "actual", "tolerance", "pass"}
