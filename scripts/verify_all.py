@@ -13,11 +13,31 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import sys
 import time
 
 from wyinfo import cli
 from wyinfo.suites import SUITES
+
+
+def allowance_used(check) -> float:
+    """The share of its allowance a check row uses: 1 at its limit, above 1 past it, inf for NaN.
+
+    A row whose expected value differs from its tolerance is a closeness
+    check, |actual - expected| <= tolerance (a relative one reads |expected|
+    times its share).  Otherwise expected is a bound: an upper bound where the
+    pass flag agrees with actual <= bound, a lower bound where it does not.
+    """
+    actual, expected, tol = check["actual"], check["expected"], check["tolerance"]
+    if expected != tol:
+        used, room = abs(actual - expected), tol
+    elif (actual <= tol) == check["pass"]:
+        used, room = actual, tol
+    else:
+        used, room = tol, actual
+    share = used / room if room > 0 else (0.0 if used <= 0 else math.inf)
+    return share if share == share else math.inf
 
 
 def main():
@@ -38,8 +58,7 @@ def main():
         stdout = out.getvalue()
         all_ok &= code == 0
         checks = json.loads(stdout)["checks"]
-        worst = max(checks,
-                    key=lambda c: abs(c["actual"] - c["expected"]) / (abs(c["tolerance"]) + 1e-300))
+        worst = max(checks, key=lambda c: (not c["pass"], allowance_used(c)))
         digest = hashlib.sha256(stdout.encode()).hexdigest()
         status = "ok" if code == 0 else "FAIL"
         print(f"{name:<18} {status:<6} {elapsed:>7.2f}s  {digest}  "

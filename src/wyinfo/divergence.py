@@ -11,7 +11,7 @@ function takes stacks of pairs (..., n, n) with linalg's stack rule.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -122,9 +122,6 @@ class HessianResult:
     analytic: float
     residual: float  # |numeric - analytic| / (1 + |analytic|)
     step: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def hessian_check(g: OperatorConvexG, rho, a, b, step: float = 1e-3) -> HessianResult:

@@ -224,12 +224,11 @@ class KrausChannel:
 
     ``kraus`` holds the r Kraus matrices as an array (r, out, in); a stack
     (..., r, out, in) is a stack of channels with the same Kraus count, and
-    every channel in it is validated.
+    every channel in it is validated.  The trailing (out, in) are the output
+    and input dimensions.
     """
 
     kraus: np.ndarray
-    input_dim: int
-    output_dim: int
 
     def __post_init__(self):
         try:
@@ -239,25 +238,13 @@ class KrausChannel:
         object.__setattr__(self, "kraus", ks)
         if ks.shape == (0,) or (ks.ndim >= 3 and ks.shape[-3] == 0):
             raise InvariantViolation("kraus-nonempty", "no Kraus operators")
-        if ks.ndim < 3 or ks.shape[-2:] != (self.output_dim, self.input_dim):
-            raise InvariantViolation(
-                "kraus-shape", f"{ks.shape} is not (..., r, {self.output_dim}, {self.input_dim})")
-        bad = ~np.isfinite(ks).all(axis=(-3, -2, -1))
-        if bad.any():
-            raise InvariantViolation(
-                "finite", f"Kraus operator has NaN or infinite entries{_where(bad)}")
+        if ks.ndim < 3:
+            raise InvariantViolation("kraus-shape", f"{ks.shape} is not (..., r, out, in)")
+        _check(~np.isfinite(ks).all(axis=(-3, -2, -1)), "finite",
+               "Kraus operator has NaN or infinite entries")
         s = np.sum(ks.conj().swapaxes(-1, -2) @ ks, axis=-3)
-        resid = np.max(np.abs(s - np.eye(self.input_dim)), axis=(-2, -1))
-        bad = resid > 1e-10
-        if bad.any():
-            raise InvariantViolation(
-                "trace-preserving",
-                f"sum K^dag K residual {float(np.max(resid)):.3e}{_where(bad)}")
-
-
-def _where(bad: np.ndarray) -> str:
-    """' in channel (i, ...)' naming the first flagged channel of a stack; '' for one channel."""
-    return f" in channel {tuple(int(i) for i in np.argwhere(bad)[0])}" if bad.ndim else ""
+        resid = np.max(np.abs(s - np.eye(ks.shape[-1])), axis=(-2, -1))
+        _check(resid > 1e-10, "trace-preserving", "sum K^dag K residual {:.3e}", resid)
 
 
 def apply_channel(channel: KrausChannel, x) -> np.ndarray:
@@ -267,8 +254,9 @@ def apply_channel(channel: KrausChannel, x) -> np.ndarray:
     dimensions; each slice gives the same bits as its channel and matrix alone.
     """
     x = np.asarray(x, dtype=complex)
-    if x.shape[-2:] != (channel.input_dim, channel.input_dim):
-        raise InvariantViolation("shape-match", f"{x.shape} vs input dim {channel.input_dim}")
+    n = channel.kraus.shape[-1]
+    if x.shape[-2:] != (n, n):
+        raise InvariantViolation("shape-match", f"{x.shape} vs input dim {n}")
     kraus = np.moveaxis(channel.kraus, -3, 0)
     return sum(k @ x @ k.conj().swapaxes(-1, -2) for k in kraus)
 
@@ -389,4 +377,4 @@ def random_kraus_channel(n_in: int, n_out: int, env_dim: int, seed) -> KrausChan
         raise InvariantViolation("dimension", f"env_dim={env_dim} < 1")
     v = _haar_from_gaussian(_gaussian(seed, n_out * env_dim, n_in))
     kraus = v.reshape(*v.shape[:-2], n_out, env_dim, n_in).swapaxes(-3, -2)
-    return KrausChannel(kraus=kraus, input_dim=n_in, output_dim=n_out)
+    return KrausChannel(kraus)

@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .errors import InvariantViolation
-from .linalg import assert_density, assert_hermitian, assert_tangent
+from .linalg import assert_density, assert_tangent
 
 
 def matrix_to_obj(a) -> dict:
@@ -33,8 +33,8 @@ def obj_to_matrix(obj) -> np.ndarray:
         im = np.asarray(obj["im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvariantViolation("schema", f"expected keys n/re/im with numeric grids: {exc}")
-    # no int(n): 2.5 would read as 2; a bool equals 0 or 1, so it is refused by name
-    if isinstance(n, bool) or re.shape != (n, n) or im.shape != (n, n):
+    # n must be a JSON integer: 2.0 and true equal 2 and 1, so its type is checked
+    if type(n) is not int or re.shape != (n, n) or im.shape != (n, n):
         raise InvariantViolation("schema", f"re/im shapes {re.shape}/{im.shape} != ({n!r}, {n!r})")
     return re + 1j * im
 
@@ -49,19 +49,9 @@ def _load_obj(path: str) -> dict:
         raise InvariantViolation("json", f"{path}: {exc}")
 
 
-def load_hermitian(path: str) -> np.ndarray:
-    return assert_hermitian(obj_to_matrix(_load_obj(path)), name=path)
-
-
 def load_density(path: str) -> np.ndarray:
     return assert_density(obj_to_matrix(_load_obj(path)), name=path)
 
 
 def load_tangent(path: str) -> np.ndarray:
     return assert_tangent(obj_to_matrix(_load_obj(path)), name=path)
-
-
-def save_matrix(path: str, a) -> None:
-    with open(path, "w") as fh:
-        json.dump(matrix_to_obj(a), fh)
-        fh.write("\n")

@@ -233,34 +233,31 @@ class ContractionResult:
     refloored: bool = False
 
 
-def contraction_check(entries, channel: KrausChannel, rho, a):
-    """Metric values before/after a stochastic map; monotone metrics contract.
+def contraction_check(entries, channel: KrausChannel, rho, a) -> tuple:
+    """Metric values before/after a stochastic map, one ContractionResult per catalog entry.
 
-    A mapped state rho' whose smallest eigenvalue falls below 1e-10 is
-    re-floored (recorded) to (1 - 1e-3) rho' + 1e-3 I/m, whose smallest
+    Monotone metrics contract.  The map, the re-floor and the eigendecompositions
+    of rho and rho' are made once for all entries, so each result is the bits of
+    its entry alone.  A mapped state rho' whose smallest eigenvalue falls below
+    1e-10 is re-floored (recorded) to (1 - 1e-3) rho' + 1e-3 I/m, whose smallest
     eigenvalue is at least 1e-3/m - O(u) for any positive semidefinite rho'.
     One that is still not positive (rho was indefinite) raises
     ``strict-positivity``.  A stack of channels, states and tangents is checked
     slice by slice, with the same bits as alone; one input gives floats and a bool.
-
-    One catalog entry gives its ContractionResult; a sequence of entries gives
-    a tuple of them, each the bits of its entry alone, with the map, the
-    re-floor and the eigendecompositions of rho and rho' made once for all.
     """
-    many = not isinstance(entries, MonotoneFunctionEntry)
     rho_out, a_out = (0.5 * (x + x.conj().swapaxes(-1, -2))
                       for x in (apply_channel(channel, rho), apply_channel(channel, a)))
-    refloored = np.linalg.eigvalsh(rho_out)[..., 0] < 1e-10
+    after = spectral_decompose(rho_out)
+    refloored = after.eigenvalues[..., 0] < 1e-10
     if refloored.any():
-        m = channel.output_dim
+        m = rho_out.shape[-1]
         floored = (1.0 - 1e-3) * rho_out + 1e-3 * np.eye(m) / m
-        rho_out = np.where(refloored[..., None, None], floored, rho_out)
-        lo = np.linalg.eigvalsh(rho_out)[..., 0]
+        after = spectral_decompose(np.where(refloored[..., None, None], floored, rho_out))
+        lo = after.eigenvalues[..., 0]
         _check(lo <= 0.0, "strict-positivity", "re-floored output smallest eigenvalue {:.3e}", lo)
-    before, after = spectral_decompose(rho), spectral_decompose(rho_out)
+    before = spectral_decompose(rho)
     refloored = refloored if refloored.shape else bool(refloored)
-    results = tuple(ContractionResult(hs_inner(a, kernel_action(before, before, e.c, a)),
-                                      hs_inner(a_out, kernel_action(after, after, e.c, a_out)),
-                                      refloored)
-                    for e in (entries if many else (entries,)))
-    return results if many else results[0]
+    return tuple(ContractionResult(hs_inner(a, kernel_action(before, before, e.c, a)),
+                                   hs_inner(a_out, kernel_action(after, after, e.c, a_out)),
+                                   refloored)
+                 for e in entries)

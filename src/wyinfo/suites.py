@@ -107,6 +107,10 @@ class SuiteConfig:
         if not self.n_values or not all(2 <= n <= 16 for n in self.n_values):
             raise InvariantViolation(
                 "dimension", f"n_values {list(self.n_values)}: want one or more n in [2, 16]")
+        repeated = [n for k, n in enumerate(self.n_values) if n in self.n_values[:k]]
+        if repeated:
+            raise InvariantViolation(
+                "dimension", f"n_values {list(self.n_values)} repeat n={repeated[0]}")
 
 
 @dataclass

@@ -19,10 +19,11 @@ tangent split, the Hilbert-Schmidt norm, the Haar unitary, the classical
 geodesic, sphere map, curvature constant and score-to-tangent map, the
 square-root image, the general pull-back differential and condition with their
 test functions, the relative modular operator and the wy auxiliary closed
-forms.
+forms; and `save_matrix`, which writes the state files the CLI tests read.
 """
 
 import collections
+import json
 from typing import NamedTuple
 
 import numpy as np
@@ -32,7 +33,7 @@ from wyinfo.curvature import (
     T23_GAP_RTOL,
     AuxTerms,
 )
-from wyinfo import classical
+from wyinfo import classical, matio
 from wyinfo.divergence import g_catalog, hessian_check
 from wyinfo.errors import DomainError, InvariantViolation
 from wyinfo.geometry import (
@@ -203,12 +204,11 @@ def monotonicity_per_trial(cfg):
     violations = [0] * len(entries)
     for one in trials_alone(cfg, width=lambda t, n: 1 + t % (n * n)):
         n = one.n
-        kraus = random_kraus_channel(n, n, one.width, one.stream(0)).kraus[0]
-        channel = KrausChannel(kraus, n, n)
+        channel = KrausChannel(random_kraus_channel(n, n, one.width, one.stream(0)).kraus[0])
         rho = random_density(n, one.stream(1))[0]
         a = random_tangent(n, one.stream(2))[0]
         for k, entry in enumerate(entries):
-            res = contraction_check(entry, channel, rho, a)
+            res, = contraction_check((entry,), channel, rho, a)
             if res.g_after - res.g_before - 1e-9 * (1.0 + res.g_before) > 0:
                 violations[k] += 1
     return tuple(float(v) for v in violations)
@@ -579,3 +579,10 @@ def wy_aux_closed_forms(x: float, y: float, z: float):
     t3 = sz / ((sx + sy) * (sx + sz) * (sy + sz))
     t4 = 1.0 / ((sx + sz) * (sy + sz))
     return t1, t2, t3, t4
+
+
+def save_matrix(path, a) -> None:
+    """Write a matrix as a wyinfo state file: {"n": int, "re": [[...]], "im": [[...]]}."""
+    with open(path, "w") as fh:
+        json.dump(matio.matrix_to_obj(a), fh)
+        fh.write("\n")

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import pullback_per_trial
+from oracles import pullback_per_trial, save_matrix
 
 from wyinfo import cli, matio
 from wyinfo.errors import InvariantViolation
@@ -41,8 +41,8 @@ def test_import_leaves_numpy_polynomial_unloaded():
 def state_files(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    matio.save_matrix(a, np.diag([0.9, 0.1]).astype(complex))
-    matio.save_matrix(b, np.diag([0.1, 0.9]).astype(complex))
+    save_matrix(a, np.diag([0.9, 0.1]).astype(complex))
+    save_matrix(b, np.diag([0.1, 0.9]).astype(complex))
     return str(a), str(b)
 
 
@@ -53,7 +53,7 @@ def state_files(tmp_path):
 def test_matio_roundtrip(tmp_path):
     rho = random_density(3, 0)
     path = tmp_path / "rho.json"
-    matio.save_matrix(path, rho)
+    save_matrix(path, rho)
     assert np.max(np.abs(matio.load_density(str(path)) - rho)) <= 1e-15
 
 
@@ -61,7 +61,7 @@ def test_matio_rejects_non_hermitian(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n": 2, "re": [[1, 1], [0, 1]], "im": [[0, 0], [0, 0]]}))
     with pytest.raises(InvariantViolation) as exc:
-        matio.load_hermitian(str(path))
+        matio.load_density(str(path))
     assert exc.value.invariant == "hermitian"
 
 
@@ -69,18 +69,18 @@ def test_matio_rejects_bad_schema(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n": 2, "re": [[1, 0]], "im": [[0, 0], [0, 0]]}))
     with pytest.raises(InvariantViolation) as exc:
-        matio.load_hermitian(str(path))
+        matio.load_density(str(path))
     assert exc.value.invariant == "schema"
 
 
-@pytest.mark.parametrize("n", [2.5, True, "2"])
+@pytest.mark.parametrize("n", [2.5, True, "2", 2.0])
 def test_matio_rejects_a_non_integer_n(tmp_path, n):
-    # int() would read 2.5 as 2 and true as 1, so grids of that size would load
+    # int() would read 2.5 as 2 and true as 1, and 2.0 == 2, so grids of that size would load
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n": n, "re": np.eye(int(n)).tolist(),
                                 "im": np.zeros((int(n), int(n))).tolist()}))
     with pytest.raises(InvariantViolation) as exc:
-        matio.load_hermitian(str(path))
+        matio.load_density(str(path))
     assert exc.value.invariant == "schema"
 
 
@@ -88,15 +88,15 @@ def test_matio_rejects_malformed_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     with pytest.raises(InvariantViolation) as exc:
-        matio.load_hermitian(str(path))
+        matio.load_density(str(path))
     assert exc.value.invariant == "json"
 
 
 def test_matio_tangent_loader(tmp_path):
     path = tmp_path / "t.json"
-    matio.save_matrix(path, random_tangent(3, 1))
+    save_matrix(path, random_tangent(3, 1))
     matio.load_tangent(str(path))
-    matio.save_matrix(path, np.eye(3))
+    save_matrix(path, np.eye(3))
     with pytest.raises(InvariantViolation):
         matio.load_tangent(str(path))
 
@@ -137,9 +137,9 @@ def test_distance_bhattacharyya_takes_any_density_the_loader_accepts(tmp_path):
     # the trace is 1 + 5e-11: inside the loader's 1e-10, outside the simplex's 1e-12
     a, b, c = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
     rho = np.diag([0.5 + 5e-11, 0.5]).astype(complex)
-    matio.save_matrix(a, rho)
-    matio.save_matrix(b, np.diag([0.5, 0.5]).astype(complex))
-    matio.save_matrix(c, np.diag([0.3, 0.7]).astype(complex))
+    save_matrix(a, rho)
+    save_matrix(b, np.diag([0.5, 0.5]).astype(complex))
+    save_matrix(c, np.diag([0.3, 0.7]).astype(complex))
     res = run_cli("distance", str(a), str(b), "--metric", "bhattacharyya")
     assert res.returncode == 0, res.stderr
     wy = run_cli("distance", str(a), str(b), "--metric", "wy")
@@ -158,8 +158,8 @@ def test_distance_wy_renormalizes_near_coincident_states(tmp_path, gap, want, rt
     # rho's trace error of 5e-11 is inside the loader's 1e-10; unrenormalized
     # it reads as distance (1.41e-5 instead of 2.0e-5 at gap 1e-5)
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    matio.save_matrix(a, np.diag([0.5 + 5e-11, 0.5]).astype(complex))
-    matio.save_matrix(b, np.diag([0.5 + gap, 0.5 - gap]).astype(complex))
+    save_matrix(a, np.diag([0.5 + 5e-11, 0.5]).astype(complex))
+    save_matrix(b, np.diag([0.5 + gap, 0.5 - gap]).astype(complex))
     res = run_cli("distance", str(a), str(b), "--metric", "wy")
     assert res.returncode == 0, res.stderr
     assert abs(float(res.stdout) - want) <= rtol * want
@@ -213,8 +213,8 @@ def test_geodesic_two_samples_are_endpoints(state_files, tmp_path):
 def test_geodesic_output_equals_per_t_samples(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    matio.save_matrix(a, random_density(3, 5))
-    matio.save_matrix(b, random_density(3, 6))
+    save_matrix(a, random_density(3, 5))
+    save_matrix(b, random_density(3, 6))
     res = run_cli("geodesic", str(a), str(b), "--samples", "7")
     assert res.returncode == 0
     path = wy_geodesic(matio.load_density(str(a)), matio.load_density(str(b)))
@@ -261,9 +261,9 @@ def test_metric_eval_roundtrip(tmp_path):
     t1 = random_tangent(2, 4)
     t2 = random_tangent(2, 5)
     pr, p1, p2 = (tmp_path / name for name in ("rho.json", "a.json", "b.json"))
-    matio.save_matrix(pr, rho)
-    matio.save_matrix(p1, t1)
-    matio.save_matrix(p2, t2)
+    save_matrix(pr, rho)
+    save_matrix(p1, t1)
+    save_matrix(p2, t2)
     res = run_cli("metric-eval", str(pr), str(p1), str(p2), "--f", "bkm")
     assert res.returncode == 0
     from wyinfo.monotone import catalog_entry, metric_eval
@@ -285,8 +285,8 @@ def test_files_of_different_n_name_shape_match(tmp_path, state_files, capsys, co
     # the n = 3 file comes last; metric-eval reads (rho, a, b) with a tangent as a
     a, _ = state_files
     big, tangent = tmp_path / "big.json", tmp_path / "t.json"
-    matio.save_matrix(big, random_tangent(3, 1) if len(command) > 1 else random_density(3, 1))
-    matio.save_matrix(tangent, random_tangent(2, 2))
+    save_matrix(big, random_tangent(3, 1) if len(command) > 1 else random_density(3, 1))
+    save_matrix(tangent, random_tangent(2, 2))
     files = [a, str(tangent), str(big)] if len(command) > 1 else [a, str(big)]
     assert cli.main([command[0], *files]) == 2
     err = capsys.readouterr().err
@@ -372,6 +372,15 @@ def test_verify_deterministic_suite_refuses_n_and_trials(suite, flags, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "invariant violated: no-draws" in err
+
+
+def test_verify_repeated_n_exit_2(capsys):
+    # both rows would be named scal1-constant-n2, and one --tolerance would set both
+    assert cli.main(["verify", "wy-curvature", "--n", "2,2", "--trials", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "invariant violated: dimension" in err
+    assert "repeat n=2" in err
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -165,7 +167,7 @@ def test_single_pair_gives_floats():
     rho = _floored_density(3, 20)
     a = _unit_tangent(3, 21)
     assert type(relative_g_entropy(rho, random_density(3, 22), G_WY)) is float
-    assert all(type(v) is float for v in hessian_check(G_UM, rho, a, a).as_dict().values())
+    assert all(type(v) is float for v in asdict(hessian_check(G_UM, rho, a, a)).values())
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +288,7 @@ def test_hessian_rejects_step_that_is_not_finite_and_positive(step):
 def test_hessian_result_shape():
     rho = _floored_density(2, 10)
     a = _unit_tangent(2, 11)
-    d = hessian_check(G_WY, rho, a, a).as_dict()
+    d = asdict(hessian_check(G_WY, rho, a, a))
     assert set(d) == {"numeric", "analytic", "residual", "step"}
 
 

@@ -284,13 +284,13 @@ def test_channel_and_metric_stacks_match_slices_bitwise(n):
     xs = random_tangent(n, TrialStream(n, 2, 0, 4))
     ys = random_tangent(n, TrialStream(n, 3, 0, 4))
     out = apply_channel(channels, rhos)
-    first = KrausChannel(channels.kraus[0], n, n)
+    first = KrausChannel(channels.kraus[0])
     one_channel = apply_channel(first, rhos)
     bkm = catalog_entry("bkm")
     g = metric_eval(bkm, rhos, xs, ys)
     assert g.shape == (4,)
     for k in range(4):
-        channel = KrausChannel(channels.kraus[k], n, n)
+        channel = KrausChannel(channels.kraus[k])
         in_order = sum(m @ rhos[k] @ m.conj().T for m in channel.kraus)
         assert np.array_equal(out[k], in_order)
         assert np.array_equal(out[k], apply_channel(channel, rhos[k]))
@@ -320,13 +320,13 @@ def test_random_kraus_channel_isometry_residual():
 
 def test_kraus_channel_rejects_non_finite():
     with pytest.raises(InvariantViolation) as exc:
-        KrausChannel(kraus=(np.diag([1.0, np.nan]),), input_dim=2, output_dim=2)
+        KrausChannel(kraus=(np.diag([1.0, np.nan]),))
     assert exc.value.invariant == "finite"
 
 
 def test_kraus_channel_rejects_non_trace_preserving():
     with pytest.raises(InvariantViolation) as exc:
-        KrausChannel(kraus=(np.eye(2) * 0.5,), input_dim=2, output_dim=2)
+        KrausChannel(kraus=(np.eye(2) * 0.5,))
     assert exc.value.invariant == "trace-preserving"
 
 
@@ -336,39 +336,37 @@ def _channel_stack():
 
 def test_kraus_stack_rejects_one_non_trace_preserving_channel():
     kraus = _channel_stack()
-    KrausChannel(kraus, input_dim=3, output_dim=2)
+    KrausChannel(kraus)
     kraus[2, 1] *= 1.0 + 1e-9
     with pytest.raises(InvariantViolation) as exc:
-        KrausChannel(kraus, input_dim=3, output_dim=2)
+        KrausChannel(kraus)
     assert exc.value.invariant == "trace-preserving"
-    assert "channel (2,)" in str(exc.value)
+    assert "slice (2,)" in str(exc.value)
 
 
 def test_kraus_stack_rejects_one_non_finite_channel():
     kraus = _channel_stack()
     kraus[3, 0, 1, 2] = np.nan
     with pytest.raises(InvariantViolation) as exc:
-        KrausChannel(kraus, input_dim=3, output_dim=2)
+        KrausChannel(kraus)
     assert exc.value.invariant == "finite"
-    assert "channel (3,)" in str(exc.value)
+    assert "slice (3,)" in str(exc.value)
 
 
-@pytest.mark.parametrize("kraus, dims", [
-    (_channel_stack(), (2, 3)),                   # trailing (out, in) swapped
-    (_channel_stack()[..., :2], (3, 2)),          # trailing in cut short
-    (np.eye(2), (2, 2)),                          # one matrix, no Kraus axis
-    ((np.eye(2), np.eye(3)), (2, 2)),             # ragged Kraus matrices
+@pytest.mark.parametrize("kraus", [
+    np.eye(2),                                    # one matrix, no Kraus axis
+    (np.eye(2), np.eye(3)),                       # ragged Kraus matrices
 ])
-def test_kraus_stack_rejects_wrong_shape(kraus, dims):
+def test_kraus_stack_rejects_wrong_shape(kraus):
     with pytest.raises(InvariantViolation) as exc:
-        KrausChannel(kraus, input_dim=dims[0], output_dim=dims[1])
+        KrausChannel(kraus)
     assert exc.value.invariant == "kraus-shape"
 
 
 def test_kraus_channel_rejects_empty():
     for kraus in ((), np.zeros((3, 0, 2, 2))):
         with pytest.raises(InvariantViolation) as exc:
-            KrausChannel(kraus, input_dim=2, output_dim=2)
+            KrausChannel(kraus)
         assert exc.value.invariant == "kraus-nonempty"
 
 
@@ -377,7 +375,7 @@ def test_kraus_channel_rejects_empty():
 # ---------------------------------------------------------------------------
 
 def test_apply_channel_identity():
-    ch = KrausChannel(kraus=(np.eye(3),), input_dim=3, output_dim=3)
+    ch = KrausChannel(kraus=(np.eye(3),))
     x = random_tangent(3, 2)
     assert np.allclose(apply_channel(ch, x), x)
 
@@ -390,7 +388,7 @@ def test_apply_channel_depolarizing():
             k = np.zeros((n, n), dtype=complex)
             k[i, j] = 1.0 / np.sqrt(n)
             kraus.append(k)
-    ch = KrausChannel(kraus=tuple(kraus), input_dim=n, output_dim=n)
+    ch = KrausChannel(kraus=tuple(kraus))
     rho = random_density(n, 5)
     assert np.allclose(apply_channel(ch, rho), np.eye(n) / n, atol=1e-12)
 
@@ -412,6 +410,11 @@ def test_apply_channel_dim_mismatch():
     ch = random_kraus_channel(2, 2, 1, 0)
     with pytest.raises(InvariantViolation):
         apply_channel(ch, np.eye(3))
+    # the input dimension is the Kraus array's last axis: C^3 -> C^2 takes 3 x 3, gives 2 x 2
+    ch = random_kraus_channel(3, 2, 2, 0)
+    assert apply_channel(ch, np.eye(3) / 3).shape == (2, 2)
+    with pytest.raises(InvariantViolation, match="shape-match"):
+        apply_channel(ch, np.eye(2))
 
 
 def test_unitary_is_haar_unitary():

@@ -349,7 +349,7 @@ def test_metric_and_contraction_name_a_missing_kernel():
         metric_eval(entry, rho, a, a)
     assert exc.value.invariant == "kernel-defined"
     with pytest.raises(InvariantViolation) as exc:
-        contraction_check(entry, random_kraus_channel(2, 2, 2, 3), rho, a)
+        contraction_check((entry,), random_kraus_channel(2, 2, 2, 3), rho, a)
     assert exc.value.invariant == "kernel-defined"
 
 
@@ -358,11 +358,11 @@ def test_metric_and_contraction_name_a_missing_kernel():
 # ---------------------------------------------------------------------------
 
 def test_contraction_identity_channel_is_equality():
-    ch = KrausChannel(kraus=(np.eye(3),), input_dim=3, output_dim=3)
+    ch = KrausChannel(kraus=(np.eye(3),))
     rho = random_density(3, 5)
     a = random_tangent(3, 6)
     for entry in catalog():
-        res = contraction_check(entry, ch, rho, a)
+        res, = contraction_check((entry,), ch, rho, a)
         assert res.g_after == pytest.approx(res.g_before, rel=1e-10)
         assert not res.refloored
 
@@ -375,8 +375,8 @@ def test_contraction_depolarizing_kills_tangent():
             k = np.zeros((n, n), dtype=complex)
             k[i, j] = 1.0 / np.sqrt(n)
             kraus.append(k)
-    ch = KrausChannel(kraus=tuple(kraus), input_dim=n, output_dim=n)
-    res = contraction_check(catalog_entry("wy"), ch, random_density(n, 1), random_tangent(n, 2))
+    ch = KrausChannel(kraus=tuple(kraus))
+    res, = contraction_check((catalog_entry("wy"),), ch, random_density(n, 1), random_tangent(n, 2))
     assert res.g_after == pytest.approx(0.0, abs=1e-12)
     assert res.g_after <= res.g_before
 
@@ -388,7 +388,7 @@ def test_contraction_random_channels_never_expand():
             ch = random_kraus_channel(n, n, 1 + seed % 3, seed)
             rho = random_density(n, seed + 1)
             a = random_tangent(n, seed + 2)
-            res = contraction_check(entry, ch, rho, a)
+            res, = contraction_check((entry,), ch, rho, a)
             assert res.g_after <= res.g_before + 1e-9 * (1.0 + res.g_before)
 
 
@@ -397,23 +397,34 @@ def _amplitude_damping(gamma=1.0 - 1e-14):
         np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]], dtype=complex),
         np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex),
     )
-    return KrausChannel(kraus=kraus, input_dim=2, output_dim=2)
+    return KrausChannel(kraus=kraus)
 
 
 def test_contraction_refloors_near_singular_output():
     ch = _amplitude_damping()
-    res = contraction_check(catalog_entry("wy"), ch, random_density(2, 3), random_tangent(2, 4))
+    res, = contraction_check((catalog_entry("wy"),), ch, random_density(2, 3), random_tangent(2, 4))
     assert res.refloored
     assert np.isfinite(res.g_after)
+
+
+def test_contraction_refloors_in_the_output_dimension():
+    # K_i = |0><i| maps every state of C^3 to |0><0| in C^2, so the floor mixes with I/2
+    kraus = np.zeros((3, 2, 3))
+    kraus[np.arange(3), 0, np.arange(3)] = 1.0
+    res, = contraction_check((catalog_entry("wy"),), KrausChannel(kraus),
+                             random_density(3, 1), random_tangent(3, 2))
+    assert res.refloored
+    assert res.g_after == pytest.approx(0.0, abs=1e-12)  # A maps to Tr(A) |0><0| = 0
+    assert res.g_before > 0.0
 
 
 def test_contraction_single_input_gives_python_scalars():
     wy = catalog_entry("wy")
     rho, a = random_density(2, 3), random_tangent(2, 4)
-    plain = contraction_check(wy, random_kraus_channel(2, 2, 2, 8), rho, a)
-    floored = contraction_check(wy, _amplitude_damping(), rho, a)
+    plain, = contraction_check((wy,), random_kraus_channel(2, 2, 2, 8), rho, a)
+    floored, = contraction_check((wy,), _amplitude_damping(), rho, a)
     # full damping maps every state to |0><0|, which the default floor repairs
-    damped = contraction_check(wy, _amplitude_damping(gamma=1.0), rho, a)
+    damped, = contraction_check((wy,), _amplitude_damping(gamma=1.0), rho, a)
     for res in (plain, floored, damped):
         assert [type(v) for v in vars(res).values()] == [float, float, bool]
     assert floored.refloored and damped.refloored and not plain.refloored
@@ -421,14 +432,13 @@ def test_contraction_single_input_gives_python_scalars():
 
 
 def _stacked(channels):
-    return KrausChannel(np.stack([c.kraus for c in channels]),
-                        channels[0].input_dim, channels[0].output_dim)
+    return KrausChannel(np.stack([c.kraus for c in channels]))
 
 
 def _assert_stack_matches_slices(entry, channels, rhos, tangents):
-    res = contraction_check(entry, _stacked(channels), rhos, tangents)
+    res, = contraction_check((entry,), _stacked(channels), rhos, tangents)
     for k, ch in enumerate(channels):
-        one = contraction_check(entry, ch, rhos[k], tangents[k])
+        one, = contraction_check((entry,), ch, rhos[k], tangents[k])
         assert (res.g_before[k], res.g_after[k]) == (one.g_before, one.g_after)
         assert res.refloored[k] == one.refloored
     return res
@@ -450,7 +460,7 @@ def test_contraction_of_several_entries_equals_each_entry_alone(n):
     channel = random_kraus_channel(n, n, 2, TrialStream(n, 0, 0, 6))
     rhos = random_density(n, TrialStream(n, 1, 0, 6))
     tangents = random_tangent(n, TrialStream(n, 2, 0, 6))
-    first = KrausChannel(channel.kraus[0], n, n)
+    first = KrausChannel(channel.kraus[0])
     cases = [(channel, rhos, tangents), (first, rhos[0], tangents[0])]
     if n == 2:  # a stack with one re-floored slice
         damped = _stacked([random_kraus_channel(2, 2, 2, 8), _amplitude_damping()])
@@ -459,11 +469,25 @@ def test_contraction_of_several_entries_equals_each_entry_alone(n):
         many = contraction_check(catalog(), *args)
         assert isinstance(many, tuple) and len(many) == len(catalog())
         for entry, res in zip(catalog(), many):
-            one = contraction_check(entry, *args)
+            one, = contraction_check((entry,), *args)
             assert np.array_equal(res.g_before, one.g_before)
             assert np.array_equal(res.g_after, one.g_after)
             assert np.array_equal(res.refloored, one.refloored)
             assert type(res.g_before) is type(one.g_before)
+
+
+def test_contraction_decomposes_each_state_once(monkeypatch):
+    # the re-floor test reads rho''s smallest eigenvalue from its one eigh
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, name=name, fn=fn: calls.append(name) or fn(*a))
+    channel = random_kraus_channel(3, 3, 2, TrialStream(3, 0, 0, 4))
+    rhos = random_density(3, TrialStream(3, 1, 0, 4))
+    tangents = random_tangent(3, TrialStream(3, 2, 0, 4))
+    results = contraction_check(catalog(), channel, rhos, tangents)
+    assert not results[0].refloored.any()
+    assert calls == ["eigh", "eigh"]
 
 
 @pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.id)
@@ -479,14 +503,14 @@ def test_contraction_indefinite_state_raises_strict_positivity():
     # the floor repairs any positive semidefinite output; an indefinite rho
     # stays indefinite under the identity channel, alone and in a stack
     sld = catalog_entry("sld")
-    ch = KrausChannel(kraus=(np.eye(2),), input_dim=2, output_dim=2)
+    ch = KrausChannel(kraus=(np.eye(2),))
     bad, a = np.diag([2.0, -1.0]).astype(complex), random_tangent(2, 4)
     with pytest.raises(InvariantViolation) as exc:
-        contraction_check(sld, ch, bad, a)
+        contraction_check((sld,), ch, bad, a)
     assert exc.value.invariant == "strict-positivity"
     assert "slice" not in str(exc.value)
     rhos = np.stack([random_density(2, 3), bad])
     with pytest.raises(InvariantViolation) as exc:
-        contraction_check(sld, _stacked([ch, ch]), rhos, np.stack([a, a]))
+        contraction_check((sld,), _stacked([ch, ch]), rhos, np.stack([a, a]))
     assert exc.value.invariant == "strict-positivity"
     assert "in slice (1,)" in str(exc.value)

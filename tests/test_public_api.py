@@ -1,23 +1,53 @@
 """The public API is what the checks use.
 
-Every function that `wyinfo` exports must be reached by a verify suite, a CLI
-command, or the benchmark's workloads (`perfbench/workloads.py`, which names
-what it calls as `wyinfo.<name>`).  A function only tests reach belongs in
-`tests/oracles.py`.
+Every public function and every public method of a public class, in every
+`wyinfo` module, must be reached by a verify suite, a CLI command, or the
+benchmark's workloads (`perfbench/workloads.py`, which names what it calls as
+`wyinfo.<name>` or imports it with `from wyinfo.<module> import <name>`).  A
+function only tests reach belongs in `tests/oracles.py`.
 """
 
+import importlib
 import inspect
+import pkgutil
 import re
 import sys
 from pathlib import Path
 
 import numpy as np
+from oracles import save_matrix
 
 import wyinfo
-from wyinfo import cli, matio
+from wyinfo import cli
 from wyinfo.suites import SUITE_DEFAULTS, SUITES, SuiteConfig, run_suite
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def _public_functions() -> dict:
+    """code -> (function, 'module.qualname') for every public function and public method."""
+    found = {}
+    for info in pkgutil.iter_modules(wyinfo.__path__):
+        module = importlib.import_module(f"wyinfo.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).items() if inspect.isclass(obj) else [(name, obj)]
+            for member, fn in members:
+                if not member.startswith("_") and inspect.isfunction(fn):
+                    body = inspect.unwrap(fn)  # a registered suite's own body, not its runner
+                    found[body.__code__] = (fn, f"{info.name}.{body.__qualname__}")
+    return found
+
+
+def _benchmarked() -> set:
+    """The ids of what perfbench/workloads.py names as wyinfo.<name> or imports from a module."""
+    text = WORKLOADS.read_text()
+    used = {id(getattr(wyinfo, name, None)) for name in re.findall(r"\bwyinfo\.(\w+)", text)}
+    for module, names in re.findall(r"^from wyinfo\.(\w+) import (.+)$", text, re.M):
+        module = importlib.import_module(f"wyinfo.{module}")
+        used |= {id(getattr(module, name.strip())) for name in names.split(",")}
+    return used
 
 
 def _cli_runs(tmp_path) -> list:
@@ -27,7 +57,7 @@ def _cli_runs(tmp_path) -> list:
                     ("x", np.array([[0.5, 0.2], [0.2, -0.5]])),
                     ("y", np.array([[0.0, 0.3j], [-0.3j, 0.0]]))):
         files.append(str(tmp_path / f"{name}.json"))
-        matio.save_matrix(files[-1], m.astype(complex))
+        save_matrix(files[-1], m.astype(complex))
     a, b, x, y = files
     metrics = ("wy", "bures", "bhattacharyya")
     return [*(["distance", a, b, "--metric", metric] for metric in metrics),
@@ -36,8 +66,7 @@ def _cli_runs(tmp_path) -> list:
 
 
 def test_every_public_function_is_reached(tmp_path, capsys):
-    exported = {obj.__code__: name for name, obj in vars(wyinfo).items()
-                if not name.startswith("_") and inspect.isfunction(obj)}
+    public = _public_functions()
     runs = _cli_runs(tmp_path)
     called = set()
 
@@ -56,7 +85,7 @@ def test_every_public_function_is_reached(tmp_path, capsys):
     finally:
         sys.setprofile(previous)
     capsys.readouterr()
-    benchmarked = set(re.findall(r"\bwyinfo\.(\w+)", WORKLOADS.read_text()))
-    unreached = sorted(name for code, name in exported.items()
-                       if code not in called and name not in benchmarked)
-    assert unreached == [], f"exported but reached only by tests: {unreached}"
+    benchmarked = _benchmarked()
+    unreached = sorted(name for code, (fn, name) in public.items()
+                       if code not in called and id(fn) not in benchmarked)
+    assert unreached == [], f"public but reached only by tests: {unreached}"

@@ -50,6 +50,8 @@ def test_verify_all_fast_passes_every_suite(monkeypatch, capsys):
     assert all(r[1] == "ok" for r in rows)
     # the script's digests are those of `wyinfo verify`'s stdout, pinned at seed 0
     assert {r[0]: r[3] for r in rows} == DIGESTS[0]
+    # the worst check is the row nearest its bound: 2.86 of pi
+    assert {r[0]: r[4] for r in rows}["distance-bound"] == "distance-bound:"
     assert out.splitlines()[-1] == "all suites passed"
 
 

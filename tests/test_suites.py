@@ -57,7 +57,7 @@ def _record_contractions(monkeypatch, module):
 
     def record(*args, **kwargs):
         out = contraction_check(*args, **kwargs)
-        for res in out if isinstance(out, tuple) else (out,):
+        for res in out:
             seen.extend(zip(np.atleast_1d(res.g_before).tolist(),
                             np.atleast_1d(res.g_after).tolist()))
         return out
@@ -119,7 +119,7 @@ def test_hessian_equals_per_trial_reference(seed, n_values, trials):
 
 @pytest.mark.parametrize("n_values, trials, width", [
     ((2, 3, 4, 5), 10_000, lambda t, n: 1),
-    ((3, 2, 3), 700, lambda t, n: 1 + t % (n * n)),
+    ((3, 2, 4), 700, lambda t, n: 1 + t % (n * n)),
     ((16,), 20, lambda t, n: 1),
 ])
 def test_trial_plan_covers_each_trial_once_at_its_dimension(n_values, trials, width):
@@ -209,6 +209,9 @@ def test_config_validation():
         SuiteConfig(suite="pullback", n_values=())
     with pytest.raises(InvariantViolation, match="dimension"):
         default_config("pullback", n_values=[])
+    # a repeated n would run twice under one check name
+    with pytest.raises(InvariantViolation, match="dimension.*repeat n=2"):
+        SuiteConfig(suite="wy-curvature", n_values=(2, 3, 2))
 
 
 @pytest.mark.parametrize("kwargs, invariant", [
