@@ -3,7 +3,8 @@
 Subcommands: distance, geodesic, curvature, metric-eval, divergence,
 verify <suite>.  Matrix files use the JSON schema of `matio`.  Exit codes:
 0 success, 1 verification failure, 2 usage/validation error.  Output is a
-deterministic function of flags and seed.
+deterministic function of flags and seed.  Each command imports the
+modules it runs when it starts, so a call loads no other part of wyinfo.
 """
 
 from __future__ import annotations
@@ -15,13 +16,7 @@ import sys
 import numpy as np
 
 from . import matio
-from .classical import bhattacharyya_distance
-from .curvature import scalar_curvature
-from .divergence import bures_distance, g_entry, relative_g_entropy
 from .errors import InvariantViolation
-from .geometry import wy_distance, wy_geodesic
-from .monotone import catalog_entry, metric_eval
-from .suites import SUITES, default_config, run_suite
 
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
@@ -64,18 +59,21 @@ def _load_same_n(*specs):
 
 
 def cmd_distance(args) -> int:
+    if args.metric == "wy":
+        from .geometry import wy_distance as distance
+    elif args.metric == "bures":
+        from .divergence import bures_distance as distance
+    else:
+        from .classical import bhattacharyya_distance
+
+        def distance(rho, sigma):
+            return bhattacharyya_distance(_diagonal_probabilities(rho, args.file_a),
+                                          _diagonal_probabilities(sigma, args.file_b))
     rho, sigma = _load_same_n((matio.load_density, args.file_a), (matio.load_density, args.file_b))
     # load_density allows a trace error of TRACE_ATOL: near-coincident states
     # would read it as distance, and the simplex allows only SIMPLEX_ATOL
     rho, sigma = rho / np.trace(rho).real, sigma / np.trace(sigma).real
-    if args.metric == "wy":
-        value = wy_distance(rho, sigma)
-    elif args.metric == "bures":
-        value = bures_distance(rho, sigma)
-    else:
-        value = bhattacharyya_distance(
-            _diagonal_probabilities(rho, args.file_a),
-            _diagonal_probabilities(sigma, args.file_b))
+    value = distance(rho, sigma)
     if args.json:
         print(_dump({"metric": args.metric, "value": value}))
     else:
@@ -84,6 +82,8 @@ def cmd_distance(args) -> int:
 
 
 def cmd_geodesic(args) -> int:
+    from .geometry import wy_geodesic
+
     if args.samples < 2:
         raise InvariantViolation("samples", f"{args.samples} < 2")
     rho, sigma = _load_same_n((matio.load_density, args.file_a), (matio.load_density, args.file_b))
@@ -95,6 +95,9 @@ def cmd_geodesic(args) -> int:
 
 
 def cmd_curvature(args) -> int:
+    from .curvature import scalar_curvature
+    from .monotone import catalog_entry
+
     entry = catalog_entry(args.f)
     rho = matio.load_density(args.file)
     print(_dump(scalar_curvature(entry, rho).as_dict()))
@@ -102,6 +105,8 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_metric_eval(args) -> int:
+    from .monotone import catalog_entry, metric_eval
+
     entry = catalog_entry(args.f)
     rho, a, b = _load_same_n((matio.load_density, args.rho), (matio.load_tangent, args.a),
                              (matio.load_tangent, args.b))
@@ -114,6 +119,8 @@ def cmd_metric_eval(args) -> int:
 
 
 def cmd_divergence(args) -> int:
+    from .divergence import g_entry, relative_g_entropy
+
     g = g_entry(args.g)
     rho, sigma = _load_same_n((matio.load_density, args.rho), (matio.load_density, args.sigma))
     value = relative_g_entropy(rho, sigma, g)
@@ -123,6 +130,8 @@ def cmd_divergence(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .suites import default_config, run_suite
+
     n_values = None
     if args.n is not None:
         try:
@@ -178,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_divergence)
 
     p = sub.add_parser("verify", help="run a seeded verification suite")
-    p.add_argument("suite", help=f"one of: {', '.join(sorted(SUITES))}")
+    p.add_argument("suite", help="suite name; an unknown name lists them all")
     p.add_argument("--n", help="comma-separated dimensions, e.g. 2,3")
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int, default=0)

@@ -8,6 +8,7 @@ InvariantViolation naming the violated invariant.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -24,14 +25,25 @@ def matrix_to_obj(a) -> dict:
     }
 
 
+def _numeric_grid(obj: dict, key: str) -> np.ndarray:
+    """obj[key] as floats.  Every entry must be a JSON number: numpy would also
+    convert the strings "0.5" and false, and bool is an int subclass, so the
+    types themselves are checked."""
+    grid = obj[key]
+    other = set(map(type, chain.from_iterable(grid))) - {int, float}
+    if other:
+        names = ", ".join(sorted(t.__name__ for t in other))
+        raise TypeError(f"'{key}' holds {names} entries, not JSON numbers")
+    return np.asarray(grid, dtype=float)
+
+
 def obj_to_matrix(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise InvariantViolation("schema", "matrix object must be a JSON object")
     try:
         n = obj["n"]
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+        re, im = _numeric_grid(obj, "re"), _numeric_grid(obj, "im")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvariantViolation("schema", f"expected keys n/re/im with numeric grids: {exc}")
     # n must be a JSON integer: 2.0 and true equal 2 and 1, so its type is checked
     if type(n) is not int or re.shape != (n, n) or im.shape != (n, n):

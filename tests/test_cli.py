@@ -13,7 +13,7 @@ from wyinfo import cli, matio
 from wyinfo.errors import InvariantViolation
 from wyinfo.geometry import wy_distance, wy_geodesic
 from wyinfo.linalg import random_density, random_tangent
-from wyinfo.suites import default_config
+from wyinfo.suites import SUITES, default_config
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -35,6 +35,39 @@ def test_import_leaves_numpy_polynomial_unloaded():
     # path_length loads its Gauss-Legendre rule on first use, so a CLI child never pays that import
     code = "import sys, wyinfo, wyinfo.cli; print('numpy.polynomial' in sys.modules)"
     assert run_python("-c", code).stdout == "False\n"
+
+
+def _loaded_modules(*argv):
+    """The wyinfo submodules a CLI call has loaded by the time it returns."""
+    code = ("import sys; from wyinfo import cli; cli.main(sys.argv[1:]); "
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('wyinfo.'))), "
+            "file=sys.stderr)")
+    res = run_python("-c", code, *argv)
+    assert res.returncode == 0, res.stderr
+    return set(res.stderr.split())
+
+
+def test_import_wyinfo_loads_no_submodule():
+    # a submodule still resolves as an attribute, loaded on that first use
+    code = ("import sys, wyinfo; print([m for m in sys.modules if m.startswith('wyinfo.')]); "
+            "print(wyinfo.suites.__name__)")
+    assert run_python("-c", code).stdout == "[]\nwyinfo.suites\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["distance", "A", "B", "--metric", "wy"], ["metric-eval", "A", "X", "X"],
+    ["divergence", "A", "B"], ["geodesic", "A", "B"], ["curvature", "A"]])
+def test_a_command_never_loads_suites(state_files, tmp_path, argv):
+    tangent = tmp_path / "x.json"
+    save_matrix(tangent, np.array([[0.5, 0.2], [0.2, -0.5]], dtype=complex))
+    files = {**dict(zip("AB", state_files)), "X": str(tangent)}
+    assert "wyinfo.suites" not in _loaded_modules(*(files.get(arg, arg) for arg in argv))
+
+
+def test_distance_wy_loads_no_other_command_modules(state_files):
+    loaded = _loaded_modules("distance", *state_files, "--metric", "wy")
+    assert "wyinfo.geometry" in loaded
+    assert not loaded & {"wyinfo.curvature", "wyinfo.divergence", "wyinfo.classical"}
 
 
 @pytest.fixture
@@ -71,6 +104,36 @@ def test_matio_rejects_bad_schema(tmp_path):
     with pytest.raises(InvariantViolation) as exc:
         matio.load_density(str(path))
     assert exc.value.invariant == "schema"
+
+
+@pytest.mark.parametrize("load, key, entry", [
+    (matio.load_density, "re", "0.5"), (matio.load_tangent, "im", False),
+    (matio.load_density, "re", 10**400)], ids=["str", "bool", "too-large"])
+def test_matio_rejects_an_entry_that_is_not_a_json_number(tmp_path, load, key, entry):
+    # numpy reads "0.5" as 0.5 and false as 0.0, so such a file would load;
+    # 10**400 is a JSON number no float holds
+    path = tmp_path / "bad.json"
+    obj = {"n": 2, "re": [[0.5, 0.0], [0.0, -0.5]], "im": [[0, 0], [0, 0]]}
+    obj[key][0][0] = entry
+    path.write_text(json.dumps(obj))
+    with pytest.raises(InvariantViolation) as exc:
+        load(str(path))
+    assert exc.value.invariant == "schema"
+
+
+@pytest.mark.parametrize("command, key, entry", [
+    ("distance", "re", ["0.5", "0"]), ("metric-eval", "im", [False, 0])])
+def test_cli_rejects_an_entry_that_is_not_a_json_number(state_files, tmp_path, command, key,
+                                                        entry):
+    a, _ = state_files
+    bad = tmp_path / "bad.json"
+    obj = {"n": 2, "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0, 0], [0, 0]]}
+    obj[key] = [entry, entry[::-1]]
+    bad.write_text(json.dumps(obj))
+    files = [str(bad), a] if command == "distance" else [a, str(bad), str(bad)]
+    res = run_cli(command, *files)
+    assert res.returncode == 2
+    assert "schema" in res.stderr and res.stdout == ""
 
 
 @pytest.mark.parametrize("n", [2.5, True, "2", 2.0])
@@ -300,7 +363,14 @@ def test_files_of_different_n_name_shape_match(tmp_path, state_files, capsys, co
 def test_verify_unknown_suite_exit_2():
     res = run_cli("verify", "nonsense")
     assert res.returncode == 2
-    assert "wy-curvature" in res.stderr
+    assert "suite-name" in res.stderr
+    assert all(suite in res.stderr for suite in SUITES)
+
+
+def test_verify_help_exits_0():
+    res = run_cli("verify", "--help")
+    assert res.returncode == 0
+    assert "suite" in res.stdout
 
 
 def test_verify_runs_and_passes():

@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 from oracles import save_matrix
 
 import wyinfo
@@ -89,3 +90,45 @@ def test_every_public_function_is_reached(tmp_path, capsys):
     unreached = sorted(name for code, (fn, name) in public.items()
                        if code not in called and id(fn) not in benchmarked)
     assert unreached == [], f"public but reached only by tests: {unreached}"
+
+
+# ---------------------------------------------------------------------------
+# The lazily resolved package namespace
+# ---------------------------------------------------------------------------
+
+EXPORTED = [
+    "C1Function", "ContractionResult", "CurvatureReport", "DomainError", "DualPairReport",
+    "GeodesicPath", "HessianResult", "InvariantViolation", "KrausChannel",
+    "MonotoneFunctionEntry", "OperatorConvexG", "ScoreVector", "SpectralDecomposition",
+    "StepTooLargeError", "SuiteConfig", "SuiteReport", "alpha_parameter", "apply_channel",
+    "apply_kernel_superop", "assert_density", "assert_hermitian", "assert_tangent",
+    "bhattacharyya_distance", "bures_distance", "catalog", "catalog_entry", "commutator",
+    "contraction_check", "default_config", "dual_pair_check", "exponential_transport",
+    "fisher_rao_metric", "g_catalog", "g_entry", "hessian_check", "hs_inner", "loewner_margin",
+    "matrix_function", "metric_eval", "mixture_transport", "monotone_from_convex",
+    "path_length", "power_function", "probability_vector", "pullback_differential",
+    "pullback_metric", "random_density", "random_kraus_channel", "random_tangent",
+    "relative_g_entropy", "run_suite", "scal_aux_terms", "scalar_curvature",
+    "score_from_tangent", "score_inner", "self_duality_scan", "skew_identity_residual",
+    "skew_information", "spectral_decompose", "sphere_map_differential", "symmetry_margin",
+    "wy_distance", "wy_distance_audit", "wy_geodesic",
+]
+
+
+def test_exported_names_are_their_defining_modules_objects():
+    assert sorted(wyinfo.__all__) == EXPORTED
+    for name in EXPORTED:
+        obj = getattr(wyinfo, name)
+        assert obj is getattr(sys.modules[obj.__module__], name), name
+
+
+def test_dir_and_star_import_list_every_exported_name():
+    assert set(EXPORTED) <= set(dir(wyinfo))
+    namespace = {}
+    exec("from wyinfo import *", namespace)
+    assert all(namespace[name] is getattr(wyinfo, name) for name in EXPORTED)
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="nope"):
+        wyinfo.nope
