@@ -25,13 +25,14 @@ def allowance_used(check) -> float:
     """The share of its allowance a check row uses: 1 at its limit, above 1 past it, inf for NaN.
 
     A row whose expected value differs from its tolerance is a closeness
-    check, |actual - expected| <= tolerance (a relative one reads |expected|
-    times its share).  Otherwise expected is a bound: an upper bound where the
-    pass flag agrees with actual <= bound, a lower bound where it does not.
+    check, |actual - expected| <= tolerance |expected| (<= tolerance where
+    expected is 0), the library's one closeness rule.  Otherwise expected is a
+    bound: an upper bound where the pass flag agrees with actual <= bound, a
+    lower bound where it does not.
     """
     actual, expected, tol = check["actual"], check["expected"], check["tolerance"]
     if expected != tol:
-        used, room = abs(actual - expected), tol
+        used, room = abs(actual - expected), (tol * abs(expected) if expected else tol)
     elif (actual <= tol) == check["pass"]:
         used, room = actual, tol
     else:

@@ -26,9 +26,9 @@ _EXPORTS = {
         "g_entry", "hessian_check", "monotone_from_convex", "relative_g_entropy"),
     "errors": ("DomainError", "InvariantViolation", "StepTooLargeError"),
     "geometry": (
-        "C1Function", "DualPairReport", "GeodesicPath", "dual_pair_check", "path_length",
-        "power_function", "pullback_differential", "pullback_metric", "self_duality_scan",
-        "symmetry_margin", "wy_distance", "wy_distance_audit", "wy_geodesic"),
+        "DualPairReport", "GeodesicPath", "dual_pair_check", "path_length", "power_function",
+        "pullback_differential", "pullback_metric", "self_duality_scan", "wy_distance",
+        "wy_distance_audit", "wy_geodesic"),
     "linalg": (
         "KrausChannel", "SpectralDecomposition", "apply_channel", "apply_kernel_superop",
         "assert_density", "assert_hermitian", "assert_tangent", "commutator", "hs_inner",

@@ -11,27 +11,44 @@ function takes stacks of pairs (..., n, n) with linalg's stack rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, InvariantViolation, StepTooLargeError
+from .errors import InvariantViolation, StepTooLargeError
 from .linalg import _out, kernel_action, matrix_function, spectral_decompose, spectral_function
 from .monotone import MonotoneFunctionEntry, metric_eval
 
 # |x - 1| window where f_g switches to its removable-singularity series.
 _F_SERIES_WINDOW = 1e-4
 
+# Cauchy's formula for g^(k)(1), k = 0..3: the trapezoid rule on 64 points of |x - 1| = 1/2.
+_UNIT = np.exp(2j * np.pi * np.arange(64) / 64)
+_CAUCHY = np.array([[1.0], [2.0], [8.0], [48.0]]) / 64 * _UNIT.conj() ** np.arange(4)[:, None]
+
 
 @dataclass(frozen=True)
 class OperatorConvexG:
-    """An operator convex function with g(1) = 0 and derivatives at 1."""
+    """An operator convex g, taking complex x, with g(1) = 0; g''(1) > 0 and g'''(1) come from g."""
 
     id: str
     g: Callable
-    d2_at_1: float
-    d3_at_1: float
+    d2_at_1: float = field(init=False)
+    d3_at_1: float = field(init=False)
+
+    def __post_init__(self):
+        values = self.g(1.0 + 0.5 * _UNIT)
+        if not np.iscomplexobj(values):
+            raise InvariantViolation("complex-evaluable", f"{self.id} is real on complex x")
+        g1, _, d2, d3 = (_CAUCHY @ values).real
+        size = 1e-12 * np.max(np.abs(values))  # far above the rounding of the sums
+        if abs(g1) > size:
+            raise InvariantViolation("g-at-1", f"{self.id}: g(1) = {g1:.3e}, not 0")
+        if d2 <= size:
+            raise InvariantViolation("g-convex", f"{self.id}: g''(1) = {d2:.3e}, not > 0")
+        object.__setattr__(self, "d2_at_1", float(d2))
+        object.__setattr__(self, "d3_at_1", float(d3))
 
 
 def _g_wy(x):
@@ -43,8 +60,8 @@ def _g_umegaki(x):
 
 
 _G_CATALOG = (
-    OperatorConvexG("g_wy", _g_wy, d2_at_1=1.0, d3_at_1=-1.5),
-    OperatorConvexG("g_umegaki", _g_umegaki, d2_at_1=1.0, d3_at_1=-2.0),
+    OperatorConvexG("g_wy", _g_wy),
+    OperatorConvexG("g_umegaki", _g_umegaki),
 )
 
 
@@ -105,8 +122,6 @@ def monotone_from_convex(g: OperatorConvexG) -> MonotoneFunctionEntry:
 
 def alpha_parameter(g: OperatorConvexG) -> float:
     """Connection parameter 3 + 2 g'''(1) / g''(1) of the induced classical geometry."""
-    if g.d2_at_1 == 0.0:
-        raise DomainError(f"{g.id}: g''(1) = 0 leaves the parameter undefined")
     return 3.0 + 2.0 * g.d3_at_1 / g.d2_at_1
 
 

@@ -147,29 +147,19 @@ def path_length(entry: MonotoneFunctionEntry, path: GeodesicPath) -> float:
 # The dual-pair classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class C1Function:
-    """A vectorized scalar function on (0, inf) that also accepts complex arguments."""
-
-    name: str
-    fn: Callable
-
-
-def power_function(p: float) -> C1Function:
-    """x^p / p for a finite p; p = 0 is excluded (its representative is log)."""
+def power_function(p: float) -> Callable:
+    """x^p / p for a finite p, taking complex x; p = 0 is excluded (its representative is log)."""
     if not math.isfinite(p):
         raise InvariantViolation("power-exponent", f"p = {p} is not finite")
     if p == 0.0:
         raise InvariantViolation("power-exponent", "p = 0 has no x^p/p representative")
-    return C1Function(f"power[{p:g}]", lambda x, p=p: np.asarray(x) ** p / p)
+    return lambda x: np.asarray(x) ** p / p
 
 
 @dataclass
 class DualPairReport:
     """Flags from checking whether two functions induce a monotone-metric kernel."""
 
-    phi_id: str
-    chi_id: str
     induced_c_valid: bool
     f_normalized: bool
     f_symmetric: bool
@@ -183,28 +173,23 @@ class DualPairReport:
                 and self.loewner_margin >= -LOEWNER_ATOL)
 
 
-def induced_kernel(phi: C1Function, chi: C1Function) -> Callable:
+def induced_kernel(phi: Callable, chi: Callable) -> Callable:
     """Product of the two difference quotients; a candidate metric kernel."""
 
     def c(x, y):
-        return _divided_difference(phi.fn, x, y) * _divided_difference(chi.fn, x, y)
+        return _divided_difference(phi, x, y) * _divided_difference(chi, x, y)
 
     return c
 
 
-def symmetry_margin(f: Callable, x: float) -> float:
-    """|f(x) - x f(1/x)|, the symmetry defect of a candidate f at one point."""
-    return float(abs(np.asarray(f(x)) - x * np.asarray(f(1.0 / x))))
-
-
-def dual_pair_check(phi: C1Function, chi: C1Function) -> DualPairReport:
-    """Test whether (phi, chi) induces a normalized symmetric monotone function.
+def dual_pair_check(phi: Callable, chi: Callable) -> DualPairReport:
+    """Test whether two functions on (0, inf), each taking complex x, induce a monotone f.
 
     The induced kernel is the product of difference quotients; from it,
     f(t) = 1 / c(t, 1), which takes complex t.  Reports normalization
-    f(1) = 1, the symmetry f(x) = x f(1/x) on a log grid, and the Loewner
-    margin of f; a kernel or an f that is not finite on its grid is recorded
-    as failing (c invalid, margin -inf), not raised.
+    f(1) = 1, the symmetry residual max |f(x) - x f(1/x)| / (1 + |f(x)|) on a
+    log grid, and the Loewner margin of f; a kernel or an f that is not finite
+    on its grid is recorded as failing (c invalid, margin -inf), not raised.
     """
     grid = np.logspace(-2.0, 2.0, 41)
     c = induced_kernel(phi, chi)
@@ -230,19 +215,14 @@ def dual_pair_check(phi: C1Function, chi: C1Function) -> DualPairReport:
         margin = loewner_margin(f)
     except DomainError:
         margin = -np.inf
-    return DualPairReport(phi.name, chi.name, c_valid, normalized, symmetric, margin, sym_resid,
-                          induced_f=f)
+    return DualPairReport(c_valid, normalized, symmetric, margin, sym_resid, induced_f=f)
 
 
-def self_duality_scan(p_grid) -> list:
-    """dual_pair_check of the power pair (phi_p, phi_p) for each exponent.
-
-    Rows are {"p", "report", "passes"}; only p = 1/2 can pass every flag.
-    """
+def self_duality_scan(p_grid) -> dict:
+    """{p: dual_pair_check of the power pair (phi_p, phi_p)}; only p = 1/2 can pass every flag."""
     ps = [float(p) for p in p_grid]
     for p in ps:
         if p in (0.0, 1.0):
             raise InvariantViolation("power-exponent", f"p={p} excluded from the scan")
     phis = list(map(power_function, ps))  # every exponent is checked before any pair runs
-    reports = [dual_pair_check(phi, phi) for phi in phis]
-    return [{"p": p, "report": r, "passes": r.passes} for p, r in zip(ps, reports)]
+    return {p: dual_pair_check(phi, phi) for p, phi in zip(ps, phis)}

@@ -36,14 +36,7 @@ from wyinfo.curvature import (
 from wyinfo import classical, matio
 from wyinfo.divergence import g_catalog, hessian_check
 from wyinfo.errors import DomainError, InvariantViolation
-from wyinfo.geometry import (
-    C1Function,
-    induced_kernel,
-    power_function,
-    pullback_metric,
-    symmetry_margin,
-    wy_distance_audit,
-)
+from wyinfo.geometry import induced_kernel, power_function, pullback_metric, wy_distance_audit
 from wyinfo.linalg import (
     KrausChannel,
     _divided_difference,
@@ -337,7 +330,7 @@ def sampled_dual_pair(phi, chi, trials=200, n=3, seed=0):
     sym_resid = float(np.max(np.abs(fx - grid * finv) / (1.0 + np.abs(fx))))
     symmetric = bool(sym_resid <= 1e-9)
 
-    entry = MonotoneFunctionEntry(f"induced[{phi.name},{chi.name}]", f)
+    entry = MonotoneFunctionEntry("induced", f)
     violations = sampled_monotonicity_per_trial(entry, trials, n, seed)[0]
     return {"induced_c_valid": c_valid, "f_normalized": normalized, "f_symmetric": symmetric,
             "symmetry_residual": sym_resid, "violations": violations,
@@ -351,14 +344,15 @@ def dual_pairs_per_exponent(grid, n_values, trials, seed):
     given trials and seed.
     """
     passing = []
-    margins = {}
+    residuals = {}
     for p in grid:
         phi = power_function(p)
         pairs = [sampled_dual_pair(phi, phi, trials, n, seed) for n in n_values]
         if all(pair["passes"] for pair in pairs):
             passing.append(p)
-        margins[p] = symmetry_margin(pairs[0]["f"], 10.0)
-    return [1.0 * len(passing), passing[0] if passing else np.nan, margins[-1.0], margins[2.0]]
+        residuals[p] = pairs[0]["symmetry_residual"]
+    return [1.0 * len(passing), passing[0] if passing else np.nan, residuals[-1.0],
+            residuals[2.0]]
 
 
 # -- The per-term curvature auxiliaries: each term evaluates its own kernel values.
@@ -531,31 +525,31 @@ def sqrt_pullback(rho) -> np.ndarray:
     return 2.0 * matrix_function(rho, np.sqrt)
 
 
-def log_function() -> C1Function:
-    return C1Function("log", np.log)
+def log_function():
+    return np.log
 
 
-def identity_function() -> C1Function:
-    return C1Function("identity", np.asarray)
+def identity_function():
+    return np.asarray
 
 
-def double_sqrt_function() -> C1Function:
-    return C1Function("2sqrt", lambda x: 2.0 * np.sqrt(x))
+def double_sqrt_function():
+    return lambda x: 2.0 * np.sqrt(x)
 
 
-def general_pullback_differential(phi: C1Function, rho, a) -> np.ndarray:
+def general_pullback_differential(phi, rho, a) -> np.ndarray:
     """D phi at rho applied to A: the difference quotient of phi as a kernel (Daleckii-Krein)."""
-    return apply_kernel_superop(rho, lambda x, y: _divided_difference(phi.fn, x, y), a)
+    return apply_kernel_superop(rho, lambda x, y: _divided_difference(phi, x, y), a)
 
 
-def pullback_condition_check(phi: C1Function, entry: MonotoneFunctionEntry) -> float:
+def pullback_condition_check(phi, entry: MonotoneFunctionEntry) -> float:
     """Max scaled residual of ((phi(x)-phi(y))/(x-y))^2 = c(x, y) over a log grid.
 
     Zero (to machine precision) exactly when the metric of `entry` is the
     pull-back of the ambient metric through phi.
     """
     grid = np.logspace(-2.0, 2.0, 100)
-    q = kernel_grid(lambda x, y: _divided_difference(phi.fn, x, y), grid, grid)
+    q = kernel_grid(lambda x, y: _divided_difference(phi, x, y), grid, grid)
     c = kernel_grid(entry.c, grid, grid)
     resid = np.abs(q * q - c) / (1.0 + np.abs(c))
     return float(np.max(resid))

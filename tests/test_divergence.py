@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import classical_g_divergence, classical_kl, relative_modular_apply
+from wyinfo import divergence
 from wyinfo.divergence import (
     OperatorConvexG,
     alpha_parameter,
@@ -14,7 +15,7 @@ from wyinfo.divergence import (
     monotone_from_convex,
     relative_g_entropy,
 )
-from wyinfo.errors import DomainError, InvariantViolation, StepTooLargeError
+from wyinfo.errors import InvariantViolation, StepTooLargeError
 from wyinfo.geometry import wy_distance
 from wyinfo.linalg import (
     TrialStream,
@@ -25,6 +26,7 @@ from wyinfo.linalg import (
     random_tangent,
 )
 from wyinfo.monotone import catalog_entry
+from wyinfo.suites import SuiteConfig, run_suite
 
 G_WY = g_entry("g_wy")
 G_UM = g_entry("g_umegaki")
@@ -188,6 +190,18 @@ def test_monotone_from_convex_umegaki_is_kubo_mori():
     assert np.max(np.abs(entry.f(xs) - bkm.f(xs)) / (1.0 + np.abs(bkm.f(xs)))) <= 1e-12
 
 
+@pytest.mark.parametrize("g_id, f_id", [("g_wy", "wy"), ("g_umegaki", "bkm")])
+def test_monotone_from_convex_near_one(g_id, f_id):
+    # measured: at most 3.4e-9 inside the 1e-4 series window (its (x-1)^2 term), up to
+    # 7.7e-8 just outside it, where the direct quotient cancels, then falling like
+    # eps/(x-1)^2; logspace(-3, 3)'s nearest point to 1 is 1.07
+    gaps = np.logspace(-10.0, -1.0, 50)
+    xs = np.concatenate([1.0 - gaps, 1.0 + gaps])
+    want = catalog_entry(f_id).f(xs)
+    got = monotone_from_convex(g_entry(g_id)).f(xs)
+    assert np.max(np.abs(got - want) / want) <= 1e-7
+
+
 def test_monotone_from_convex_series_window():
     for g in g_catalog():
         entry = monotone_from_convex(g)
@@ -301,15 +315,46 @@ def test_alpha_values():
     assert alpha_parameter(G_UM) == pytest.approx(-1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("g, d2, d3", [(G_WY, 1.0, -1.5), (G_UM, 1.0, -2.0)], ids=["wy", "um"])
+def test_derived_derivatives_match_the_closed_forms(g, d2, d3):
+    # g_wy = 4(1 - sqrt x) has g'' = x^-1.5 and g''' = -1.5 x^-2.5; g_umegaki = -log x has
+    # g'' = x^-2 and g''' = -2 x^-3
+    assert abs(g.d2_at_1 - d2) <= 1e-14
+    assert abs(g.d3_at_1 - d3) <= 1e-14
+
+
 def test_alpha_third_derivative_free_fixture():
-    fixture = OperatorConvexG("fixture", lambda x: (x - 1.0) ** 2, d2_at_1=2.0, d3_at_1=0.0)
+    fixture = OperatorConvexG("fixture", lambda x: (x - 1.0) ** 2)
     assert alpha_parameter(fixture) == pytest.approx(3.0)
 
 
 def test_alpha_undefined_when_flat():
-    fixture = OperatorConvexG("flat", lambda x: 0.0 * x, d2_at_1=0.0, d3_at_1=0.0)
-    with pytest.raises(DomainError):
-        alpha_parameter(fixture)
+    # an affine g has g''(1) = 0, which leaves alpha undefined: refused on construction
+    with pytest.raises(InvariantViolation) as exc:
+        OperatorConvexG("flat", lambda x: 2.0 * (x - 1.0))
+    assert exc.value.invariant == "g-convex"
+
+
+@pytest.mark.parametrize("g, invariant", [
+    (lambda x: (x - 1.0) ** 2 + 1.0, "g-at-1"),
+    (lambda x: -((x - 1.0) ** 2), "g-convex"),
+    (lambda x: np.real(x - 1.0) ** 2, "complex-evaluable"),
+], ids=["not-zero-at-1", "concave", "real-on-complex"])
+def test_operator_convex_g_names_what_it_refuses(g, invariant):
+    with pytest.raises(InvariantViolation) as exc:
+        OperatorConvexG("bad", g)
+    assert exc.value.invariant == invariant
+
+
+def test_alpha_suite_fails_for_a_wrong_g(monkeypatch):
+    # 4(1 - x^0.6)/0.96 keeps g''(1) = 1 but has g'''(1) = -1.4, so alpha = 0.2
+    wrong = OperatorConvexG("g_wy", lambda x: 4.0 * (1.0 - x ** 0.6) / 0.96)
+    monkeypatch.setattr(divergence, "_G_CATALOG", (wrong, G_UM))
+    report = run_suite(SuiteConfig(suite="alpha"))
+    rows = {c.name: c for c in report.checks}
+    assert not report.passed
+    assert not rows["alpha-g_wy"].passed and rows["alpha-g_umegaki"].passed
+    assert rows["alpha-g_wy"].actual == pytest.approx(0.2, abs=1e-12)
 
 
 def test_g_entry_unknown_id():

@@ -20,7 +20,6 @@ from oracles import (
 from wyinfo.errors import DomainError, InvariantViolation
 from wyinfo.geometry import (
     LENGTH_NODES,
-    C1Function,
     GeodesicPath,
     dual_pair_check,
     path_length,
@@ -28,7 +27,6 @@ from wyinfo.geometry import (
     pullback_differential,
     pullback_metric,
     self_duality_scan,
-    symmetry_margin,
     wy_distance,
     wy_distance_audit,
     wy_geodesic,
@@ -407,16 +405,17 @@ def test_dual_pair_linear_self_pair_fails_symmetry():
 
 
 def test_self_duality_scan_isolates_half():
-    rows = self_duality_scan([-1.0, -0.5, 0.5, 1.5, 2.0])
-    passes = {row["p"] for row in rows if row["passes"]}
+    reports = self_duality_scan([-1.0, -0.5, 0.5, 1.5, 2.0])
+    passes = {p for p, report in reports.items() if report.passes}
     assert passes == {0.5}
 
 
-def test_self_duality_symmetry_margins_at_ten():
-    for p in (-1.0, 2.0):
-        phi = power_function(p)
-        report = dual_pair_check(phi, phi)
-        assert symmetry_margin(report.induced_f, 10.0) >= 1e-2
+def test_self_duality_symmetry_residuals():
+    # the dual-pairs rows symmetry-margin-p-1 and -p2 read these residuals
+    reports = self_duality_scan([-1.0, 0.5, 2.0])
+    assert reports[0.5].symmetry_residual <= 1e-9
+    assert reports[-1.0].symmetry_residual == pytest.approx(99.99, abs=5e-3)
+    assert reports[2.0].symmetry_residual == pytest.approx(391.96, abs=5e-3)
 
 
 def _flags(report):
@@ -435,16 +434,14 @@ def _sampled_flags(pair):
                          [(3, 200, 0), (3, 130, 1), (2, 50, 2), (4, 60, 2**64 - 1)])
 def test_self_duality_scan_equals_per_exponent_reference(n, trials, seed):
     grid = [-1.0, -0.5, 0.25, 0.5, 0.75, 1.5, 2.0, 3.0]
-    rows = self_duality_scan(grid)
-    assert [row["p"] for row in rows] == grid
-    for p, row in zip(grid, rows):
+    reports = self_duality_scan(grid)
+    assert list(reports) == grid
+    for p, report in reports.items():
         pair = sampled_dual_pair(power_function(p), power_function(p), trials, n, seed)
-        report = row["report"]
         assert _flags(report) == _sampled_flags(pair)
         if pair["violations"]:
             assert report.loewner_margin < -LOEWNER_ATOL
-        assert row["passes"] == report.passes
-    assert {row["p"] for row in rows if row["report"].loewner_margin < -1.0} >= {2.0, 3.0}
+    assert {p for p, report in reports.items() if report.loewner_margin < -1.0} >= {2.0, 3.0}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -496,8 +493,7 @@ def test_self_duality_scan_rejects_excluded_exponents():
 
 def test_dual_pair_check_flags_kernel_not_finite_on_grid():
     # 1/(x - 1) has its pole at the grid point 1, where the difference quotient is infinite
-    pole = C1Function("pole", lambda x: 1.0 / (np.asarray(x) - 1.0))
-    report = dual_pair_check(pole, identity_function())
+    report = dual_pair_check(lambda x: 1.0 / (np.asarray(x) - 1.0), identity_function())
     assert report.induced_c_valid is False
     assert report.loewner_margin == -np.inf
     assert not report.passes
@@ -507,8 +503,8 @@ def test_dual_pair_check_records_f_not_finite_on_the_loewner_grid():
     # chi[t, 1] = t - x0 vanishes at the Loewner node x0, so f(t) = 1 / (t - x0) has its
     # pole there; the 41-point log grid of the kernel check misses that node
     x0 = LOEWNER_GRID[0]
-    chi = C1Function("root", lambda x: (np.asarray(x) - x0) * (np.asarray(x) - 1.0))
-    report = dual_pair_check(identity_function(), chi)
+    root = lambda x: (np.asarray(x) - x0) * (np.asarray(x) - 1.0)
+    report = dual_pair_check(identity_function(), root)
     assert report.loewner_margin == -np.inf
     assert not report.passes
 

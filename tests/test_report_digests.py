@@ -16,37 +16,37 @@ DIGESTS = {
     0: {
         "wy-curvature": "a971980bda73340283719ca8fd34db430d3436f629c3a00874422080e2ab1fbc",
         "pullback": "7edfe38b0f665edc441093d2d1fa80f8a84460d41202fba49ca1edfc4d00eebc",
-        "hessian": "53c2aee88c13e35a5915877b25ddc135081cbdfb486f83a23983566fc6a1dd3f",
+        "hessian": "53bdf1583c7bc82923065c5cbd35fddb00ae6dcdc9dc2ca0020c1e3708f9dbcf",
         "monotonicity": "318d4041830db34c99a129655697c7b3cbbaf96ede31d310f90a5b8e0e81908d",
         "geodesic-length": "e053004ef5f7cdee88dd1933227832141906d8b51a531369715ef0faec11b3b5",
-        "dual-pairs": "fe9f03ae1b7c45b39766702f34e3f29506b0faef16ec6a736a4e2c1c73f1e8d5",
+        "dual-pairs": "205b9dd12e49d138e36ff441b37caa3d80c6ea4d1db582cd380bdd761e99e223",
         "classical": "cae72d0a9581b6fcc94a1002a8faee3f1e8724d3c7bb226c6c685cdb3a443e94",
         "skew-identity": "71990705e09d6df093a2f3f1a86bf3bbfc86eb32b5a165deb3a5030d48a77d47",
-        "alpha": "c157e3e84057eb5eb72ea9afd90d4f65837352fb59a6a14e406b65a8da87ebcb",
+        "alpha": "5ff8ee1422cc0364c612a85b723e637092f4fcac91811fe4ac9c2a654a4c12b9",
         "distance-bound": "afb93aaaadfc75b8701d7756c6243bcf625aedee970e89b36ed3d749c87839ce",
     },
     1: {
         "wy-curvature": "76275aa00f54816eb76dbf4f3c6f74b110e8fb35dc790d2fb424c35af09e5c6f",
         "pullback": "2d08ee2b778d3e3beee872e7acffa8f3373e6d7939fb63a0980782fad812599b",
-        "hessian": "adbd791cd533d5857cbb66bb195a335512cf821f5fa4ea66b1a87b435e8a0871",
+        "hessian": "c171c79204de9883c9a3a7ea9ad03f290b515c14c67a79e8742b15f0e03776e5",
         "monotonicity": "c8069d8891929edf4de700f7cd65dc97b5736669f88349f5cd1636b769086bb1",
         "geodesic-length": "3835d57f0b06479f798e9fdbe83269d520c30ab064be12e18f600af37b8d60a6",
-        "dual-pairs": "fe9f03ae1b7c45b39766702f34e3f29506b0faef16ec6a736a4e2c1c73f1e8d5",
+        "dual-pairs": "205b9dd12e49d138e36ff441b37caa3d80c6ea4d1db582cd380bdd761e99e223",
         "classical": "a3a7df5c851feedff3458db8a39a36baa61d5e823f5ae7d5bc75b043cf942cda",
         "skew-identity": "740dc1ae06d6b9888cf769ef03e0921694f1de648e19b2a7836c68baefc3aed7",
-        "alpha": "c157e3e84057eb5eb72ea9afd90d4f65837352fb59a6a14e406b65a8da87ebcb",
+        "alpha": "5ff8ee1422cc0364c612a85b723e637092f4fcac91811fe4ac9c2a654a4c12b9",
         "distance-bound": "2f32c9662820bc8918ccc21958eeeeb386b6eed64962370f83962608fc23bfa9",
     },
     2: {
         "wy-curvature": "b3821d18caf29b431fc3c691a87db2c4f12dceb9ba472c673285e3568bdb4eac",
         "pullback": "e84ed273fa5732c808dbda0aeaafbd6e07c2a3d3fc15e6a819af01799093d569",
-        "hessian": "2ddefbb0071482d4d069c44e213960caff3eaf94ac935cc5d219a177e7547951",
+        "hessian": "eac12021bc98f62e3d74077ad5249328c2e36cb0befa5b5266656e30522e90dc",
         "monotonicity": "a6cd0db5ed20bc83ef443b9f662bf923982b86d13236fe623bce72f18030f7a6",
         "geodesic-length": "8f3ee961057b99a2054151094dcd7c246a2aa1a0943291be6c798ec5f6d686ab",
-        "dual-pairs": "fe9f03ae1b7c45b39766702f34e3f29506b0faef16ec6a736a4e2c1c73f1e8d5",
+        "dual-pairs": "205b9dd12e49d138e36ff441b37caa3d80c6ea4d1db582cd380bdd761e99e223",
         "classical": "abe5071ce982ebba589745a8bf90daf72df6a0f72ee8c206efd9bbfa4f7b1c20",
         "skew-identity": "ccd8e11f98d7d4ad269c6a02d6f73015d7b90b0e934cc03bfb6283b4d56dc6f3",
-        "alpha": "c157e3e84057eb5eb72ea9afd90d4f65837352fb59a6a14e406b65a8da87ebcb",
+        "alpha": "5ff8ee1422cc0364c612a85b723e637092f4fcac91811fe4ac9c2a654a4c12b9",
         "distance-bound": "95d7a1be2eedb7ae4c039104a319ebdba41ef25680275be537d59537de5645d6",
     },
 }

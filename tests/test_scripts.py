@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import re
 from pathlib import Path
 
@@ -14,11 +15,17 @@ from wyinfo.suites import SUITES
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def run_script(name, argv, monkeypatch, capsys):
-    """(return value of main(), stdout) of scripts/<name>.py run with the given arguments."""
+def load_script(name):
+    """scripts/<name>.py as a module, main() not run."""
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def run_script(name, argv, monkeypatch, capsys):
+    """(return value of main(), stdout) of scripts/<name>.py run with the given arguments."""
+    module = load_script(name)
     monkeypatch.setattr("sys.argv", [f"{name}.py", *argv])
     code = module.main()
     return code, capsys.readouterr().out
@@ -30,6 +37,11 @@ def test_selfduality_scan_passes_only_half(monkeypatch, capsys):
     assert "loewner-margin" in header.split()
     assert [float(r.split()[0]) for r in rows] == [-1.0, -0.5, 0.5, 1.5, 2.0]
     assert [float(r.split()[0]) for r in rows if r.endswith("<-- passes")] == [0.5]
+    # the last number of a row is the symmetry residual dual_pair_check reports
+    assert header.split()[-2] == "sym-residual"
+    residuals = {float(r.split()[0]): float(r.split()[5]) for r in rows}
+    assert residuals.pop(0.5) <= 1e-9
+    assert min(residuals.values()) >= 1e-2
 
 
 def test_curvature_table_wy_column_is_constant(monkeypatch, capsys):
@@ -52,7 +64,21 @@ def test_verify_all_fast_passes_every_suite(monkeypatch, capsys):
     assert {r[0]: r[3] for r in rows} == DIGESTS[0]
     # the worst check is the row nearest its bound: 2.86 of pi
     assert {r[0]: r[4] for r in rows}["distance-bound"] == "distance-bound:"
+    # relative rows read against tolerance |expected|: 4.2e-15 off 1.5 is 2.8e-9 of its
+    # allowance, more than n = 4's 6.4e-14 off 52.5 (1.2e-9)
+    assert {r[0]: r[4] for r in rows}["wy-curvature"] == "scal1-constant-n2:"
     assert out.splitlines()[-1] == "all suites passed"
+
+
+@pytest.mark.parametrize("check, share", [
+    ({"expected": 52.5, "actual": 52.5 + 2.625e-5, "tolerance": 1e-6, "pass": True}, 0.5),
+    ({"expected": 0.0, "actual": -2e-13, "tolerance": 1e-12, "pass": True}, 0.2),
+    ({"expected": 1e-4, "actual": 2.5e-5, "tolerance": 1e-4, "pass": True}, 0.25),
+    ({"expected": 1e-2, "actual": 40.0, "tolerance": 1e-2, "pass": True}, 2.5e-4),
+    ({"expected": 0.5, "actual": float("nan"), "tolerance": 0.0, "pass": False}, math.inf),
+], ids=["relative-closeness", "closeness-at-zero", "upper-bound", "lower-bound", "nan"])
+def test_allowance_used_reads_each_row_kind(check, share):
+    assert load_script("verify_all").allowance_used(check) == pytest.approx(share)
 
 
 def _write_result(out_dir, workload, seed, pass_ref, trace=0):

@@ -20,7 +20,7 @@ from oracles import (
 )
 from wyinfo.divergence import bures_distance, g_entry, relative_g_entropy
 from wyinfo.errors import InvariantViolation
-from wyinfo.geometry import C1Function, power_function, pullback_differential, wy_distance_audit
+from wyinfo.geometry import power_function, pullback_differential, wy_distance_audit
 from wyinfo.linalg import (
     TrialStream,
     _complex_step,
@@ -93,21 +93,21 @@ def test_stack_slices_equal_single_calls(name, shape, n):
 # The derivative rule
 # ---------------------------------------------------------------------------
 
-# the closed forms C1Function carried before its derivatives came from the complex step
-CLOSED_FORMS = [(power_function(p), lambda x, p=p: x ** (p - 1.0))
+# functions and their closed-form derivatives; at a coincidence the quotient takes a complex step
+CLOSED_FORMS = [pytest.param(power_function(p), lambda x, p=p: x ** (p - 1.0), id=f"power[{p:g}]")
                 for p in (-1.0, -0.5, 0.25, 0.5, 0.75, 1.5, 2.0)]
 CLOSED_FORMS += [
-    (log_function(), lambda x: 1.0 / x),
-    (identity_function(), np.ones_like),
-    (double_sqrt_function(), lambda x: 1.0 / np.sqrt(x)),
+    pytest.param(log_function(), lambda x: 1.0 / x, id="log"),
+    pytest.param(identity_function(), np.ones_like, id="identity"),
+    pytest.param(double_sqrt_function(), lambda x: 1.0 / np.sqrt(x), id="2sqrt"),
 ]
 
 
-@pytest.mark.parametrize("phi, deriv", CLOSED_FORMS, ids=[phi.name for phi, _ in CLOSED_FORMS])
+@pytest.mark.parametrize("phi, deriv", CLOSED_FORMS)
 def test_coincident_difference_quotient_matches_closed_form(phi, deriv):
     # measured worst case 6 ulps (power[1.5], complex pow); the bound allows 16
     x = np.logspace(-2.0, 2.0, 401)
-    got = _divided_difference(phi.fn, x, x)
+    got = _divided_difference(phi, x, x)
     want = deriv(x)
     assert np.max(np.abs(got - want) / np.abs(want)) <= 16 * np.finfo(float).eps
 
@@ -122,9 +122,9 @@ def test_complex_step_rejects_a_real_valued_function():
     with pytest.raises(InvariantViolation) as exc:
         _complex_step(lambda x: np.real(x) ** 2, 1.5)
     assert exc.value.invariant == "complex-evaluable"
-    phi = C1Function("real-square", lambda x: np.real(x) ** 2)
+    real_square = lambda x: np.real(x) ** 2
     with pytest.raises(InvariantViolation) as exc:
-        _divided_difference(phi.fn, np.ones(3), np.ones(3))
+        _divided_difference(real_square, np.ones(3), np.ones(3))
     assert exc.value.invariant == "complex-evaluable"
 
 
