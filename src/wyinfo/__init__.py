@@ -22,13 +22,13 @@ _EXPORTS = {
         "sphere_map_differential"),
     "curvature": ("CurvatureReport", "scal_aux_terms", "scalar_curvature"),
     "divergence": (
-        "HessianResult", "OperatorConvexG", "alpha_parameter", "bures_distance", "g_catalog",
-        "g_entry", "hessian_check", "monotone_from_convex", "relative_g_entropy"),
-    "errors": ("DomainError", "InvariantViolation", "StepTooLargeError"),
+        "HessianResult", "OperatorConvexG", "alpha_parameter", "g_catalog", "g_entry",
+        "hessian_check", "monotone_from_convex", "relative_g_entropy"),
+    "errors": ("DomainError", "InvariantViolation"),
     "geometry": (
-        "DualPairReport", "GeodesicPath", "dual_pair_check", "path_length", "power_function",
-        "pullback_differential", "pullback_metric", "self_duality_scan", "wy_distance",
-        "wy_distance_audit", "wy_geodesic"),
+        "DualPairReport", "GeodesicPath", "bures_distance", "dual_pair_check", "path_length",
+        "power_function", "pullback_differential", "pullback_metric", "self_duality_scan",
+        "wy_distance", "wy_distance_audit", "wy_geodesic"),
     "linalg": (
         "KrausChannel", "SpectralDecomposition", "apply_channel", "apply_kernel_superop",
         "assert_density", "assert_hermitian", "assert_tangent", "commutator", "hs_inner",

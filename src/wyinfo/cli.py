@@ -62,7 +62,7 @@ def cmd_distance(args) -> int:
     if args.metric == "wy":
         from .geometry import wy_distance as distance
     elif args.metric == "bures":
-        from .divergence import bures_distance as distance
+        from .geometry import bures_distance as distance
     else:
         from .classical import bhattacharyya_distance
 

@@ -1,4 +1,4 @@
-"""Relative g-entropies, their metric Hessians, and comparison distances.
+"""Relative g-entropies and their metric Hessians.
 
 For an operator convex g with g(1) = 0, the relative g-entropy is
 H_g(rho, sigma) = Tr(sqrt(rho) g(Delta)(sqrt(rho))) with the relative modular
@@ -16,8 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvariantViolation, StepTooLargeError
-from .linalg import _out, kernel_action, matrix_function, spectral_decompose, spectral_function
+from .errors import InvariantViolation
+from .linalg import _check, _out, kernel_action, spectral_decompose, spectral_function
 from .monotone import MonotoneFunctionEntry, metric_eval
 
 # |x - 1| window where f_g switches to its removable-singularity series.
@@ -131,7 +131,7 @@ def alpha_parameter(g: OperatorConvexG) -> float:
 
 @dataclass
 class HessianResult:
-    """The stencil and metric values; for stacks every field but step is an array."""
+    """The stencil and metric values; for stacks every field is an array."""
 
     numeric: float
     analytic: float
@@ -139,52 +139,33 @@ class HessianResult:
     step: float
 
 
-def hessian_check(g: OperatorConvexG, rho, a, b, step: float = 1e-3) -> HessianResult:
+# Stencil step of hessian_check where the state and directions allow it.
+HESSIAN_STEP = 1e-3
+
+
+def hessian_check(g: OperatorConvexG, rho, a, b) -> HessianResult:
     """Mixed partial -d^2/dtds H_g(rho + tA, rho + sB) vs the f_g metric.
 
-    The numeric side is the 4-point central stencil at the given step; the
-    stencil states must stay strictly positive, otherwise a StepTooLargeError
-    suggests a safe step.  A stack of states and directions is checked slice
-    by slice with the same bits as alone; the error names the first slice
-    that fails, with a checked before b.  The step must be finite and > 0.
+    The numeric side is the 4-point central stencil at the step
+    h = min(HESSIAN_STEP, lambda_min(rho) / (2 max(|A|_2, |B|_2))), so every
+    stencil state keeps half of rho's smallest eigenvalue; a rho that is not
+    positive definite raises strict-positivity.  A stack of states and
+    directions is checked slice by slice, each at its own step, with the
+    same bits as alone; the error names the first slice that fails.
     """
-    if not (np.isfinite(step) and step > 0.0):
-        raise InvariantViolation("step", f"{step!r}: want a finite step > 0")
-    rho = np.asarray(rho, dtype=complex)
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    rho, a, b = (np.asarray(x, dtype=complex) for x in (rho, a, b))
     lo = np.linalg.eigvalsh(rho)[..., 0]
-    norms = [np.linalg.norm(d, 2, axis=(-2, -1)) for d in (a, b)]
-    bad = [(norm > 0) & (step * norm >= lo) for norm in norms]
-    if np.any(bad):
-        where = tuple(int(i) for i in np.argwhere(bad[0] | bad[1])[0])
-        norm = norms[0][where] if bad[0][where] else norms[1][where]
-        lo = lo[where]
-        at = f" in slice {where}" if where else ""
-        raise StepTooLargeError(
-            f"stencil state rho +/- step*direction leaves the positive cone{at}"
-            f" (min eigenvalue {lo:.3e}, step*|direction| {step * norm:.3e})",
-            suggested_step=float(0.5 * lo / norm),
-        )
+    _check(~(lo > 0.0), "strict-positivity", "rho smallest eigenvalue {:.3e}", lo)
+    norm = np.maximum(*(np.linalg.norm(d, 2, axis=(-2, -1)) for d in (a, b)))
+    with np.errstate(divide="ignore"):  # zero directions take HESSIAN_STEP
+        step = np.minimum(HESSIAN_STEP, 0.5 * lo / norm)
+    h = step[..., None, None]
 
-    def h(t: float, s: float):
+    def entropy(t, s):
         return relative_g_entropy(rho + t * a, rho + s * b, g)
 
-    stencil = h(step, step) - h(step, -step) - h(-step, step) + h(-step, -step)
+    stencil = entropy(h, h) - entropy(h, -h) - entropy(-h, h) + entropy(-h, -h)
     numeric = -stencil / (4.0 * step * step)
     analytic = metric_eval(monotone_from_convex(g), rho, a, b)
     residual = abs(numeric - analytic) / (1.0 + abs(analytic))
-    return HessianResult(numeric, analytic, residual, step)
-
-
-# ---------------------------------------------------------------------------
-# Comparison distance
-# ---------------------------------------------------------------------------
-
-def bures_distance(rho, sigma):
-    """sqrt(2 - 2 Tr(sqrt(rho) sigma sqrt(rho))^(1/2); fidelity-based comparator."""
-    root = matrix_function(rho, np.sqrt)
-    inner = root @ np.asarray(sigma, dtype=complex) @ root
-    w = np.linalg.eigvalsh(0.5 * (inner + inner.conj().swapaxes(-1, -2)))
-    fid_root = np.sum(np.sqrt(np.maximum(w, 0.0)), axis=-1)
-    return _out(np.sqrt(np.maximum(2.0 - 2.0 * fid_root, 0.0)))
+    return HessianResult(_out(numeric), analytic, _out(residual), _out(step))

@@ -19,10 +19,3 @@ class InvariantViolation(ValueError):
 class DomainError(ValueError):
     """A scalar function was evaluated outside its domain."""
 
-
-class StepTooLargeError(ValueError):
-    """A finite-difference step left the positive-definite cone."""
-
-    def __init__(self, message: str, suggested_step: float):
-        self.suggested_step = suggested_step
-        super().__init__(f"{message}; suggested step: {suggested_step:.3e}")

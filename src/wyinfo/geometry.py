@@ -3,7 +3,8 @@
 The map rho -> 2 sqrt(rho) embeds the trace-one positive matrices into the
 radius-2 sphere of Hermitian matrices; its pull-back of the Hilbert-Schmidt
 metric is exactly the "wy" catalog metric.  That gives closed forms for the
-geodesic distance and path, which the length integrator cross-checks.
+geodesic distance and path, which the length integrator cross-checks; the
+fidelity-based Bures distance sits beside them as a comparator.
 
 The module also carries the dual-pair characterization of pull-back
 metrics: pairs of functions whose difference quotients induce a kernel,
@@ -66,6 +67,15 @@ def wy_distance_audit(rho, sigma):
 def wy_distance(rho, sigma):
     """Skew-information geodesic distance; at most pi, as Tr(sqrt(rho) sqrt(sigma)) >= 0."""
     return wy_distance_audit(rho, sigma)[0]
+
+
+def bures_distance(rho, sigma):
+    """sqrt(2 - 2 Tr(sqrt(rho) sigma sqrt(rho))^(1/2); fidelity-based comparator."""
+    root = matrix_function(rho, np.sqrt)
+    inner = root @ np.asarray(sigma, dtype=complex) @ root
+    w = np.linalg.eigvalsh(0.5 * (inner + inner.conj().swapaxes(-1, -2)))
+    fid_root = np.sum(np.sqrt(np.maximum(w, 0.0)), axis=-1)
+    return _out(np.sqrt(np.maximum(2.0 - 2.0 * fid_root, 0.0)))
 
 
 @dataclass

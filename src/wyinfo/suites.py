@@ -438,7 +438,7 @@ def run_alpha(cfg: SuiteConfig, checks: _Checks):
 
 @_suite("distance-bound", tag=10, n_values=(2, 3, 4, 5), trials=10_000)
 def run_distance_bound(cfg: SuiteConfig, checks: _Checks):
-    """wy distance is at most pi, as Tr(sqrt(rho) sqrt(sigma)) >= 0; clamps stay in their window."""
+    """wy distance is at most pi, as Tr(sqrt(rho) sqrt(sigma)) >= 0; no arccos input is clamped."""
     worst_d = 0.0
     worst_clamp = 0.0
     clamp_events = 0
@@ -450,7 +450,7 @@ def run_distance_bound(cfg: SuiteConfig, checks: _Checks):
         clamp_events += int(np.count_nonzero(clamp > 0.0))
     checks.below("distance-bound", worst_d, np.pi)
     checks.below("clamp-max", worst_clamp, CLAMP_WINDOW)
-    checks.below("clamp-events", float(clamp_events), float(cfg.trials))
+    checks.below("clamp-events", float(clamp_events), 0.0)
 
 
 def run_suite(cfg: SuiteConfig) -> SuiteReport:

@@ -64,8 +64,9 @@ def test_a_command_never_loads_suites(state_files, tmp_path, argv):
     assert "wyinfo.suites" not in _loaded_modules(*(files.get(arg, arg) for arg in argv))
 
 
-def test_distance_wy_loads_no_other_command_modules(state_files):
-    loaded = _loaded_modules("distance", *state_files, "--metric", "wy")
+@pytest.mark.parametrize("metric", ["wy", "bures"])
+def test_distance_wy_loads_no_other_command_modules(state_files, metric):
+    loaded = _loaded_modules("distance", *state_files, "--metric", metric)
     assert "wyinfo.geometry" in loaded
     assert not loaded & {"wyinfo.curvature", "wyinfo.divergence", "wyinfo.classical"}
 

@@ -8,15 +8,14 @@ from wyinfo import divergence
 from wyinfo.divergence import (
     OperatorConvexG,
     alpha_parameter,
-    bures_distance,
     g_catalog,
     g_entry,
     hessian_check,
     monotone_from_convex,
     relative_g_entropy,
 )
-from wyinfo.errors import InvariantViolation, StepTooLargeError
-from wyinfo.geometry import wy_distance
+from wyinfo.errors import InvariantViolation
+from wyinfo.geometry import bures_distance, wy_distance
 from wyinfo.linalg import (
     TrialStream,
     apply_channel,
@@ -236,24 +235,32 @@ def test_hessian_matches_metric_on_random_inputs(g):
     assert worst <= 1e-4
 
 
-def test_hessian_step_halving_second_order():
+def test_hessian_step_halving_second_order(monkeypatch):
     rho = _floored_density(3, 5)
     a = _unit_tangent(3, 6)
     b = _unit_tangent(3, 7)
-    res = {h: hessian_check(G_UM, rho, a, b, step=h) for h in (4e-3, 2e-3, 1e-3)}
+    res = {}
+    for h in (4e-3, 2e-3, 1e-3):
+        monkeypatch.setattr(divergence, "HESSIAN_STEP", h)
+        res[h] = hessian_check(G_UM, rho, a, b)
+        assert res[h].step == h
     e = {h: abs(r.numeric - r.analytic) for h, r in res.items()}
     assert 2.5 <= e[4e-3] / e[2e-3] <= 6.0
     assert 2.5 <= e[2e-3] / e[1e-3] <= 6.0
 
 
-def test_hessian_step_too_large_suggests_fix():
-    rho = _floored_density(3, 8, floor=1e-3)
-    a = _unit_tangent(3, 9)
-    with pytest.raises(StepTooLargeError) as exc:
-        hessian_check(G_WY, rho, a, a, step=0.5)
-    suggested = exc.value.suggested_step
-    res = hessian_check(G_WY, rho, a, a, step=suggested)
-    assert np.isfinite(res.numeric)
+@pytest.mark.parametrize("g, numeric, analytic, residual", [
+    (G_WY, 53590.33849008121, 50000.50000500008, 0.07179461585596729),
+    (G_UM, 54931.11443837234, 50000.50000500007, 0.098609330377673),
+], ids=["g_wy", "g_umegaki"])
+def test_hessian_step_shrinks_to_half_the_smallest_eigenvalue(g, numeric, analytic, residual):
+    # lambda_min 1e-5 and |A|_2 = 1/sqrt 2 give h = 0.5e-5 sqrt 2 = 7.071067811865476e-06; the
+    # pinned values are the stencil's at that step when it was passed in explicitly
+    rho = np.diag([1.0 - 1e-5, 1e-5])
+    a = np.diag([1.0, -1.0]) / np.sqrt(2.0)
+    res = hessian_check(g, rho, a, a)
+    assert res.step == 0.5 * 1e-5 / np.linalg.norm(a, 2) == 7.071067811865476e-06
+    assert (res.numeric, res.analytic, res.residual) == (numeric, analytic, residual)
 
 
 def _hessian_stack(n, seeds):
@@ -269,34 +276,43 @@ def test_hessian_stack_equals_single_calls(g, n):
     rho, a, b = _hessian_stack(n, range(5))
     stacked = hessian_check(g, rho, a, b)
     singles = [hessian_check(g, *args) for args in zip(rho, a, b)]
-    for field in ("numeric", "analytic", "residual"):
+    for field in ("numeric", "analytic", "residual", "step"):
         assert getattr(stacked, field).tolist() == [getattr(r, field) for r in singles]
-    assert stacked.step == 1e-3
+    assert stacked.step.tolist() == [1e-3] * 5
 
 
-@pytest.mark.parametrize("zero_a", [False, True], ids=["a-fails", "only-b-fails"])
-def test_hessian_stack_names_first_bad_slice(zero_a):
+@pytest.mark.parametrize("g", g_catalog(), ids=lambda g: g.id)
+def test_hessian_stack_of_different_steps_equals_single_calls(g):
+    rho, a, b = _hessian_stack(3, range(4))
+    # slice 1 is floored at 1e-4, so A sets its step; slice 2 has a zero A and a B of 2-norm 100
+    rho[1] = np.diag([1e-4, 0.4, 0.6 - 1e-4])
+    a[2] = 0.0
+    b[2] *= 100.0 / np.linalg.norm(b[2], 2)
+    stacked = hessian_check(g, rho, a, b)
+    singles = [hessian_check(g, *args) for args in zip(rho, a, b)]
+    assert all(type(v) is float for r in singles for v in asdict(r).values())
+    for field in ("numeric", "analytic", "residual", "step"):
+        assert getattr(stacked, field).tolist() == [getattr(r, field) for r in singles]
+    lo = np.linalg.eigvalsh(rho[2])[0]
+    assert stacked.step[1] == 0.5e-4 / np.linalg.norm(a[1], 2) < 1e-3
+    assert stacked.step[2] == 0.5 * lo / np.linalg.norm(b[2], 2) < 1e-3
+    assert stacked.step[0] == stacked.step[3] == 1e-3
+
+
+@pytest.mark.parametrize("smallest", [0.0, -1e-4], ids=["singular", "negative"])
+def test_hessian_stack_names_first_bad_slice(smallest):
     rho, a, b = _hessian_stack(3, range(5))
-    # slices 1 and 3 get a smallest eigenvalue of 1e-4, below step * |direction|
+    # slices 1 and 3 are not positive definite; a refusal does not wait for the directions
     for i in (1, 3):
-        rho[i] = np.diag([1e-4, 0.4, 0.6 - 1e-4])
-        if zero_a:
-            a[i] = 0.0
-    with pytest.raises(StepTooLargeError, match=r"in slice \(1,\)") as stacked:
+        rho[i] = np.diag([smallest, 0.4, 0.6 - smallest])
+    a[1] = b[1] = 0.0
+    with pytest.raises(InvariantViolation, match=r"in slice \(1,\)") as stacked:
         hessian_check(G_WY, rho, a, b)
-    with pytest.raises(StepTooLargeError) as single:
+    with pytest.raises(InvariantViolation) as single:
         hessian_check(G_WY, rho[1], a[1], b[1])
-    assert stacked.value.suggested_step == single.value.suggested_step
+    assert stacked.value.invariant == single.value.invariant == "strict-positivity"
+    assert f"smallest eigenvalue {smallest:.3e}" in str(single.value)
     assert "slice" not in str(single.value)
-
-
-@pytest.mark.parametrize("step", [0.0, -1e-3, np.nan, np.inf])
-def test_hessian_rejects_step_that_is_not_finite_and_positive(step):
-    rho = _floored_density(2, 10)
-    a = _unit_tangent(2, 11)
-    with pytest.raises(InvariantViolation) as exc:
-        hessian_check(G_WY, rho, a, a, step=step)
-    assert exc.value.invariant == "step"
 
 
 def test_hessian_result_shape():

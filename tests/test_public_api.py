@@ -99,18 +99,18 @@ def test_every_public_function_is_reached(tmp_path, capsys):
 EXPORTED = [
     "ContractionResult", "CurvatureReport", "DomainError", "DualPairReport", "GeodesicPath",
     "HessianResult", "InvariantViolation", "KrausChannel", "MonotoneFunctionEntry",
-    "OperatorConvexG", "ScoreVector", "SpectralDecomposition", "StepTooLargeError",
-    "SuiteConfig", "SuiteReport", "alpha_parameter", "apply_channel", "apply_kernel_superop",
-    "assert_density", "assert_hermitian", "assert_tangent", "bhattacharyya_distance",
-    "bures_distance", "catalog", "catalog_entry", "commutator", "contraction_check",
-    "default_config", "dual_pair_check", "exponential_transport", "fisher_rao_metric",
-    "g_catalog", "g_entry", "hessian_check", "hs_inner", "loewner_margin", "matrix_function",
-    "metric_eval", "mixture_transport", "monotone_from_convex", "path_length", "power_function",
-    "probability_vector", "pullback_differential", "pullback_metric", "random_density",
-    "random_kraus_channel", "random_tangent", "relative_g_entropy", "run_suite",
-    "scal_aux_terms", "scalar_curvature", "score_from_tangent", "score_inner",
-    "self_duality_scan", "skew_identity_residual", "skew_information", "spectral_decompose",
-    "sphere_map_differential", "wy_distance", "wy_distance_audit", "wy_geodesic",
+    "OperatorConvexG", "ScoreVector", "SpectralDecomposition", "SuiteConfig", "SuiteReport",
+    "alpha_parameter", "apply_channel", "apply_kernel_superop", "assert_density",
+    "assert_hermitian", "assert_tangent", "bhattacharyya_distance", "bures_distance", "catalog",
+    "catalog_entry", "commutator", "contraction_check", "default_config", "dual_pair_check",
+    "exponential_transport", "fisher_rao_metric", "g_catalog", "g_entry", "hessian_check",
+    "hs_inner", "loewner_margin", "matrix_function", "metric_eval", "mixture_transport",
+    "monotone_from_convex", "path_length", "power_function", "probability_vector",
+    "pullback_differential", "pullback_metric", "random_density", "random_kraus_channel",
+    "random_tangent", "relative_g_entropy", "run_suite", "scal_aux_terms", "scalar_curvature",
+    "score_from_tangent", "score_inner", "self_duality_scan", "skew_identity_residual",
+    "skew_information", "spectral_decompose", "sphere_map_differential", "wy_distance",
+    "wy_distance_audit", "wy_geodesic",
 ]
 
 

@@ -23,7 +23,7 @@ DIGESTS = {
         "classical": "cae72d0a9581b6fcc94a1002a8faee3f1e8724d3c7bb226c6c685cdb3a443e94",
         "skew-identity": "71990705e09d6df093a2f3f1a86bf3bbfc86eb32b5a165deb3a5030d48a77d47",
         "alpha": "5ff8ee1422cc0364c612a85b723e637092f4fcac91811fe4ac9c2a654a4c12b9",
-        "distance-bound": "afb93aaaadfc75b8701d7756c6243bcf625aedee970e89b36ed3d749c87839ce",
+        "distance-bound": "123120c1b00907066fc1f36436a6183295cac7f9008c9a395a2f22407f99010c",
     },
     1: {
         "wy-curvature": "76275aa00f54816eb76dbf4f3c6f74b110e8fb35dc790d2fb424c35af09e5c6f",
@@ -35,7 +35,7 @@ DIGESTS = {
         "classical": "a3a7df5c851feedff3458db8a39a36baa61d5e823f5ae7d5bc75b043cf942cda",
         "skew-identity": "740dc1ae06d6b9888cf769ef03e0921694f1de648e19b2a7836c68baefc3aed7",
         "alpha": "5ff8ee1422cc0364c612a85b723e637092f4fcac91811fe4ac9c2a654a4c12b9",
-        "distance-bound": "2f32c9662820bc8918ccc21958eeeeb386b6eed64962370f83962608fc23bfa9",
+        "distance-bound": "26b605a611a5160fe1c8acc6f5d5facd47614d5583af2880114e61738e78b253",
     },
     2: {
         "wy-curvature": "b3821d18caf29b431fc3c691a87db2c4f12dceb9ba472c673285e3568bdb4eac",
@@ -47,7 +47,7 @@ DIGESTS = {
         "classical": "abe5071ce982ebba589745a8bf90daf72df6a0f72ee8c206efd9bbfa4f7b1c20",
         "skew-identity": "ccd8e11f98d7d4ad269c6a02d6f73015d7b90b0e934cc03bfb6283b4d56dc6f3",
         "alpha": "5ff8ee1422cc0364c612a85b723e637092f4fcac91811fe4ac9c2a654a4c12b9",
-        "distance-bound": "95d7a1be2eedb7ae4c039104a319ebdba41ef25680275be537d59537de5645d6",
+        "distance-bound": "3e188377a6b54df50ac40c2633be33a9042d64ec2ef98242c8925a28a8dcf7db",
     },
 }
 

@@ -18,9 +18,14 @@ from oracles import (
     relative_modular_apply,
     tangent_split,
 )
-from wyinfo.divergence import bures_distance, g_entry, relative_g_entropy
+from wyinfo.divergence import g_entry, relative_g_entropy
 from wyinfo.errors import InvariantViolation
-from wyinfo.geometry import power_function, pullback_differential, wy_distance_audit
+from wyinfo.geometry import (
+    bures_distance,
+    power_function,
+    pullback_differential,
+    wy_distance_audit,
+)
 from wyinfo.linalg import (
     TrialStream,
     _complex_step,
