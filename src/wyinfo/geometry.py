@@ -80,7 +80,7 @@ def bures_distance(rho, sigma):
 
 @dataclass
 class GeodesicPath:
-    sampler: Callable  # t in [0, 1] -> density matrix; an array of t -> a stack
+    sampler: Callable  # t of shape T -> densities (..., *T, n, n), with ... the path stack
     velocity: Callable  # t -> d sampler / dt, with the sampler's shapes
 
 
@@ -88,28 +88,32 @@ def wy_geodesic(rho, sigma) -> GeodesicPath:
     """Geodesic t -> M(t)^2 / Tr M(t)^2 with M(t) = (1-t) sqrt(rho) + t sqrt(sigma).
 
     Normalized so every sample has unit trace; endpoints reproduce the inputs.
-    The sampler takes one t, giving (n, n), or an array of t, giving the
-    stack (..., n, n) whose slices are the same bits as one-t samples.  The
-    velocity is exact: with D = sqrt(sigma) - sqrt(rho), d(M^2)/dt = M D + D M
-    and the normalization contributes -M^2 Tr(d(M^2)/dt) / (Tr M^2)^2.
+    Two states give one path, two stacks (..., n, n) a stack of paths.  The
+    sampler maps t of shape T (a float is shape ()) to (..., *T, n, n), each
+    slice the same bits as its pair and its t alone.  The velocity is exact:
+    with D = sqrt(sigma) - sqrt(rho), d(M^2)/dt = M D + D M and the
+    normalization contributes -M^2 Tr(d(M^2)/dt) / (Tr M^2)^2.
     """
     sa = matrix_function(rho, np.sqrt)
     sb = matrix_function(sigma, np.sqrt)
     d = sb - sa
 
     def square(t):
-        t = np.asarray(t, dtype=float)[..., None, None]
-        m = (1.0 - t) * sa + t * sb
+        t = np.asarray(t, dtype=float)
+        # axes (path stack, t, matrix): the path stack's arrays take one axis of size 1 per t axis
+        a, b, dt = (x.reshape(x.shape[:-2] + (1,) * t.ndim + x.shape[-2:]) for x in (sa, sb, d))
+        t = t[..., None, None]
+        m = (1.0 - t) * a + t * b
         m2 = m @ m
-        return m, m2, np.trace(m2, axis1=-2, axis2=-1).real[..., None, None]
+        return m, m2, np.trace(m2, axis1=-2, axis2=-1).real[..., None, None], dt
 
     def sample(t) -> np.ndarray:
-        _, m2, tr = square(t)
+        _, m2, tr, _ = square(t)
         return m2 / tr
 
     def velocity(t) -> np.ndarray:
-        m, m2, tr = square(t)
-        dm2 = m @ d + d @ m
+        m, m2, tr, dt = square(t)
+        dm2 = m @ dt + dt @ m
         return dm2 / tr - m2 * (np.trace(dm2, axis1=-2, axis2=-1).real[..., None, None] / tr**2)
 
     return GeodesicPath(sample, velocity)
@@ -127,30 +131,38 @@ def _length_rule() -> tuple:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def path_length(entry: MonotoneFunctionEntry, path: GeodesicPath) -> float:
+def _check_nodes(bad, fmt: str, values, ts):
+    """Raise density-sample naming the value, t and path of the first bad node of bad (..., T)."""
+    if np.any(bad):
+        first = tuple(int(i) for i in np.argwhere(bad)[0])
+        where = f" in path {first[:-1]}" if first[:-1] else ""
+        raise InvariantViolation("density-sample",
+                                 f"{fmt.format(values[first])} at t={ts[first[-1]]}{where}")
+
+
+def path_length(entry: MonotoneFunctionEntry, path: GeodesicPath):
     """Riemannian length of a density path by Gauss-Legendre quadrature of its speed.
 
     The sampler and the exact velocity are each called once on the
     LENGTH_NODES interior nodes; the speed at a node is sqrt(sum c(w_i, w_j)
-    |V_ij|^2) with V the velocity in the sample's eigenbasis.  The speed must
-    be smooth on [0, 1]: a path that meets the cone boundary only at an
-    endpoint is integrated, one whose nodes sit on it raises DomainError.
+    |V_ij|^2) with V the velocity in the sample's eigenbasis.  One path gives
+    a float, a stack of paths (a sampler giving (..., LENGTH_NODES, n, n))
+    the array (...) of lengths, each the same bits as its path alone.  The
+    speed must be smooth on [0, 1]: a path that meets the cone boundary only
+    at an endpoint is integrated, one whose nodes sit on it raises DomainError.
     """
     ts, weights = _length_rule()
     states = np.asarray(path.sampler(ts), dtype=complex)
     tr = np.trace(states, axis1=-2, axis2=-1).real
-    off = np.flatnonzero(np.abs(tr - 1.0) > 1e-10)
-    if off.size:
-        raise InvariantViolation("density-sample", f"trace {tr[off[0]]:.12f} at t={ts[off[0]]}")
+    _check_nodes(np.abs(tr - 1.0) > 1e-10, "trace {:.12f}", tr, ts)
     w, u = spectral_decompose(states)
-    neg = np.flatnonzero(w[:, 0] <= -1e-12)
-    if neg.size:
-        k = neg[0]
-        raise InvariantViolation("density-sample", f"eigenvalue {w[k, 0]:.3e} at t={ts[k]}")
+    _check_nodes(w[..., 0] <= -1e-12, "eigenvalue {:.3e}", w[..., 0], ts)
     vt = u.conj().swapaxes(-1, -2) @ path.velocity(ts) @ u
     kmat = kernel_grid(entry.c, w, w)
     speeds = np.sqrt(np.maximum(np.sum(kmat * np.abs(vt) ** 2, axis=(-2, -1)), 0.0))
-    return float(weights @ speeds)
+    # one dot per path: a stacked matmul would sum the nodes in another order
+    lengths = np.array([weights @ s for s in speeds.reshape(-1, LENGTH_NODES)])
+    return _out(lengths.reshape(speeds.shape[:-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -179,19 +179,25 @@ class _Checks:
         self.rows: list = []
         self.names: list = []  # every check name tol() was asked for, in order
 
-    def blocks(self, width: Callable[[int, int], int] = lambda t, n: 1,
+    def blocks(self, width: Callable = lambda t, n: 1,
                trials: Optional[int] = None) -> Iterator[Block]:
         """The trial plan: blocks that cover trials 0 .. trials - 1 (default cfg.trials) once.
 
         Trial t runs at n = n_values[t % len(n_values)]; trials are grouped by
-        (n, width(t, n)) in order of first appearance.
+        (n, width(t, n)) in order of first appearance.  width takes the array
+        of one dimension's trial indices and returns their widths, positive
+        integers (or one width for all of them).
         """
         dims = self.cfg.n_values
-        groups: Dict[tuple, list] = {}
-        for t in range(self.cfg.trials if trials is None else trials):
-            n = dims[t % len(dims)]
-            groups.setdefault((n, width(t, n)), []).append(t)
-        for (n, w), ts in groups.items():
+        stop = self.cfg.trials if trials is None else trials
+        groups = []  # (first trial, n, width, trials) of each group
+        for i, n in enumerate(dims):
+            ts = np.arange(i, stop, len(dims))
+            widths = np.broadcast_to(width(ts, n), ts.shape)
+            for w in np.flatnonzero(np.bincount(widths)):
+                members = ts[widths == w]
+                groups.append((int(members[0]), n, int(w), members.tolist()))
+        for _, n, w, ts in sorted(groups, key=operator.itemgetter(0)):
             yield from self.group(n, w, ts)
 
     def group(self, n: int, width: int, trials: Sequence[int]) -> Iterator[Block]:
@@ -350,13 +356,12 @@ def run_geodesic_length(cfg: SuiteConfig, checks: _Checks):
     for block in checks.blocks(width=lambda t, n: 1 + t % 2):
         n = block.n
         if block.width == 1:
-            pairs = zip(random_density(n, block.stream(0)), random_density(n, block.stream(1)))
+            rho, sig = random_density(n, block.stream(0)), random_density(n, block.stream(1))
         else:
-            pairs = _diagonal(_floored(block.stream(2).dirichlet((2, n))))
-        for rho, sig in pairs:
-            d = wy_distance_audit(rho, sig)[0]
-            length = path_length(wy, wy_geodesic(rho, sig))
-            worst = max(worst, abs(length - d) / d)
+            rho, sig = _diagonal(_floored(block.stream(2).dirichlet((2, n)))).swapaxes(0, 1)
+        d = wy_distance_audit(rho, sig)[0]
+        length = path_length(wy, wy_geodesic(rho, sig))
+        worst = max(worst, float(np.max(np.abs(length - d) / d)))
     checks.below("length-matches-distance", worst, 1e-4)
     # The exact velocity against central differences of the sampler (h = 1e-5),
     # on random pairs (draws 3 and 4) of the first three trials.
@@ -364,12 +369,12 @@ def run_geodesic_length(cfg: SuiteConfig, checks: _Checks):
     worst = 0.0
     for block in checks.blocks(trials=min(cfg.trials, 3)):
         n = block.n
-        for rho, sig in zip(random_density(n, block.stream(3)), random_density(n, block.stream(4))):
-            path = wy_geodesic(rho, sig)
-            v = path.velocity(ts)
-            diff = (path.sampler(ts + h) - path.sampler(ts - h)) / (2.0 * h)
-            rel = np.linalg.norm(v - diff, axis=(-2, -1)) / np.linalg.norm(v, axis=(-2, -1))
-            worst = max(worst, float(np.max(rel)))
+        path = wy_geodesic(random_density(n, block.stream(3)), random_density(n, block.stream(4)))
+        v = path.velocity(ts)
+        ahead, behind = np.moveaxis(path.sampler(np.stack((ts + h, ts - h))), -4, 0)
+        diff = (ahead - behind) / (2.0 * h)
+        rel = np.linalg.norm(v - diff, axis=(-2, -1)) / np.linalg.norm(v, axis=(-2, -1))
+        worst = max(worst, float(np.max(rel)))
     checks.below("velocity-matches-differences", worst, 1e-6)
 
 

@@ -4,15 +4,17 @@ These stay deliberately separate from the library code paths they check:
 curvature from raw metric samples via coordinate finite differences, a
 plain classical Kullback-Leibler sum, the per-node path-length loop that
 the stacked `path_length` must reproduce bit for bit, the per-pair and
-per-trial loops that the block-drawn distance-bound, monotonicity, pullback,
-skew-identity, hessian and classical suites must reproduce likewise, each
-trial read alone at its stream counter (`trials_alone`), and the
-per-term curvature auxiliaries (`scal_aux_terms`, one helper per term) that
-the shared-kernel-value engine must reproduce bit for bit.  Trial t of a
-suite runs at n_values[t % len].  Operator monotonicity is sampled here, one
-random pair 0 <= A <= B at a time (`sampled_monotonicity_per_trial`): the
-reference that the library's deterministic Loewner margin and the dual-pair
-verdicts built on it are checked against.
+per-trial loops that the block-drawn distance-bound, geodesic-length,
+monotonicity, pullback, skew-identity, hessian and classical suites must
+reproduce likewise, each trial read alone at its stream counter
+(`trials_alone`), the per-trial loop that grouped a suite's trials into
+blocks (`trial_plan_per_trial`), and the per-term curvature auxiliaries
+(`scal_aux_terms`, one helper per term) that the shared-kernel-value engine
+must reproduce bit for bit.  Trial t of a suite runs at n_values[t % len].
+Operator monotonicity is sampled here, one random pair 0 <= A <= B at a
+time (`sampled_monotonicity_per_trial`): the reference that the library's
+deterministic Loewner margin and the dual-pair verdicts built on it are
+checked against.
 
 The last section holds reference routes that no suite or command needs: the
 tangent split, the Hilbert-Schmidt norm, the Haar unitary, the classical
@@ -36,7 +38,14 @@ from wyinfo.curvature import (
 from wyinfo import classical, matio
 from wyinfo.divergence import g_catalog, hessian_check
 from wyinfo.errors import DomainError, InvariantViolation
-from wyinfo.geometry import induced_kernel, power_function, pullback_metric, wy_distance_audit
+from wyinfo.geometry import (
+    induced_kernel,
+    path_length,
+    power_function,
+    pullback_metric,
+    wy_distance_audit,
+    wy_geodesic,
+)
 from wyinfo.linalg import (
     KrausChannel,
     _divided_difference,
@@ -172,6 +181,51 @@ def trials_alone(cfg, width=lambda t, n: 1):
         w = width(t, n)
         yield Block(cfg.seed, SUITE_TAGS[cfg.suite], n, w, seen[n, w], [t])
         seen[n, w] += 1
+
+
+def trial_plan_per_trial(checks, width=lambda t, n: 1, trials=None):
+    """The Blocks of `checks.blocks(width, trials)`, grouped by a loop over the trials one by one.
+
+    Trial t runs at n = n_values[t % len]; groups (n, width(t, n)) come in
+    order of first appearance, each split by `checks.group`.
+    """
+    dims = checks.cfg.n_values
+    groups = {}
+    for t in range(checks.cfg.trials if trials is None else trials):
+        n = dims[t % len(dims)]
+        groups.setdefault((n, width(t, n)), []).append(t)
+    return [block for (n, w), ts in groups.items() for block in checks.group(n, w, ts)]
+
+
+def geodesic_length_per_pair(cfg):
+    """The two worst values of the geodesic-length suite, pair by pair.
+
+    Length row: even trials draw two random states (draws 0 and 1), odd
+    trials a commuting pair from two Dirichlet vectors (draw 2); each pair
+    gets its own distance, path and length.  Velocity row: random pairs
+    (draws 3 and 4) of the first three trials, one path each.
+    """
+    wy = catalog_entry("wy")
+    worst_length = 0.0
+    for one in trials_alone(cfg, width=lambda t, n: 1 + t % 2):
+        n = one.n
+        if one.width == 1:
+            rho, sig = (random_density(n, one.stream(tag))[0] for tag in (0, 1))
+        else:
+            rho, sig = (np.diag(x).astype(complex)
+                        for x in map(_floored, one.stream(2).dirichlet((2, n))[0]))
+        d = wy_distance_audit(rho, sig)[0]
+        length = path_length(wy, wy_geodesic(rho, sig))
+        worst_length = max(worst_length, abs(length - d) / d)
+    h, ts = 1e-5, np.array([0.25, 0.5, 0.75])
+    worst_velocity = 0.0
+    for _, one in zip(range(3), trials_alone(cfg)):
+        path = wy_geodesic(*(random_density(one.n, one.stream(tag))[0] for tag in (3, 4)))
+        v = path.velocity(ts)
+        diff = (path.sampler(ts + h) - path.sampler(ts - h)) / (2.0 * h)
+        rel = np.linalg.norm(v - diff, axis=(-2, -1)) / np.linalg.norm(v, axis=(-2, -1))
+        worst_velocity = max(worst_velocity, float(np.max(rel)))
+    return worst_length, worst_velocity
 
 
 def distance_bound_per_pair(cfg):

@@ -21,6 +21,7 @@ from wyinfo.errors import DomainError, InvariantViolation
 from wyinfo.geometry import (
     LENGTH_NODES,
     GeodesicPath,
+    _length_rule,
     dual_pair_check,
     path_length,
     power_function,
@@ -311,6 +312,63 @@ def test_path_length_integrates_geodesic_from_boundary_endpoint():
 def test_path_length_equals_per_sample_reference(n, seed):
     path = wy_geodesic(random_density(n, seed + n), random_density(n, seed + 10 + n))
     assert path_length(WY, path) == path_length_per_node(WY, path, LENGTH_NODES)
+
+
+def _pair_stacks(n, shape):
+    """Random states rho and sigma, each a stack of the given leading shape."""
+    count = math.prod(shape)
+    rho, sig = (random_density(n, TrialStream(5, word, 0, count)) for word in (1, 2))
+    return rho.reshape(*shape, n, n), sig.reshape(*shape, n, n)
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 3)], ids=["4", "2x3"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_geodesic_stack_equals_each_pair(n, shape):
+    rho, sig = _pair_stacks(n, shape)
+    stacked = wy_geodesic(rho, sig)
+    for t in (0.3, np.linspace(0.0, 1.0, 32), np.linspace(0.0, 1.0, 40).reshape(5, 8)):
+        samples, velocities = stacked.sampler(t), stacked.velocity(t)
+        assert samples.shape == velocities.shape == (*shape, *np.shape(t), n, n)
+        for k in np.ndindex(shape):
+            alone = wy_geodesic(rho[k], sig[k])
+            assert np.array_equal(samples[k], alone.sampler(t))
+            assert np.array_equal(velocities[k], alone.velocity(t))
+
+
+@pytest.mark.parametrize("f", ["wy", "sld", "bkm", "rld"])
+@pytest.mark.parametrize("shape", [(4,), (2, 3)], ids=["4", "2x3"])
+def test_path_length_stack_equals_each_pair(shape, f):
+    entry = catalog_entry(f)
+    rho, sig = _pair_stacks(3, shape)
+    lengths = path_length(entry, wy_geodesic(rho, sig))
+    assert isinstance(lengths, np.ndarray) and lengths.shape == shape
+    for k in np.ndindex(shape):
+        alone = path_length(entry, wy_geodesic(rho[k], sig[k]))
+        assert isinstance(alone, float)
+        assert lengths[k] == alone
+
+
+HALF = np.eye(2, dtype=complex) / 2
+
+
+@pytest.mark.parametrize("late, detail", [
+    (np.diag([0.5, 0.6]).astype(complex), "trace 1.100000000000"),
+    (np.diag([1.5, -0.5]).astype(complex), "eigenvalue -5.000e-01"),
+], ids=["trace", "eigenvalue"])
+def test_path_length_names_the_bad_path_of_a_stack(late, detail):
+    # three constant paths at I/2, except that path 2 jumps to `late` after t = 0.5
+
+    def sampler(t):
+        after = np.asarray(t)[..., None, None] > 0.5
+        good = np.broadcast_to(HALF, after.shape[:-2] + (2, 2))
+        return np.stack([good, good, np.where(after, late, HALF)])
+
+    path = GeodesicPath(sampler, lambda t: np.zeros((3, *np.shape(t), 2, 2), dtype=complex))
+    with pytest.raises(InvariantViolation) as exc:
+        path_length(WY, path)
+    assert exc.value.invariant == "density-sample"
+    nodes = _length_rule()[0]
+    assert str(exc.value).endswith(f"({detail} at t={nodes[nodes > 0.5][0]} in path (2,))")
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,12 @@ from oracles import (
     classical_per_trial,
     distance_bound_per_pair,
     dual_pairs_per_exponent,
+    geodesic_length_per_pair,
     hessian_per_trial,
     monotonicity_per_trial,
     pullback_per_trial,
     skew_identity_per_trial,
+    trial_plan_per_trial,
 )
 
 from wyinfo import linalg, suites
@@ -144,6 +146,43 @@ def test_classical_equals_per_trial_reference(seed, n_values, trials):
     cfg = default_config("classical", seed=seed, n_values=n_values, trials=trials)
     report = run_suite(cfg)
     assert tuple(c.actual for c in report.checks) == classical_per_trial(cfg)
+
+
+# (16,) with 21 trials puts the 11 random pairs in blocks of 9 and 2, the 10 commuting
+# pairs in blocks of 4, 4 and 2
+@pytest.mark.parametrize("seed, n_values, trials", [(0, None, None), (1, None, None),
+                                                    (2, None, None), (0, (16,), 21)])
+def test_geodesic_length_equals_per_pair_reference(seed, n_values, trials):
+    cfg = default_config("geodesic-length", seed=seed, n_values=n_values, trials=trials)
+    report = run_suite(cfg)
+    assert tuple(c.actual for c in report.checks) == geodesic_length_per_pair(cfg)
+
+
+def test_geodesic_length_calls_geometry_once_per_block(monkeypatch):
+    # the length row makes one path and one length per block, the velocity row one path
+    cfg = default_config("geodesic-length")
+    length_blocks = len(list(suites._Checks(cfg).blocks(width=lambda t, n: 1 + t % 2)))
+    velocity_blocks = len(list(suites._Checks(cfg).blocks(trials=3)))
+    assert (length_blocks, velocity_blocks) == (2, 2)
+    geodesics = _count_calls(monkeypatch, suites, "wy_geodesic")
+    lengths = _count_calls(monkeypatch, suites, "path_length")
+    audits = _count_calls(monkeypatch, suites, "wy_distance_audit")
+    assert run_suite(cfg).passed
+    assert len(lengths) == len(audits) == length_blocks
+    assert len(geodesics) == length_blocks + velocity_blocks
+
+
+WIDTHS = {"one": lambda t, n: 1, "kraus": lambda t, n: 1 + t % (n * n),
+          "parity": lambda t, n: 1 + t % 2, "runs": lambda t, n: 1 + (t // 7) % 3,
+          "by-n": lambda t, n: n + (t * t) % 5}
+
+
+@pytest.mark.parametrize("trials", [None, 3], ids=["all", "first-3"])
+@pytest.mark.parametrize("width", WIDTHS.values(), ids=WIDTHS.keys())
+@pytest.mark.parametrize("suite", [s for s, draws in SUITE_DEFAULTS.items() if draws])
+def test_trial_plan_equals_per_trial_grouping(suite, width, trials):
+    checks = suites._Checks(default_config(suite, seed=7))
+    assert list(checks.blocks(width, trials)) == trial_plan_per_trial(checks, width, trials)
 
 
 # the suite draws nothing; the sampled oracle draws 200 pairs at n = 3 per seed where
