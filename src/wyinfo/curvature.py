@@ -15,17 +15,23 @@ with multiplicity, minus the fully coincident terms; the trace-one manifold
 adds the dimensional constant (n^2-1)(n^2-2)/4.
 
 Every term is an expression of five kernel values, c(x,y), c(x,z), c(y,z),
-(log c)'(z,x) and (log c)'(z,y), so `scalar_curvature` evaluates c and
-(log c)' once each on the n x n eigenvalue grid and reads the triples from
-those two grids (Daleckii-Krein: Bhatia, Matrix Analysis, ch. V).
+(log c)'(z,x) and (log c)'(z,y), so `scalar_curvature` evaluates c and dc/dx
+once each on the n x n eigenvalue grid and computes the triples with numpy
+on the (n, n, n) grid (Daleckii-Krein: Bhatia, Matrix Analysis, ch. V).  The
+singularities at coinciding arguments are removable, and a triple takes one
+of three routes:
+- generic: no pair of x, y, z is near, and the quotients above hold;
+- one exact index coincidence, the third eigenvalue apart: closed-form limits
+  from the grids (x = y: dc/dx(x,z) and one vectorised complex step of
+  (log c)'(z, .); z = x or z = y: t1's Newton recursion);
+- per triple, through divided differences at pair midpoints that call the
+  kernel again: a near pair of distinct indices (clustered or repeated
+  eigenvalues), and the n fully coincident triples.
 
-All singularities at coinciding arguments are removable.  Near-coincident
-triples are evaluated per triple through divided differences at pair
-midpoints, which call the kernel again; where a derivative of a closed-form
-auxiliary is required it comes from linalg's complex step, Im f(t + ih) / h,
-which has no cancellation.  Every call takes that step at its coincident
-triples, so a kernel that stays real on it raises `complex-evaluable`, and
-an entry without c or dc_dx raises `kernel-defined`.
+A derivative of a closed-form auxiliary comes from linalg's complex step,
+Im f(t + ih) / h, which has no cancellation.  Every call takes that step, so
+a kernel that stays real on it raises `complex-evaluable`, and an entry
+without c or dc_dx raises `kernel-defined`.
 """
 
 from __future__ import annotations
@@ -65,31 +71,31 @@ def _log_c_prime(entry: MonotoneFunctionEntry, z, x):
     return entry.dc_dx(z, x) / entry.c(z, x)
 
 
-def _t1_phi(entry: MonotoneFunctionEntry, x: float, y: float, cxy: float):
-    """phi(t) = c(x,y)/(c(x,t) c(y,t)) - t and its closed-form derivative.
+def _phi(cxy, cxt, cyt, t):
+    """phi(t) = c(x,y)/(c(x,t) c(y,t)) - t from its kernel values."""
+    return cxy / (cxt * cyt) - t
 
-    t1 equals the second divided difference phi[x, y, z] because phi vanishes
-    at t = x and t = y.  c is symmetric, so d/dt c(x,t) = dc_dx(t, x).
-    """
+
+def _dphi(cxy, cxt, cyt, dxt, dyt):
+    """phi'(t) from its kernel values; c is symmetric, so d/dt c(x,t) = dc_dx(t, x)."""
+    return -cxy * (dxt * cyt + cxt * dyt) / (cxt * cyt) ** 2 - 1.0
+
+
+def _t1_phi(entry: MonotoneFunctionEntry, x: float, y: float, cxy: float):
+    """phi and phi' calling the kernel; t1 is phi[x, y, z] as phi(x) = phi(y) = 0."""
 
     def phi(t: float) -> float:
-        return cxy / (float(entry.c(x, t)) * float(entry.c(y, t))) - t
+        return _phi(cxy, float(entry.c(x, t)), float(entry.c(y, t)), t)
 
     def dphi(t):
-        cxt, cyt = entry.c(x, t), entry.c(y, t)
-        dxt, dyt = entry.dc_dx(t, x), entry.dc_dx(t, y)
-        return -cxy * (dxt * cyt + cxt * dyt) / (cxt * cyt) ** 2 - 1.0
+        return _dphi(cxy, entry.c(x, t), entry.c(y, t), entry.dc_dx(t, x), entry.dc_dx(t, y))
 
     return phi, dphi
 
 
-def _t1(entry: MonotoneFunctionEntry, x: float, y: float, z: float,
-        cxy: float, cxz: float, cyz: float) -> float:
-    near_xz = _near(x, z, T1_GAP_RTOL)
-    near_yz = _near(y, z, T1_GAP_RTOL)
-    if not near_xz and not near_yz:
-        # x close to y is harmless here: only the z-pairs divide.
-        return (cxy - z * cxz * cyz) / ((x - z) * (y - z) * cxz * cyz)
+def _t1(entry: MonotoneFunctionEntry, x: float, y: float, z: float, cxy: float,
+        near_xz: bool, near_yz: bool) -> float:
+    """t1's limit where z sits near x or y."""
     # Chain membership: z sits near x or y, so all three cluster when x and y
     # are linked directly or through z.
     if _near(x, y, T1_GAP_RTOL) or (near_xz and near_yz):
@@ -107,26 +113,34 @@ def _t1(entry: MonotoneFunctionEntry, x: float, y: float, z: float,
     return (dd_xz - dd_zy) / (x - y)
 
 
+def _terms(x, y, z, cxy, cxz, cyz, lzx, lzy, t1=None, q=None, t3=None) -> AuxTerms:
+    """The auxiliary terms from the five kernel values, on floats or arrays: t1,
+    q = c(., z)[x, y] and t3 take their generic quotients unless a limit is
+    passed in.  Only the z-pairs divide t1, so x close to y is harmless there."""
+    if t1 is None:
+        t1 = (cxy - z * cxz * cyz) / ((x - z) * (y - z) * cxz * cyz)
+    if q is None:
+        q = (cxz - cyz) / (x - y)
+    if t3 is None:
+        t3 = z * (lzx - lzy) / (x - y)
+    t2 = q * q / (cxy * cxz * cyz)
+    t4 = z * lzx * lzy
+    return AuxTerms(t1, t2, t3, t4, t1 - 0.5 * t2 + 2.0 * t3 - t4)
+
+
 def _aux_terms(entry: MonotoneFunctionEntry, x: float, y: float, z: float,
                cxy: float, cxz: float, cyz: float, lzx: float, lzy: float) -> AuxTerms:
-    """The auxiliary terms of one triple from its five kernel values.
-
-    Away from x = y every term is an expression of c(x,y), c(x,z), c(y,z),
-    (log c)'(z,x) and (log c)'(z,y); the near-coincidence limits call the
-    kernel again.
-    """
-    t1 = _t1(entry, x, y, z, cxy, cxz, cyz)
+    """The auxiliary terms of one triple from its five kernel values; the
+    near-coincidence limits call the kernel again."""
+    near_xz, near_yz = _near(x, z, T1_GAP_RTOL), _near(y, z, T1_GAP_RTOL)
+    t1 = _t1(entry, x, y, z, cxy, near_xz, near_yz) if near_xz or near_yz else None
+    q = t3 = None
     if _near(x, y, T23_GAP_RTOL):
         # t2 and t3 are divided differences over x - y: take their limits.
         m = 0.5 * (x + y)
         q = float(entry.dc_dx(m, z))
         t3 = z * _complex_step(lambda t: _log_c_prime(entry, z, t), m)
-    else:
-        q = (cxz - cyz) / (x - y)
-        t3 = z * (lzx - lzy) / (x - y)
-    t2 = q * q / (cxy * cxz * cyz)
-    t4 = z * lzx * lzy
-    return AuxTerms(t1, t2, t3, t4, t1 - 0.5 * t2 + 2.0 * t3 - t4)
+    return _terms(x, y, z, cxy, cxz, cyz, lzx, lzy, t1, q, t3)
 
 
 def scal_aux_terms(entry: MonotoneFunctionEntry, x: float, y: float, z: float) -> AuxTerms:
@@ -165,7 +179,8 @@ def scalar_curvature(entry: MonotoneFunctionEntry, rho) -> CurvatureReport:
 
     The sum runs over the eigenvalue list with multiplicity (n^3 ordered
     triples), then subtracts the n fully coincident terms; continuity at
-    spectral degeneracies pins this convention.
+    spectral degeneracies pins this convention.  The triples take the three
+    routes of the module docstring; the flat (i, j, k) sum keeps its order.
     """
     rho = assert_hermitian(rho, "rho")
     if not len(rho):
@@ -174,12 +189,37 @@ def scalar_curvature(entry: MonotoneFunctionEntry, rho) -> CurvatureReport:
     if (w <= 0.0).any():
         raise InvariantViolation("strict-positivity", f"rho smallest eigenvalue {w[0]:.3e}")
     c = kernel_grid(entry.c, w, w)
-    log_c_prime = kernel_grid(entry.dc_dx, w, w) / c  # (log c)'(w_i, w_j)
-    w = w.tolist()
+    dc = kernel_grid(entry.dc_dx, w, w)
+    lcp = dc / c  # (log c)'(w_i, w_j)
     n = len(w)
-    rows = list(zip(range(n), w, c.tolist(), log_c_prime.tolist()))
-    vals = np.array([_aux_terms(entry, x, y, z, cx[j], cx[k], cy[k], lz[i], lz[j]).combined
-                     for i, x, cx, _ in rows for j, y, cy, _ in rows for k, z, _, lz in rows])
+
+    def at(i, j, k):  # x, y, z and the five kernel values of the triples (i, j, k)
+        return w[i], w[j], w[k], c[i, j], c[i, k], c[j, k], lcp[k, i], lcp[k, j]
+
+    i, j, k = np.ix_(range(n), range(n), range(n))
+    near1, near23 = (np.abs(w[:, None] - w) <= r * np.maximum(w[:, None], w)
+                     for r in (T1_GAP_RTOL, T23_GAP_RTOL))
+    with np.errstate(all="ignore"):  # coincident triples divide by zero; rerouted below
+        vals = _terms(*at(i, j, k)).combined
+    routed = ~(near1[i, k] | near1[j, k] | near23[i, j])  # generic so far
+    # One exact index coincidence, the third eigenvalue apart (pairs a, b):
+    # x = y takes the t2/t3 limits, z = x or z = y t1's Newton recursion
+    # (phi'(z) - phi[z, r]) / (z - r) with r the other one.
+    a, b = np.nonzero(~near1)
+    t3 = w[b] * _complex_step(lambda t: _log_c_prime(entry, w[b], t), w[a])
+    vals[a, a, b] = _terms(*at(a, a, b), q=dc[a, b], t3=t3).combined
+    for p, r in ((a, b), (b, a)):  # triples (a, b, a), then (a, b, b)
+        x, y, cxy = w[p], w[r], c[a, b]
+        dd_xy = (_phi(cxy, c[p, p], c[r, p], x) - _phi(cxy, c[p, r], c[r, r], y)) / (x - y)
+        t1 = (_dphi(cxy, c[p, p], c[r, p], dc[p, p], dc[p, r]) - dd_xy) / (x - y)
+        vals[a, b, p] = _terms(*at(a, b, p), t1=t1).combined
+    routed[a, a, b] = routed[a, b, a] = routed[a, b, b] = True
+    # Near-distinct pairs and the n fully coincident triples, per triple.
+    wl, cl, ll = w.tolist(), c.tolist(), lcp.tolist()
+    for i, j, k in np.argwhere(~routed).tolist():
+        vals[i, j, k] = _aux_terms(entry, wl[i], wl[j], wl[k], cl[i][j], cl[i][k], cl[j][k],
+                                   ll[k][i], ll[k][j]).combined
+    vals = vals.ravel()
     # The coincident triple (x_i, x_i, x_i) sits at flat index i (n^2 + n + 1).
     scal = float(np.sum(vals) - np.sum(vals[::n * n + n + 1]))
-    return CurvatureReport(entry.id, n, scal, scal + scal1_shift(n), w)
+    return CurvatureReport(entry.id, n, scal, scal + scal1_shift(n), wl)

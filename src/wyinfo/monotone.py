@@ -62,13 +62,17 @@ def _f_wy(x):
     return 0.25 * (s + 1.0) ** 2
 
 
+# Products, not powers: numpy's array pow rounds some values differently from
+# its scalar pow, and the curvature grids must match per-triple evaluation.
 def _c_wy(x, y):
-    return 4.0 / (np.sqrt(x) + np.sqrt(y)) ** 2
+    s = np.sqrt(x) + np.sqrt(y)
+    return 4.0 / (s * s)
 
 
 def _dc_wy(x, y):
     sx = np.sqrt(x)
-    return -4.0 / (sx * (sx + np.sqrt(y)) ** 3)
+    s = sx + np.sqrt(y)
+    return -4.0 / (sx * (s * s * s))
 
 
 # -- sld: f(x) = (1 + x) / 2 -------------------------------------------------

@@ -11,6 +11,7 @@ from oracles import (
     traceless_hermitian_basis,
     wy_aux_closed_forms,
 )
+from wyinfo import curvature
 from wyinfo.curvature import (
     T1_GAP_RTOL,
     T23_GAP_RTOL,
@@ -143,7 +144,7 @@ def test_wy_curvature_near_the_boundary(shape, lam, rtol):
     assert abs(scal1 - 14.0) <= rtol * 14.0
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
 def test_wy_cone_curvature_vanishes_to_rounding(n):
     assert abs(scalar_curvature(catalog_entry("wy"), random_density(n, 3)).scal) <= 1e-12
 
@@ -332,14 +333,14 @@ def test_aux_terms_kernel_calls(entry, triple, want):
 
 @pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.id)
 def test_scalar_curvature_kernel_calls(entry):
-    # One grid call of each kernel.  Of the 27 triples of three distinct
-    # eigenvalues, the 21 with a repeated index take their limits per triple:
-    # 6 with x = y only (t2 limit, t3 complex step: c 1, dc_dx 2 each),
-    # 12 with z = x or z = y only (t1's Newton branch: c 6, dc_dx 2 each) and
-    # 3 with x = y = z (phi'' complex step and the t2/t3 limits: c 3, dc_dx 4).
+    # One grid call of each kernel and one vectorised complex step of
+    # (log c)'(z, .) (c 1, dc_dx 1) for the 6 triples with x = y only.  The 12
+    # with z = x or z = y only read t1's Newton branch from the grids.  Only
+    # the 3 with x = y = z go per triple (phi'' complex step and the t2/t3
+    # limits: c 3, dc_dx 4 each).
     counted, calls = _counting(entry)
     scalar_curvature(counted, np.diag([0.2, 0.3, 0.5]))
-    assert calls == {"c": 1 + 6 + 12 * 6 + 3 * 3, "dc_dx": 1 + 6 * 2 + 12 * 2 + 3 * 4}
+    assert calls == {"c": 1 + 1 + 3 * 3, "dc_dx": 1 + 1 + 3 * 4}
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +353,13 @@ def _test_spectrum(shape, n):
         return 0.999 * rng.dirichlet(np.ones(n)) + 0.001 / n
     if shape == "clustered":
         return 1.0 / n + 1e-6 / n * (np.arange(n) - 0.5 * (n - 1)) * (1.0 + 0.2 * rng.random(n))
-    return np.r_[1e-4, (1.0 - 1e-4) * rng.dirichlet(np.ones(n - 1))]  # boundary
+    if shape == "boundary":
+        return np.r_[1e-4, (1.0 - 1e-4) * rng.dirichlet(np.ones(n - 1))]
+    if shape == "boundary-pair":  # diag(1e-9, 1e-9, 1 - 2e-9) at n = 3
+        return np.r_[1e-9, 1e-9, (1.0 - 2e-9) * rng.dirichlet(np.ones(n - 2))]
+    w = _test_spectrum("spread", n)
+    w[1] = w[0] * (1.0 if shape == "repeat" else 1.0 + 1e-6)  # else a near-distinct pair
+    return w / w.sum()
 
 
 def _per_triple_scal(entry, w):
@@ -363,12 +370,30 @@ def _per_triple_scal(entry, w):
 
 
 @pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.id)
-@pytest.mark.parametrize("shape", ["spread", "clustered", "boundary"])
-@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("n, shape", [
+    *product([2, 3, 5, 8, 16], ["spread", "clustered", "boundary"]),
+    *product([3, 5, 8, 16], ["repeat", "boundary-pair", "near-pair"]),
+])
 def test_grid_engine_equals_per_triple_sum(entry, shape, n):
-    # sld, bkm and rld agree bit for bit; the wy kernel's powers round
-    # differently in the last bit on arrays than on scalars, which moved wy
-    # by at most 3.2e-14 relative over 540 random spectra of these shapes.
+    # Only the vectorised complex step of the x = y limits rounds apart from
+    # the per-triple one (numpy against Python complex arithmetic): wy and sld
+    # read at most 8.1e-15 relative here, bkm and rld agree bit for bit.
     rep = scalar_curvature(entry, np.diag(_test_spectrum(shape, n)))
     want = _per_triple_scal(entry, rep.spectrum)
     assert abs(rep.scal - want) <= 1e-12 * max(1.0, abs(rep.scal1))
+
+
+@pytest.mark.parametrize("spectrum, want", [
+    ([0.2, 0.3, 0.5], 3),                   # the fully coincident triples only
+    (_test_spectrum("spread", 8), 8),       # the same on a spread state
+    (_test_spectrum("clustered", 4), 64),   # a cluster: every triple
+    # 0.2 twice: the 27 - 8 - 8 + 1 = 12 triples holding both indices, plus
+    # the 3 fully coincident ones
+    ([0.2, 0.2, 0.6], 15),
+])
+def test_only_near_distinct_and_coincident_triples_go_per_triple(monkeypatch, spectrum, want):
+    calls = []
+    per_triple = curvature._aux_terms
+    monkeypatch.setattr(curvature, "_aux_terms", lambda *args: calls.append(args) or per_triple(*args))
+    scalar_curvature(catalog_entry("bkm"), np.diag(spectrum))
+    assert len(calls) == want

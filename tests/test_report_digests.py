@@ -14,7 +14,7 @@ from wyinfo.suites import SUITES
 
 DIGESTS = {
     0: {
-        "wy-curvature": "a971980bda73340283719ca8fd34db430d3436f629c3a00874422080e2ab1fbc",
+        "wy-curvature": "d79cf8b557cbec5d9ce1fe2bf51102ed516c9ead2dba7848a46dd2d018e08719",
         "pullback": "7edfe38b0f665edc441093d2d1fa80f8a84460d41202fba49ca1edfc4d00eebc",
         "hessian": "53bdf1583c7bc82923065c5cbd35fddb00ae6dcdc9dc2ca0020c1e3708f9dbcf",
         "monotonicity": "318d4041830db34c99a129655697c7b3cbbaf96ede31d310f90a5b8e0e81908d",
@@ -26,7 +26,7 @@ DIGESTS = {
         "distance-bound": "123120c1b00907066fc1f36436a6183295cac7f9008c9a395a2f22407f99010c",
     },
     1: {
-        "wy-curvature": "76275aa00f54816eb76dbf4f3c6f74b110e8fb35dc790d2fb424c35af09e5c6f",
+        "wy-curvature": "1033900bd790399ed2b136de47e2d074c815b3445cba76c404d347d0c80d6417",
         "pullback": "2d08ee2b778d3e3beee872e7acffa8f3373e6d7939fb63a0980782fad812599b",
         "hessian": "c171c79204de9883c9a3a7ea9ad03f290b515c14c67a79e8742b15f0e03776e5",
         "monotonicity": "c8069d8891929edf4de700f7cd65dc97b5736669f88349f5cd1636b769086bb1",
@@ -38,7 +38,7 @@ DIGESTS = {
         "distance-bound": "26b605a611a5160fe1c8acc6f5d5facd47614d5583af2880114e61738e78b253",
     },
     2: {
-        "wy-curvature": "b3821d18caf29b431fc3c691a87db2c4f12dceb9ba472c673285e3568bdb4eac",
+        "wy-curvature": "434f3977fc431455a132962fbeb3aa4d3dc906651d3a5fe65d6b9ed1568855f9",
         "pullback": "e84ed273fa5732c808dbda0aeaafbd6e07c2a3d3fc15e6a819af01799093d569",
         "hessian": "eac12021bc98f62e3d74077ad5249328c2e36cb0befa5b5266656e30522e90dc",
         "monotonicity": "a6cd0db5ed20bc83ef443b9f662bf923982b86d13236fe623bce72f18030f7a6",
