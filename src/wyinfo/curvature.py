@@ -18,15 +18,17 @@ Every term is an expression of five kernel values, c(x,y), c(x,z), c(y,z),
 (log c)'(z,x) and (log c)'(z,y), so `scalar_curvature` evaluates c and dc/dx
 once each on the n x n eigenvalue grid and computes the triples with numpy
 on the (n, n, n) grid (Daleckii-Krein: Bhatia, Matrix Analysis, ch. V).  The
-singularities at coinciding arguments are removable, and a triple takes one
-of three routes:
+singularities at coinciding arguments are removable.  A triple is routed by
+how near its eigenvalues sit, never by its indices; an exact repeat is the
+zero-gap case of near:
 - generic: no pair of x, y, z is near, and the quotients above hold;
-- one exact index coincidence, the third eigenvalue apart: closed-form limits
-  from the grids (x = y: dc/dx(x,z) and one vectorised complex step of
-  (log c)'(z, .); z = x or z = y: t1's Newton recursion);
-- per triple, through divided differences at pair midpoints that call the
-  kernel again: a near pair of distinct indices (clustered or repeated
-  eigenvalues), and the n fully coincident triples.
+- z near exactly one of x and y: t1 by Newton's recursion on phi, with phi'
+  at the near pair's midpoint (one vectorised kernel call there);
+- x near y, z apart: t2's q = dc/dx(m, z) and t3 a complex step of
+  (log c)'(z, .) at m = (x + y)/2 (one vectorised call);
+- three-point clusters (x, y and z linked by near pairs, the n fully
+  coincident triples among them): per triple, t1 = phi''/2 at the centroid.
+Each limit is written once and serves both the grid and `scal_aux_terms`.
 
 A derivative of a closed-form auxiliary comes from linalg's complex step,
 Im f(t + ih) / h, which has no cancellation.  Every call takes that step, so
@@ -78,39 +80,28 @@ def _phi(cxy, cxt, cyt, t):
 
 def _dphi(cxy, cxt, cyt, dxt, dyt):
     """phi'(t) from its kernel values; c is symmetric, so d/dt c(x,t) = dc_dx(t, x)."""
-    return -cxy * (dxt * cyt + cxt * dyt) / (cxt * cyt) ** 2 - 1.0
+    p = cxt * cyt
+    return -cxy * (dxt * cyt + cxt * dyt) / (p * p) - 1.0
 
 
-def _t1_phi(entry: MonotoneFunctionEntry, x: float, y: float, cxy: float):
-    """phi and phi' calling the kernel; t1 is phi[x, y, z] as phi(x) = phi(y) = 0."""
-
-    def phi(t: float) -> float:
-        return _phi(cxy, float(entry.c(x, t)), float(entry.c(y, t)), t)
-
-    def dphi(t):
-        return _dphi(cxy, entry.c(x, t), entry.c(y, t), entry.dc_dx(t, x), entry.dc_dx(t, y))
-
-    return phi, dphi
+def _dphi_at(entry: MonotoneFunctionEntry, x, y, cxy, t):
+    """phi'(t), calling the kernel at t; t may be complex."""
+    return _dphi(cxy, entry.c(x, t), entry.c(y, t), entry.dc_dx(t, x), entry.dc_dx(t, y))
 
 
-def _t1(entry: MonotoneFunctionEntry, x: float, y: float, z: float, cxy: float,
-        near_xz: bool, near_yz: bool) -> float:
-    """t1's limit where z sits near x or y."""
-    # Chain membership: z sits near x or y, so all three cluster when x and y
-    # are linked directly or through z.
-    if _near(x, y, T1_GAP_RTOL) or (near_xz and near_yz):
-        # phi[x,y,z] ~= phi''(centroid) / 2, phi'' a complex step on phi'.
-        _, dphi = _t1_phi(entry, x, y, cxy)
-        return 0.5 * _complex_step(dphi, (x + y + z) / 3.0)
-    if near_yz:
-        x, y = y, x  # t1 is symmetric in (x, y); reduce to the z ~ x case
-    phi, dphi = _t1_phi(entry, x, y, cxy)
-    # Newton recursion on nodes [x, z, y]: (phi[x,z] - phi[z,y]) / (x - y),
-    # where phi[x,z] over the small gap is phi' at the pair midpoint; the
-    # cluster test guarantees |x - y| exceeds the gap threshold.
-    dd_xz = dphi(0.5 * (x + z))
-    dd_zy = (phi(z) - phi(y)) / (z - y)
-    return (dd_xz - dd_zy) / (x - y)
+def _t1_newton(entry: MonotoneFunctionEntry, x, y, z, cxy, cxz, cyz, cyy):
+    """t1 = phi[x, z, y] for z near x and y apart, on floats or arrays: Newton's
+    recursion (phi[x,z] - phi[z,y]) / (x - y), with phi[x,z] over the small gap
+    taken as phi' at the pair midpoint (phi(x) = phi(y) = 0)."""
+    dd_zy = (_phi(cxy, cxz, cyz, z) - _phi(cxy, cxy, cyy, y)) / (z - y)
+    return (_dphi_at(entry, x, y, cxy, 0.5 * (x + z)) - dd_zy) / (x - y)
+
+
+def _pair_limits(entry: MonotoneFunctionEntry, x, y, z):
+    """(q, t3) for x near y, on floats or arrays: t2's divided difference
+    q = c(., z)[x, y] and t3 over x - y, both taken at the midpoint."""
+    m = 0.5 * (x + y)
+    return entry.dc_dx(m, z), z * _complex_step(lambda t: _log_c_prime(entry, z, t), m)
 
 
 def _terms(x, y, z, cxy, cxz, cyz, lzx, lzy, t1=None, q=None, t3=None) -> AuxTerms:
@@ -133,13 +124,17 @@ def _aux_terms(entry: MonotoneFunctionEntry, x: float, y: float, z: float,
     """The auxiliary terms of one triple from its five kernel values; the
     near-coincidence limits call the kernel again."""
     near_xz, near_yz = _near(x, z, T1_GAP_RTOL), _near(y, z, T1_GAP_RTOL)
-    t1 = _t1(entry, x, y, z, cxy, near_xz, near_yz) if near_xz or near_yz else None
-    q = t3 = None
+    t1 = q = t3 = None
+    if near_xz and near_yz or (near_xz or near_yz) and _near(x, y, T1_GAP_RTOL):
+        # A three-point cluster: phi[x,y,z] ~= phi''(centroid) / 2, phi'' a
+        # complex step on phi'.
+        t1 = 0.5 * _complex_step(lambda t: _dphi_at(entry, x, y, cxy, t), (x + y + z) / 3.0)
+    elif near_xz:
+        t1 = _t1_newton(entry, x, y, z, cxy, cxz, cyz, float(entry.c(y, y)))
+    elif near_yz:  # t1 is symmetric in (x, y)
+        t1 = _t1_newton(entry, y, x, z, cxy, cyz, cxz, float(entry.c(x, x)))
     if _near(x, y, T23_GAP_RTOL):
-        # t2 and t3 are divided differences over x - y: take their limits.
-        m = 0.5 * (x + y)
-        q = float(entry.dc_dx(m, z))
-        t3 = z * _complex_step(lambda t: _log_c_prime(entry, z, t), m)
+        q, t3 = _pair_limits(entry, x, y, z)
     return _terms(x, y, z, cxy, cxz, cyz, lzx, lzy, t1, q, t3)
 
 
@@ -179,8 +174,9 @@ def scalar_curvature(entry: MonotoneFunctionEntry, rho) -> CurvatureReport:
 
     The sum runs over the eigenvalue list with multiplicity (n^3 ordered
     triples), then subtracts the n fully coincident terms; continuity at
-    spectral degeneracies pins this convention.  The triples take the three
-    routes of the module docstring; the flat (i, j, k) sum keeps its order.
+    spectral degeneracies pins this convention.  The triples take the four
+    routes of the module docstring, chosen by eigenvalue proximity alone; the
+    flat (i, j, k) sum keeps its order.
     """
     rho = assert_hermitian(rho, "rho")
     if not len(rho):
@@ -199,24 +195,22 @@ def scalar_curvature(entry: MonotoneFunctionEntry, rho) -> CurvatureReport:
     i, j, k = np.ix_(range(n), range(n), range(n))
     near1, near23 = (np.abs(w[:, None] - w) <= r * np.maximum(w[:, None], w)
                      for r in (T1_GAP_RTOL, T23_GAP_RTOL))
-    with np.errstate(all="ignore"):  # coincident triples divide by zero; rerouted below
+    xz, yz, xy = near1[i, k], near1[j, k], near1[i, j]
+    cluster = xz & yz | (xz | yz) & xy
+    with np.errstate(all="ignore"):  # near triples divide by zero; rerouted below
         vals = _terms(*at(i, j, k)).combined
-    routed = ~(near1[i, k] | near1[j, k] | near23[i, j])  # generic so far
-    # One exact index coincidence, the third eigenvalue apart (pairs a, b):
-    # x = y takes the t2/t3 limits, z = x or z = y t1's Newton recursion
-    # (phi'(z) - phi[z, r]) / (z - r) with r the other one.
-    a, b = np.nonzero(~near1)
-    t3 = w[b] * _complex_step(lambda t: _log_c_prime(entry, w[b], t), w[a])
-    vals[a, a, b] = _terms(*at(a, a, b), q=dc[a, b], t3=t3).combined
-    for p, r in ((a, b), (b, a)):  # triples (a, b, a), then (a, b, b)
-        x, y, cxy = w[p], w[r], c[a, b]
-        dd_xy = (_phi(cxy, c[p, p], c[r, p], x) - _phi(cxy, c[p, r], c[r, r], y)) / (x - y)
-        t1 = (_dphi(cxy, c[p, p], c[r, p], dc[p, p], dc[p, r]) - dd_xy) / (x - y)
-        vals[a, b, p] = _terms(*at(a, b, p), t1=t1).combined
-    routed[a, a, b] = routed[a, b, a] = routed[a, b, b] = True
-    # Near-distinct pairs and the n fully coincident triples, per triple.
+    # z near exactly one of x and y: Newton's recursion from u, the near one.
+    a, b, z = np.nonzero((xz | yz) & ~cluster)
+    u, v = np.where(near1[b, z], b, a), np.where(near1[b, z], a, b)
+    t1 = _t1_newton(entry, w[u], w[v], w[z], c[u, v], c[u, z], c[v, z], c[v, v])
+    vals[a, b, z] = _terms(*at(a, b, z), t1=t1).combined
+    # x near y, z apart: t2 and t3 at the pair midpoint.
+    a, b, z = np.nonzero(near23[i, j] & ~cluster)
+    q, t3 = _pair_limits(entry, w[a], w[b], w[z])
+    vals[a, b, z] = _terms(*at(a, b, z), q=q, t3=t3).combined
+    # Three-point clusters, per triple.
     wl, cl, ll = w.tolist(), c.tolist(), lcp.tolist()
-    for i, j, k in np.argwhere(~routed).tolist():
+    for i, j, k in np.argwhere(cluster).tolist():
         vals[i, j, k] = _aux_terms(entry, wl[i], wl[j], wl[k], cl[i][j], cl[i][k], cl[j][k],
                                    ll[k][i], ll[k][j]).combined
     vals = vals.ravel()

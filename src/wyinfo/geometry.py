@@ -34,9 +34,6 @@ from .linalg import (
 )
 from .monotone import LOEWNER_ATOL, MonotoneFunctionEntry, loewner_margin
 
-# Window for clamping arccos arguments; amounts beyond it indicate a bug.
-CLAMP_WINDOW = 1e-12
-
 
 def _sqrt_kernel(x, y):
     return 2.0 / (np.sqrt(x) + np.sqrt(y))

@@ -62,8 +62,9 @@ def _f_wy(x):
     return 0.25 * (s + 1.0) ** 2
 
 
-# Products, not powers: numpy's array pow rounds some values differently from
-# its scalar pow, and the curvature grids must match per-triple evaluation.
+# Products, not powers, in every c and dc_dx: numpy's array pow rounds some
+# values differently from its scalar pow, and the curvature grids must match
+# per-triple evaluation.
 def _c_wy(x, y):
     s = np.sqrt(x) + np.sqrt(y)
     return 4.0 / (s * s)
@@ -86,7 +87,8 @@ def _c_sld(x, y):
 
 
 def _dc_sld(x, y):
-    return -2.0 / (x + y) ** 2
+    s = x + y
+    return -2.0 / (s * s)
 
 
 # -- bkm: f(x) = (x - 1) / log(x) ---------------------------------------------
@@ -112,7 +114,8 @@ def _c_bkm(x, y):
     with np.errstate(divide="ignore", invalid="ignore"):
         direct = (np.log(x) - np.log(y)) / (x - y)
         m, w = _bkm_midpoint(x, y)
-        w2 = np.where(near, w, 0.0) ** 2
+        w = np.where(near, w, 0.0)
+        w2 = w * w
         # (log x - log y)/(x - y) = atanh(w)/(m w); truncation ~ w^8/9
         series = (1.0 + w2 * (1.0 / 3.0 + w2 * (1.0 / 5.0 + w2 / 7.0))) / m
     return np.where(near, series, direct)
@@ -123,13 +126,15 @@ def _dc_bkm(x, y):
     y = np.asarray(y)
     near = np.abs(x - y) <= _BKM_NEAR * np.maximum(np.abs(x), np.abs(y))
     with np.errstate(divide="ignore", invalid="ignore"):
-        direct = ((x - y) / x - (np.log(x) - np.log(y))) / (x - y) ** 2
+        d = x - y
+        direct = (d / x - (np.log(x) - np.log(y))) / (d * d)
         m, w = _bkm_midpoint(x, y)
         w = np.where(near, w, 0.0)
         # d/dx [atanh(w)/(m w)] with m = (x+y)/2, w = (x-y)/(2m);
-        # truncation ~ (8/9) w^7
-        series = -(1.0 - (2.0 / 3.0) * w + w**2 - 0.8 * w**3 + w**4
-                   - (6.0 / 7.0) * w**5 + w**6) / (2.0 * m**2)
+        # truncation ~ (8/9) w^7; the series 1 - 2w/3 + w^2 - 0.8 w^3 + w^4
+        # - 6w^5/7 + w^6 in Horner form
+        series = -(1.0 + w * (-2.0 / 3.0 + w * (1.0 + w * (-0.8 + w * (
+            1.0 + w * (-6.0 / 7.0 + w)))))) / (2.0 * m * m)
     return np.where(near, series, direct)
 
 
@@ -144,7 +149,8 @@ def _c_rld(x, y):
 
 
 def _dc_rld(x, y):
-    return -1.0 / (2.0 * np.asarray(x) ** 2)
+    x = np.asarray(x)
+    return -0.5 / (x * x)
 
 
 _CATALOG = (

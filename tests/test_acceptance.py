@@ -82,7 +82,7 @@ def test_criterion_09_alpha_values():
 
 def test_criterion_10_distance_bound():
     # d <= pi (the sharp bound, as Tr sqrt(rho) sqrt(sigma) >= 0) on 1e4 random pairs;
-    # clamp amounts within the 1e-12 window, < 30 s
+    # no arccos argument clamped, < 30 s
     report = _run("distance-bound", (2, 3, 4, 5), 10_000, 30.0, label="10 distance bound")
     clamp_events = next(c.actual for c in report.checks if c.name == "clamp-events")
     print(f"  clamp-audit: {int(clamp_events)} clamp events in 10000 pairs")

@@ -333,14 +333,14 @@ def test_aux_terms_kernel_calls(entry, triple, want):
 
 @pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.id)
 def test_scalar_curvature_kernel_calls(entry):
-    # One grid call of each kernel and one vectorised complex step of
-    # (log c)'(z, .) (c 1, dc_dx 1) for the 6 triples with x = y only.  The 12
-    # with z = x or z = y only read t1's Newton branch from the grids.  Only
-    # the 3 with x = y = z go per triple (phi'' complex step and the t2/t3
-    # limits: c 3, dc_dx 4 each).
+    # One grid call of each kernel (c 1, dc_dx 1).  The 12 triples with z = x
+    # or z = y only take one vectorised phi' at the pair midpoints (c 2,
+    # dc_dx 2); the 6 with x = y only one vectorised t2 limit and complex step
+    # of (log c)'(z, .) (c 1, dc_dx 2).  Only the 3 with x = y = z go per
+    # triple (phi'' complex step and the t2/t3 limits: c 3, dc_dx 4 each).
     counted, calls = _counting(entry)
     scalar_curvature(counted, np.diag([0.2, 0.3, 0.5]))
-    assert calls == {"c": 1 + 1 + 3 * 3, "dc_dx": 1 + 1 + 3 * 4}
+    assert calls == {"c": 1 + 2 + 1 + 3 * 3, "dc_dx": 1 + 2 + 2 + 3 * 4}
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +358,10 @@ def _test_spectrum(shape, n):
     if shape == "boundary-pair":  # diag(1e-9, 1e-9, 1 - 2e-9) at n = 3
         return np.r_[1e-9, 1e-9, (1.0 - 2e-9) * rng.dirichlet(np.ones(n - 2))]
     w = _test_spectrum("spread", n)
-    w[1] = w[0] * (1.0 if shape == "repeat" else 1.0 + 1e-6)  # else a near-distinct pair
+    if shape == "chain":  # two near pairs, the ends apart: a three-point cluster
+        w[1:3] = w[0] * (1.0 + np.array([0.7, 1.4]) * T1_GAP_RTOL)
+    else:  # band-pair: between T23_GAP_RTOL and T1_GAP_RTOL
+        w[1] = w[0] * {"repeat": 1.0, "near-pair": 1.0 + 1e-6, "band-pair": 1.0 + 3e-5}[shape]
     return w / w.sum()
 
 
@@ -372,12 +375,14 @@ def _per_triple_scal(entry, w):
 @pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.id)
 @pytest.mark.parametrize("n, shape", [
     *product([2, 3, 5, 8, 16], ["spread", "clustered", "boundary"]),
-    *product([3, 5, 8, 16], ["repeat", "boundary-pair", "near-pair"]),
+    *product([3, 5, 8, 16], ["repeat", "boundary-pair", "near-pair", "band-pair", "chain"]),
 ])
 def test_grid_engine_equals_per_triple_sum(entry, shape, n):
-    # Only the vectorised complex step of the x = y limits rounds apart from
+    # Only the vectorised complex step of the x ~ y limits rounds apart from
     # the per-triple one (numpy against Python complex arithmetic): wy and sld
-    # read at most 8.1e-15 relative here, bkm and rld agree bit for bit.
+    # read at most 8.1e-15 relative here, bkm and rld agree bit for bit.  The
+    # band pair takes Newton's t1 at a midpoint that is no eigenvalue, and the
+    # chain (ends apart) tests the cluster mask's chain rule.
     rep = scalar_curvature(entry, np.diag(_test_spectrum(shape, n)))
     want = _per_triple_scal(entry, rep.spectrum)
     assert abs(rep.scal - want) <= 1e-12 * max(1.0, abs(rep.scal1))
@@ -387,11 +392,10 @@ def test_grid_engine_equals_per_triple_sum(entry, shape, n):
     ([0.2, 0.3, 0.5], 3),                   # the fully coincident triples only
     (_test_spectrum("spread", 8), 8),       # the same on a spread state
     (_test_spectrum("clustered", 4), 64),   # a cluster: every triple
-    # 0.2 twice: the 27 - 8 - 8 + 1 = 12 triples holding both indices, plus
-    # the 3 fully coincident ones
-    ([0.2, 0.2, 0.6], 15),
+    # the 8 triples drawn from the two 0.2 eigenvalues, plus (0.6, 0.6, 0.6)
+    ([0.2, 0.2, 0.6], 9),
 ])
-def test_only_near_distinct_and_coincident_triples_go_per_triple(monkeypatch, spectrum, want):
+def test_only_three_point_clusters_go_per_triple(monkeypatch, spectrum, want):
     calls = []
     per_triple = curvature._aux_terms
     monkeypatch.setattr(curvature, "_aux_terms", lambda *args: calls.append(args) or per_triple(*args))

@@ -1,15 +1,20 @@
-"""The stdout of every `verify` suite at its defaults and seeds 0-2, pinned by sha256.
+"""The stdout of every `verify` suite at its defaults and seeds 0-2, and every
+catalog entry's curvature reports over a fixed list of spectra, pinned by sha256.
 
-A change that alters any report byte fails here.  The table holds for the
+A change that alters any report byte fails here.  The tables hold for the
 numpy the project is tested with (2.4.6); a change that moves a digest on
 purpose updates the table and lists the old and new values in CHANGES.md.
 """
 
 import hashlib
+import json
 
+import numpy as np
 import pytest
 
 from wyinfo import cli
+from wyinfo.curvature import scalar_curvature
+from wyinfo.monotone import catalog
 from wyinfo.suites import SUITES
 
 DIGESTS = {
@@ -23,7 +28,7 @@ DIGESTS = {
         "classical": "cae72d0a9581b6fcc94a1002a8faee3f1e8724d3c7bb226c6c685cdb3a443e94",
         "skew-identity": "71990705e09d6df093a2f3f1a86bf3bbfc86eb32b5a165deb3a5030d48a77d47",
         "alpha": "5ff8ee1422cc0364c612a85b723e637092f4fcac91811fe4ac9c2a654a4c12b9",
-        "distance-bound": "123120c1b00907066fc1f36436a6183295cac7f9008c9a395a2f22407f99010c",
+        "distance-bound": "89fd97c6b8cf23e82b8796e1ab50f4acc4d24daef2bc9df80813bbcfc6d9273d",
     },
     1: {
         "wy-curvature": "1033900bd790399ed2b136de47e2d074c815b3445cba76c404d347d0c80d6417",
@@ -35,7 +40,7 @@ DIGESTS = {
         "classical": "a3a7df5c851feedff3458db8a39a36baa61d5e823f5ae7d5bc75b043cf942cda",
         "skew-identity": "740dc1ae06d6b9888cf769ef03e0921694f1de648e19b2a7836c68baefc3aed7",
         "alpha": "5ff8ee1422cc0364c612a85b723e637092f4fcac91811fe4ac9c2a654a4c12b9",
-        "distance-bound": "26b605a611a5160fe1c8acc6f5d5facd47614d5583af2880114e61738e78b253",
+        "distance-bound": "3d5bb9d03ee6f7d133bf6abfda33116258edaf150e63ba75c95308f0513a0cbf",
     },
     2: {
         "wy-curvature": "434f3977fc431455a132962fbeb3aa4d3dc906651d3a5fe65d6b9ed1568855f9",
@@ -47,7 +52,7 @@ DIGESTS = {
         "classical": "abe5071ce982ebba589745a8bf90daf72df6a0f72ee8c206efd9bbfa4f7b1c20",
         "skew-identity": "ccd8e11f98d7d4ad269c6a02d6f73015d7b90b0e934cc03bfb6283b4d56dc6f3",
         "alpha": "5ff8ee1422cc0364c612a85b723e637092f4fcac91811fe4ac9c2a654a4c12b9",
-        "distance-bound": "3e188377a6b54df50ac40c2633be33a9042d64ec2ef98242c8925a28a8dcf7db",
+        "distance-bound": "05691fad863cfc575880f316f64c09c3717fe48d5c4795a7fcb6aebda65b2a04",
     },
 }
 
@@ -62,3 +67,38 @@ def test_verify_stdout_digest(suite, capsys):
         assert cli.main(["verify", suite, "--seed", str(seed)]) == 0
         stdout = capsys.readouterr().out
         assert hashlib.sha256(stdout.encode()).hexdigest() == table[suite], f"seed {seed}"
+
+
+# `scalar_curvature(entry, np.diag(w)).as_dict()` as JSON over CURVATURE_SPECTRA.
+CURVATURE_DIGESTS = {
+    "wy": "d18a98fcfe26bd18d57ba2531ba0bbefff10f4ee6df8d403d9aba500255a8f14",
+    "sld": "81e3ab6439f29b62c886cced4e6506f89cfc168c548e632fb50312b8674b117a",
+    "bkm": "b148044d83acde8d756f6adb960af6266ee3df9877e4cfb00e318b8881b54296",
+    "rld": "f7c30081d0b729b55a62edd2b3a9cfe4b30ac8f83a818728c8fb7524b4b14cb8",
+}
+
+
+def _curvature_spectra():
+    """Spread, clustered, boundary, an exact repeat, a pair at relative gap 1e-6
+    and one at 3e-5 (between the t2/t3 and the t1 thresholds), at n = 3 and 8."""
+    for n in (3, 8):
+        rng = np.random.default_rng(n)
+        spread = 0.999 * rng.dirichlet(np.ones(n)) + 0.001 / n
+        steps = (np.arange(n) - 0.5 * (n - 1)) * (1.0 + 0.2 * rng.random(n))
+        yield spread
+        yield (1.0 + 1e-6 * steps) / n
+        yield np.r_[1e-4, (1.0 - 1e-4) * rng.dirichlet(np.ones(n - 1))]
+        for gap in (0.0, 1e-6, 3e-5):
+            w = spread.copy()
+            w[1] = w[0] * (1.0 + gap)
+            yield w / w.sum()
+
+
+CURVATURE_SPECTRA = list(_curvature_spectra())
+
+
+@pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.id)
+def test_curvature_digest(entry):
+    reports = [scalar_curvature(entry, np.diag(w)).as_dict() for w in CURVATURE_SPECTRA]
+    digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+    assert digest == CURVATURE_DIGESTS[entry.id]
