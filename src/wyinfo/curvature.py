@@ -10,9 +10,9 @@ terms are assembled per eigenvalue triple (x, y, z):
     combined = t1 - t2/2 + 2 t3 - t4
 
 (' is the derivative in the first kernel slot.)  The curvature of the full
-positive cone is the sum of `combined` over all eigenvalue triples, counted
-with multiplicity, minus the fully coincident terms; the trace-one manifold
-adds the dimensional constant (n^2-1)(n^2-2)/4.
+positive cone is the sum of `combined` over the eigenvalue triples, counted
+with multiplicity, that excludes the n fully coincident ones; the trace-one
+manifold adds the dimensional constant (n^2-1)(n^2-2)/4.
 
 Every term is an expression of five kernel values, c(x,y), c(x,z), c(y,z),
 (log c)'(z,x) and (log c)'(z,y), so `scalar_curvature` evaluates c and dc/dx
@@ -22,18 +22,18 @@ singularities at coinciding arguments are removable.  A triple is routed by
 how near its eigenvalues sit, never by its indices; an exact repeat is the
 zero-gap case of near:
 - generic: no pair of x, y, z is near, and the quotients above hold;
-- z near exactly one of x and y: t1 by Newton's recursion on phi, with phi'
-  at the near pair's midpoint (one vectorised kernel call there);
-- x near y, z apart: t2's q = dc/dx(m, z) and t3 a complex step of
-  (log c)'(z, .) at m = (x + y)/2 (one vectorised call);
-- three-point clusters (x, y and z linked by near pairs, the n fully
-  coincident triples among them): per triple, t1 = phi''/2 at the centroid.
-Each limit is written once and serves both the grid and `scal_aux_terms`.
+- z near exactly one of x and y: t1 by Newton's recursion, phi' at a midpoint;
+- x near y, z apart: q = dc/dx(m, z) and t3 by a complex step, m = (x + y)/2;
+- other three-point clusters (x, y and z linked by near pairs): per triple,
+  t1 = phi''/2 at the centroid.
+The middle two routes overwrite the generic t1, q and t3 grids, each with one
+vectorised kernel call and none when no triple takes it; one `_terms` pass
+follows.  Each limit is written once and also serves `scal_aux_terms`.
 
 A derivative of a closed-form auxiliary comes from linalg's complex step,
-Im f(t + ih) / h, which has no cancellation.  Every call takes that step, so
-a kernel that stays real on it raises `complex-evaluable`, and an entry
-without c or dc_dx raises `kernel-defined`.
+Im f(t + ih) / h, which has no cancellation.  Every call at n >= 2 takes that
+step, so a kernel that stays real on it raises `complex-evaluable`, and an
+entry without c or dc_dx raises `kernel-defined`.
 """
 
 from __future__ import annotations
@@ -104,16 +104,20 @@ def _pair_limits(entry: MonotoneFunctionEntry, x, y, z):
     return entry.dc_dx(m, z), z * _complex_step(lambda t: _log_c_prime(entry, z, t), m)
 
 
-def _terms(x, y, z, cxy, cxz, cyz, lzx, lzy, t1=None, q=None, t3=None) -> AuxTerms:
-    """The auxiliary terms from the five kernel values, on floats or arrays: t1,
-    q = c(., z)[x, y] and t3 take their generic quotients unless a limit is
-    passed in.  Only the z-pairs divide t1, so x close to y is harmless there."""
+def _quotients(x, y, z, cxy, cxz, cyz, lzx, lzy, t1=None, q=None, t3=None):
+    """t1, q = c(., z)[x, y] and t3 on floats or arrays: the generic quotients
+    unless a limit is passed in.  Only the z-pairs divide t1."""
     if t1 is None:
         t1 = (cxy - z * cxz * cyz) / ((x - z) * (y - z) * cxz * cyz)
     if q is None:
         q = (cxz - cyz) / (x - y)
     if t3 is None:
         t3 = z * (lzx - lzy) / (x - y)
+    return t1, q, t3
+
+
+def _terms(x, y, z, cxy, cxz, cyz, lzx, lzy, t1, q, t3) -> AuxTerms:
+    """The auxiliary terms from the five kernel values and t1, q and t3."""
     t2 = q * q / (cxy * cxz * cyz)
     t4 = z * lzx * lzy
     return AuxTerms(t1, t2, t3, t4, t1 - 0.5 * t2 + 2.0 * t3 - t4)
@@ -135,7 +139,8 @@ def _aux_terms(entry: MonotoneFunctionEntry, x: float, y: float, z: float,
         t1 = _t1_newton(entry, y, x, z, cxy, cyz, cxz, float(entry.c(x, x)))
     if _near(x, y, T23_GAP_RTOL):
         q, t3 = _pair_limits(entry, x, y, z)
-    return _terms(x, y, z, cxy, cxz, cyz, lzx, lzy, t1, q, t3)
+    kv = x, y, z, cxy, cxz, cyz, lzx, lzy
+    return _terms(*kv, *_quotients(*kv, t1, q, t3))
 
 
 def scal_aux_terms(entry: MonotoneFunctionEntry, x: float, y: float, z: float) -> AuxTerms:
@@ -172,11 +177,10 @@ class CurvatureReport:
 def scalar_curvature(entry: MonotoneFunctionEntry, rho) -> CurvatureReport:
     """Scalar curvature at rho from the eigenvalue triple sum.
 
-    The sum runs over the eigenvalue list with multiplicity (n^3 ordered
-    triples), then subtracts the n fully coincident terms; continuity at
-    spectral degeneracies pins this convention.  The triples take the four
-    routes of the module docstring, chosen by eigenvalue proximity alone; the
-    flat (i, j, k) sum keeps its order.
+    The sum runs over the n^3 ordered triples of the eigenvalue list, counted
+    with multiplicity, and excludes the n fully coincident ones (i, i, i);
+    continuity at spectral degeneracies pins this convention.  Triples take
+    the routes of the module docstring; the flat (i, j, k) sum keeps its order.
     """
     rho = assert_hermitian(rho, "rho")
     if not len(rho):
@@ -185,35 +189,31 @@ def scalar_curvature(entry: MonotoneFunctionEntry, rho) -> CurvatureReport:
     if (w <= 0.0).any():
         raise InvariantViolation("strict-positivity", f"rho smallest eigenvalue {w[0]:.3e}")
     c = kernel_grid(entry.c, w, w)
-    dc = kernel_grid(entry.dc_dx, w, w)
-    lcp = dc / c  # (log c)'(w_i, w_j)
-    n = len(w)
-
-    def at(i, j, k):  # x, y, z and the five kernel values of the triples (i, j, k)
-        return w[i], w[j], w[k], c[i, j], c[i, k], c[j, k], lcp[k, i], lcp[k, j]
-
-    i, j, k = np.ix_(range(n), range(n), range(n))
+    lcp = kernel_grid(entry.dc_dx, w, w) / c  # (log c)'(w_i, w_j)
+    n, d = len(w), range(len(w))
+    i, j, k = np.ix_(d, d, d)
     near1, near23 = (np.abs(w[:, None] - w) <= r * np.maximum(w[:, None], w)
                      for r in (T1_GAP_RTOL, T23_GAP_RTOL))
     xz, yz, xy = near1[i, k], near1[j, k], near1[i, j]
     cluster = xz & yz | (xz | yz) & xy
+    newton, pair = (xz | yz) & ~cluster, near23[i, j] & ~cluster
+    cluster[d, d, d] = False  # the coincident triples, left out of the sum
+    kv = w[i], w[j], w[k], c[i, j], c[i, k], c[j, k], lcp[k, i], lcp[k, j]  # x, y, z, kernels
     with np.errstate(all="ignore"):  # near triples divide by zero; rerouted below
-        vals = _terms(*at(i, j, k)).combined
-    # z near exactly one of x and y: Newton's recursion from u, the near one.
-    a, b, z = np.nonzero((xz | yz) & ~cluster)
-    u, v = np.where(near1[b, z], b, a), np.where(near1[b, z], a, b)
-    t1 = _t1_newton(entry, w[u], w[v], w[z], c[u, v], c[u, z], c[v, z], c[v, v])
-    vals[a, b, z] = _terms(*at(a, b, z), t1=t1).combined
-    # x near y, z apart: t2 and t3 at the pair midpoint.
-    a, b, z = np.nonzero(near23[i, j] & ~cluster)
-    q, t3 = _pair_limits(entry, w[a], w[b], w[z])
-    vals[a, b, z] = _terms(*at(a, b, z), q=q, t3=t3).combined
-    # Three-point clusters, per triple.
+        t1, q, t3 = _quotients(*kv)
+    if newton.any():  # z near exactly one of x and y: Newton's recursion from u, the near one
+        a, b, z = np.nonzero(newton)
+        u, v = np.where(near1[b, z], b, a), np.where(near1[b, z], a, b)
+        t1[a, b, z] = _t1_newton(entry, w[u], w[v], w[z], c[u, v], c[u, z], c[v, z], c[v, v])
+    if pair.any():  # x near y, z apart: t2 and t3 at the pair midpoint
+        a, b, z = np.nonzero(pair)
+        q[a, b, z], t3[a, b, z] = _pair_limits(entry, w[a], w[b], w[z])
+    with np.errstate(all="ignore"):  # clusters are set per triple below
+        vals = _terms(*kv, t1, q, t3).combined
+    vals[d, d, d] = 0.0
     wl, cl, ll = w.tolist(), c.tolist(), lcp.tolist()
     for i, j, k in np.argwhere(cluster).tolist():
         vals[i, j, k] = _aux_terms(entry, wl[i], wl[j], wl[k], cl[i][j], cl[i][k], cl[j][k],
                                    ll[k][i], ll[k][j]).combined
-    vals = vals.ravel()
-    # The coincident triple (x_i, x_i, x_i) sits at flat index i (n^2 + n + 1).
-    scal = float(np.sum(vals) - np.sum(vals[::n * n + n + 1]))
+    scal = float(np.sum(vals))
     return CurvatureReport(entry.id, n, scal, scal + scal1_shift(n), wl)

@@ -305,12 +305,15 @@ def test_aux_terms_equal_per_term_reference(entry):
         assert tuple(got) == tuple(want), (triple, got, want)
 
 
-def _counting(entry):
+def _counting(entry, arrays_only=False):
+    """The entry with c and dc_dx counting their calls; with arrays_only, only
+    the calls on numpy arrays (the grids and the vectorised routes; the
+    per-triple path passes Python scalars)."""
     calls = {"c": 0, "dc_dx": 0}
 
     def count(name, fn):
         def wrapped(*args):
-            calls[name] += 1
+            calls[name] += not arrays_only or isinstance(args[0], np.ndarray)
             return fn(*args)
         return wrapped
 
@@ -336,11 +339,20 @@ def test_scalar_curvature_kernel_calls(entry):
     # One grid call of each kernel (c 1, dc_dx 1).  The 12 triples with z = x
     # or z = y only take one vectorised phi' at the pair midpoints (c 2,
     # dc_dx 2); the 6 with x = y only one vectorised t2 limit and complex step
-    # of (log c)'(z, .) (c 1, dc_dx 2).  Only the 3 with x = y = z go per
-    # triple (phi'' complex step and the t2/t3 limits: c 3, dc_dx 4 each).
+    # of (log c)'(z, .) (c 1, dc_dx 2).  The 3 with x = y = z are left out of
+    # the sum, so nothing goes per triple.
     counted, calls = _counting(entry)
     scalar_curvature(counted, np.diag([0.2, 0.3, 0.5]))
-    assert calls == {"c": 1 + 2 + 1 + 3 * 3, "dc_dx": 1 + 2 + 2 + 3 * 4}
+    assert calls == {"c": 1 + 2 + 1, "dc_dx": 1 + 2 + 2}
+
+
+@pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.id)
+def test_clustered_spectrum_makes_no_route_kernel_call(entry):
+    # Every triple of a four-state cluster is a three-point cluster, so the
+    # Newton and pair routes are empty: only the two grid calls take arrays.
+    counted, calls = _counting(entry, arrays_only=True)
+    scalar_curvature(counted, np.diag(_test_spectrum("clustered", 4)))
+    assert calls == {"c": 1, "dc_dx": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +378,11 @@ def _test_spectrum(shape, n):
 
 
 def _per_triple_scal(entry, w):
-    """The cone curvature summed from `scal_aux_terms`, less the coincident triples."""
+    """The cone curvature summed from `scal_aux_terms`, the coincident triples left out."""
     vals = np.array([scal_aux_terms(entry, x, y, z).combined for x in w for y in w for z in w])
     n = len(w)
-    return float(np.sum(vals) - np.sum(vals[::n * n + n + 1]))
+    vals[::n * n + n + 1] = 0.0  # (x_i, x_i, x_i) sits at flat index i (n^2 + n + 1)
+    return float(np.sum(vals))
 
 
 @pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.id)
@@ -379,8 +392,10 @@ def _per_triple_scal(entry, w):
 ])
 def test_grid_engine_equals_per_triple_sum(entry, shape, n):
     # Only the vectorised complex step of the x ~ y limits rounds apart from
-    # the per-triple one (numpy against Python complex arithmetic): wy and sld
-    # read at most 8.1e-15 relative here, bkm and rld agree bit for bit.  The
+    # the per-triple one (numpy against Python complex arithmetic): wy reads at
+    # most 8.1e-15 relative here and sld 2.6e-16, bkm and rld agree bit for
+    # bit.  Both sums leave the coincident triples out rather than subtract
+    # them, which rounded apart by up to 6.1e-11 on wy's boundary pair.  The
     # band pair takes Newton's t1 at a midpoint that is no eigenvalue, and the
     # chain (ends apart) tests the cluster mask's chain rule.
     rep = scalar_curvature(entry, np.diag(_test_spectrum(shape, n)))
@@ -389,11 +404,11 @@ def test_grid_engine_equals_per_triple_sum(entry, shape, n):
 
 
 @pytest.mark.parametrize("spectrum, want", [
-    ([0.2, 0.3, 0.5], 3),                   # the fully coincident triples only
-    (_test_spectrum("spread", 8), 8),       # the same on a spread state
-    (_test_spectrum("clustered", 4), 64),   # a cluster: every triple
-    # the 8 triples drawn from the two 0.2 eigenvalues, plus (0.6, 0.6, 0.6)
-    ([0.2, 0.2, 0.6], 9),
+    ([0.2, 0.3, 0.5], 0),                   # the fully coincident triples are left out
+    (_test_spectrum("spread", 8), 0),       # the same on a spread state
+    (_test_spectrum("clustered", 4), 60),   # a cluster: every triple but the 4 coincident
+    # the 8 triples drawn from the two 0.2 eigenvalues, less their 2 coincident ones
+    ([0.2, 0.2, 0.6], 6),
 ])
 def test_only_three_point_clusters_go_per_triple(monkeypatch, spectrum, want):
     calls = []

@@ -19,7 +19,7 @@ from wyinfo.suites import SUITES
 
 DIGESTS = {
     0: {
-        "wy-curvature": "d79cf8b557cbec5d9ce1fe2bf51102ed516c9ead2dba7848a46dd2d018e08719",
+        "wy-curvature": "ffb97d2f16d5f98166ea41e525e91b675b0f393d13033040191604a897f654f9",
         "pullback": "7edfe38b0f665edc441093d2d1fa80f8a84460d41202fba49ca1edfc4d00eebc",
         "hessian": "53bdf1583c7bc82923065c5cbd35fddb00ae6dcdc9dc2ca0020c1e3708f9dbcf",
         "monotonicity": "318d4041830db34c99a129655697c7b3cbbaf96ede31d310f90a5b8e0e81908d",
@@ -31,7 +31,7 @@ DIGESTS = {
         "distance-bound": "89fd97c6b8cf23e82b8796e1ab50f4acc4d24daef2bc9df80813bbcfc6d9273d",
     },
     1: {
-        "wy-curvature": "1033900bd790399ed2b136de47e2d074c815b3445cba76c404d347d0c80d6417",
+        "wy-curvature": "9be5d604851ac7d36ccccb35202d04a68da0c43da5b8d06af396b1044d6c5495",
         "pullback": "2d08ee2b778d3e3beee872e7acffa8f3373e6d7939fb63a0980782fad812599b",
         "hessian": "c171c79204de9883c9a3a7ea9ad03f290b515c14c67a79e8742b15f0e03776e5",
         "monotonicity": "c8069d8891929edf4de700f7cd65dc97b5736669f88349f5cd1636b769086bb1",
@@ -43,7 +43,7 @@ DIGESTS = {
         "distance-bound": "3d5bb9d03ee6f7d133bf6abfda33116258edaf150e63ba75c95308f0513a0cbf",
     },
     2: {
-        "wy-curvature": "434f3977fc431455a132962fbeb3aa4d3dc906651d3a5fe65d6b9ed1568855f9",
+        "wy-curvature": "663551dfbea6009d52a3b67dafb80f256f4c98130d379906c39466ba4ef50f93",
         "pullback": "e84ed273fa5732c808dbda0aeaafbd6e07c2a3d3fc15e6a819af01799093d569",
         "hessian": "eac12021bc98f62e3d74077ad5249328c2e36cb0befa5b5266656e30522e90dc",
         "monotonicity": "a6cd0db5ed20bc83ef443b9f662bf923982b86d13236fe623bce72f18030f7a6",
@@ -71,10 +71,10 @@ def test_verify_stdout_digest(suite, capsys):
 
 # `scalar_curvature(entry, np.diag(w)).as_dict()` as JSON over CURVATURE_SPECTRA.
 CURVATURE_DIGESTS = {
-    "wy": "d18a98fcfe26bd18d57ba2531ba0bbefff10f4ee6df8d403d9aba500255a8f14",
-    "sld": "81e3ab6439f29b62c886cced4e6506f89cfc168c548e632fb50312b8674b117a",
-    "bkm": "b148044d83acde8d756f6adb960af6266ee3df9877e4cfb00e318b8881b54296",
-    "rld": "f7c30081d0b729b55a62edd2b3a9cfe4b30ac8f83a818728c8fb7524b4b14cb8",
+    "wy": "8ce821554e9b895209965a0a699809a68dc70b8c3cc0c98f95932db523919d9f",
+    "sld": "841952f8d8ff7fa2b95acdeaf1726b88354e8c45d2f67c99e2e034f29f93919c",
+    "bkm": "a59d80dee3f27997603018b9980e2ac85fc2e377fc7e8229ebd85edee6eaf292",
+    "rld": "cc4e8d59ce96568064b68fb754ce6213172feb0d03c0d6eee2c5c9bf9d8bf738",
 }
 
 
