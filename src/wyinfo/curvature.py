@@ -23,12 +23,13 @@ how near its eigenvalues sit, never by its indices; an exact repeat is the
 zero-gap case of near:
 - generic: no pair of x, y, z is near, and the quotients above hold;
 - z near exactly one of x and y: t1 by Newton's recursion, phi' at a midpoint;
-- x near y, z apart: q = dc/dx(m, z) and t3 by a complex step, m = (x + y)/2;
-- other three-point clusters (x, y and z linked by near pairs): per triple,
+- x near y, clusters too: q = dc/dx(m, z) and t3 by a complex step, m = (x + y)/2;
+- three-point clusters (x, y and z linked by near pairs): per triple,
   t1 = phi''/2 at the centroid.
 The middle two routes overwrite the generic t1, q and t3 grids, each with one
-vectorised kernel call and none when no triple takes it; one `_terms` pass
-follows.  Each limit is written once and also serves `scal_aux_terms`.
+vectorised kernel call and none when no triple takes it.  Only the cluster t1
+runs per triple, into the t1 grid; one `_terms` pass combines the whole grid.
+Each limit is written once and also serves `scal_aux_terms`.
 
 A derivative of a closed-form auxiliary comes from linalg's complex step,
 Im f(t + ih) / h, which has no cancellation.  Every call at n >= 2 takes that
@@ -97,6 +98,11 @@ def _t1_newton(entry: MonotoneFunctionEntry, x, y, z, cxy, cxz, cyz, cyy):
     return (_dphi_at(entry, x, y, cxy, 0.5 * (x + z)) - dd_zy) / (x - y)
 
 
+def _t1_cluster(entry: MonotoneFunctionEntry, x: float, y: float, z: float, cxy: float) -> float:
+    """t1 of a three-point cluster: phi''(centroid) / 2, phi'' a complex step on phi'."""
+    return 0.5 * _complex_step(lambda t: _dphi_at(entry, x, y, cxy, t), (x + y + z) / 3.0)
+
+
 def _pair_limits(entry: MonotoneFunctionEntry, x, y, z):
     """(q, t3) for x near y, on floats or arrays: t2's divided difference
     q = c(., z)[x, y] and t3 over x - y, both taken at the midpoint."""
@@ -130,9 +136,7 @@ def _aux_terms(entry: MonotoneFunctionEntry, x: float, y: float, z: float,
     near_xz, near_yz = _near(x, z, T1_GAP_RTOL), _near(y, z, T1_GAP_RTOL)
     t1 = q = t3 = None
     if near_xz and near_yz or (near_xz or near_yz) and _near(x, y, T1_GAP_RTOL):
-        # A three-point cluster: phi[x,y,z] ~= phi''(centroid) / 2, phi'' a
-        # complex step on phi'.
-        t1 = 0.5 * _complex_step(lambda t: _dphi_at(entry, x, y, cxy, t), (x + y + z) / 3.0)
+        t1 = _t1_cluster(entry, x, y, z, cxy)
     elif near_xz:
         t1 = _t1_newton(entry, x, y, z, cxy, cxz, cyz, float(entry.c(y, y)))
     elif near_yz:  # t1 is symmetric in (x, y)
@@ -191,29 +195,30 @@ def scalar_curvature(entry: MonotoneFunctionEntry, rho) -> CurvatureReport:
     c = kernel_grid(entry.c, w, w)
     lcp = kernel_grid(entry.dc_dx, w, w) / c  # (log c)'(w_i, w_j)
     n, d = len(w), range(len(w))
-    i, j, k = np.ix_(d, d, d)
     near1, near23 = (np.abs(w[:, None] - w) <= r * np.maximum(w[:, None], w)
                      for r in (T1_GAP_RTOL, T23_GAP_RTOL))
-    xz, yz, xy = near1[i, k], near1[j, k], near1[i, j]
+    xz, yz, xy = near1[:, None, :], near1[None, :, :], near1[:, :, None]  # broadcast (i, j, k)
     cluster = xz & yz | (xz | yz) & xy
-    newton, pair = (xz | yz) & ~cluster, near23[i, j] & ~cluster
-    cluster[d, d, d] = False  # the coincident triples, left out of the sum
-    kv = w[i], w[j], w[k], c[i, j], c[i, k], c[j, k], lcp[k, i], lcp[k, j]  # x, y, z, kernels
+    newton, pair = (xz | yz) & ~cluster, np.repeat(near23[:, :, None], n, axis=2)
+    cluster[d, d, d] = pair[d, d, d] = False  # the coincident triples, left out of the sum
+    kv = (w[:, None, None], w[None, :, None], w, c[:, :, None], c[:, None, :], c[None, :, :],
+          lcp.T[:, None, :], lcp.T[None, :, :])  # x, y, z and the five kernel values
     with np.errstate(all="ignore"):  # near triples divide by zero; rerouted below
         t1, q, t3 = _quotients(*kv)
     if newton.any():  # z near exactly one of x and y: Newton's recursion from u, the near one
         a, b, z = np.nonzero(newton)
         u, v = np.where(near1[b, z], b, a), np.where(near1[b, z], a, b)
         t1[a, b, z] = _t1_newton(entry, w[u], w[v], w[z], c[u, v], c[u, z], c[v, z], c[v, v])
-    if pair.any():  # x near y, z apart: t2 and t3 at the pair midpoint
+    if pair.any():  # x near y: t2 and t3 at the pair midpoint, cluster triples included
         a, b, z = np.nonzero(pair)
         q[a, b, z], t3[a, b, z] = _pair_limits(entry, w[a], w[b], w[z])
-    with np.errstate(all="ignore"):  # clusters are set per triple below
+    wl = w.tolist()
+    if cluster.any():  # only the cluster t1 goes per triple
+        cl = c.tolist()
+        for i, j, k in np.argwhere(cluster).tolist():
+            t1[i, j, k] = _t1_cluster(entry, wl[i], wl[j], wl[k], cl[i][j])
+    with np.errstate(all="ignore"):  # the coincident triples are 0/0; zeroed below
         vals = _terms(*kv, t1, q, t3).combined
     vals[d, d, d] = 0.0
-    wl, cl, ll = w.tolist(), c.tolist(), lcp.tolist()
-    for i, j, k in np.argwhere(cluster).tolist():
-        vals[i, j, k] = _aux_terms(entry, wl[i], wl[j], wl[k], cl[i][j], cl[i][k], cl[j][k],
-                                   ll[k][i], ll[k][j]).combined
     scal = float(np.sum(vals))
     return CurvatureReport(entry.id, n, scal, scal + scal1_shift(n), wl)

@@ -347,12 +347,27 @@ def test_scalar_curvature_kernel_calls(entry):
 
 
 @pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.id)
-def test_clustered_spectrum_makes_no_route_kernel_call(entry):
+def test_clustered_spectrum_kernel_calls_on_arrays(entry):
     # Every triple of a four-state cluster is a three-point cluster, so the
-    # Newton and pair routes are empty: only the two grid calls take arrays.
+    # Newton route is empty.  On arrays go the two grid calls (c 1, dc_dx 1)
+    # and one vectorised pair limit over all of them: the t2 limit and the
+    # complex step of (log c)'(z, .) (c 1, dc_dx 2).  Only the cluster t1
+    # goes per triple, on Python scalars.
     counted, calls = _counting(entry, arrays_only=True)
     scalar_curvature(counted, np.diag(_test_spectrum("clustered", 4)))
-    assert calls == {"c": 1, "dc_dx": 1}
+    assert calls == {"c": 1 + 1, "dc_dx": 1 + 2}
+
+
+def test_clustered_spectrum_takes_one_pair_limits_call(monkeypatch):
+    # The x ~ y limits of all 60 triples of a four-state cluster (its 4
+    # coincident ones aside) come from one call on arrays, none per triple.
+    calls = []
+    pair_limits = curvature._pair_limits
+    monkeypatch.setattr(curvature, "_pair_limits",
+                        lambda *args: calls.append(args) or pair_limits(*args))
+    scalar_curvature(catalog_entry("bkm"), np.diag(_test_spectrum("clustered", 4)))
+    assert len(calls) == 1
+    assert all(isinstance(a, np.ndarray) and a.shape == (60,) for a in calls[0][1:])
 
 
 # ---------------------------------------------------------------------------
@@ -391,13 +406,14 @@ def _per_triple_scal(entry, w):
     *product([3, 5, 8, 16], ["repeat", "boundary-pair", "near-pair", "band-pair", "chain"]),
 ])
 def test_grid_engine_equals_per_triple_sum(entry, shape, n):
-    # Only the vectorised complex step of the x ~ y limits rounds apart from
-    # the per-triple one (numpy against Python complex arithmetic): wy reads at
-    # most 8.1e-15 relative here and sld 2.6e-16, bkm and rld agree bit for
-    # bit.  Both sums leave the coincident triples out rather than subtract
-    # them, which rounded apart by up to 6.1e-11 on wy's boundary pair.  The
-    # band pair takes Newton's t1 at a midpoint that is no eigenvalue, and the
-    # chain (ends apart) tests the cluster mask's chain rule.
+    # Only the vectorised complex step of the x ~ y limits, cluster triples
+    # included, rounds apart from the per-triple one (numpy against Python
+    # complex arithmetic): wy reads at most 8.1e-15 relative here and sld
+    # 4.2e-16, bkm and rld agree bit for bit.  Both sums leave the coincident
+    # triples out rather than subtract them, which rounded apart by up to
+    # 6.1e-11 on wy's boundary pair.  The band pair takes Newton's t1 at a
+    # midpoint that is no eigenvalue, and the chain (ends apart) tests the
+    # cluster mask's chain rule.
     rep = scalar_curvature(entry, np.diag(_test_spectrum(shape, n)))
     want = _per_triple_scal(entry, rep.spectrum)
     assert abs(rep.scal - want) <= 1e-12 * max(1.0, abs(rep.scal1))
@@ -412,7 +428,7 @@ def test_grid_engine_equals_per_triple_sum(entry, shape, n):
 ])
 def test_only_three_point_clusters_go_per_triple(monkeypatch, spectrum, want):
     calls = []
-    per_triple = curvature._aux_terms
-    monkeypatch.setattr(curvature, "_aux_terms", lambda *args: calls.append(args) or per_triple(*args))
+    per_triple = curvature._t1_cluster
+    monkeypatch.setattr(curvature, "_t1_cluster", lambda *args: calls.append(args) or per_triple(*args))
     scalar_curvature(catalog_entry("bkm"), np.diag(spectrum))
     assert len(calls) == want

@@ -71,8 +71,8 @@ def test_verify_stdout_digest(suite, capsys):
 
 # `scalar_curvature(entry, np.diag(w)).as_dict()` as JSON over CURVATURE_SPECTRA.
 CURVATURE_DIGESTS = {
-    "wy": "8ce821554e9b895209965a0a699809a68dc70b8c3cc0c98f95932db523919d9f",
-    "sld": "841952f8d8ff7fa2b95acdeaf1726b88354e8c45d2f67c99e2e034f29f93919c",
+    "wy": "5e971538fcb0e1b9e081ef5bff2b2922cbf72a182650d3ea8449c45dcef97934",
+    "sld": "a96b98d59141fed635be071a59a2c7dfb9f594ea598d5a08b54e5df5f976697b",
     "bkm": "a59d80dee3f27997603018b9980e2ac85fc2e377fc7e8229ebd85edee6eaf292",
     "rld": "cc4e8d59ce96568064b68fb754ce6213172feb0d03c0d6eee2c5c9bf9d8bf738",
 }
