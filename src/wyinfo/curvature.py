@@ -29,12 +29,14 @@ zero-gap case of near:
 The middle two routes overwrite the generic t1, q and t3 grids, each with one
 vectorised kernel call and none when no triple takes it.  Only the cluster t1
 runs per triple, into the t1 grid; one `_terms` pass combines the whole grid.
-Each limit is written once and also serves `scal_aux_terms`.
+`scal_aux_terms` reads entry (0, 1, 2) of the grid on its three arguments, so
+the public per-triple terms and the sum come from one engine.
 
 A derivative of a closed-form auxiliary comes from linalg's complex step,
-Im f(t + ih) / h, which has no cancellation.  Every call at n >= 2 takes that
-step, so a kernel that stays real on it raises `complex-evaluable`, and an
-entry without c or dc_dx raises `kernel-defined`.
+Im f(t + ih) / h, which has no cancellation.  Every `scalar_curvature` call at
+n >= 2 and every `scal_aux_terms` call takes that step (the index-coincident
+triples of the grid need a limit), so a kernel that stays real on it raises
+`complex-evaluable`, and an entry without c or dc_dx raises `kernel-defined`.
 """
 
 from __future__ import annotations
@@ -65,10 +67,6 @@ class AuxTerms(NamedTuple):
     combined: float
 
 
-def _near(a: float, b: float, rtol: float) -> bool:
-    return abs(a - b) <= rtol * max(a, b)
-
-
 def _log_c_prime(entry: MonotoneFunctionEntry, z, x):
     """(log c)'(z, x): first-slot derivative of log c at (z, x)."""
     return entry.dc_dx(z, x) / entry.c(z, x)
@@ -91,7 +89,7 @@ def _dphi_at(entry: MonotoneFunctionEntry, x, y, cxy, t):
 
 
 def _t1_newton(entry: MonotoneFunctionEntry, x, y, z, cxy, cxz, cyz, cyy):
-    """t1 = phi[x, z, y] for z near x and y apart, on floats or arrays: Newton's
+    """t1 = phi[x, z, y] for z near x and y apart, on arrays: Newton's
     recursion (phi[x,z] - phi[z,y]) / (x - y), with phi[x,z] over the small gap
     taken as phi' at the pair midpoint (phi(x) = phi(y) = 0)."""
     dd_zy = (_phi(cxy, cxz, cyz, z) - _phi(cxy, cxy, cyy, y)) / (z - y)
@@ -104,21 +102,17 @@ def _t1_cluster(entry: MonotoneFunctionEntry, x: float, y: float, z: float, cxy:
 
 
 def _pair_limits(entry: MonotoneFunctionEntry, x, y, z):
-    """(q, t3) for x near y, on floats or arrays: t2's divided difference
+    """(q, t3) for x near y, on arrays: t2's divided difference
     q = c(., z)[x, y] and t3 over x - y, both taken at the midpoint."""
     m = 0.5 * (x + y)
     return entry.dc_dx(m, z), z * _complex_step(lambda t: _log_c_prime(entry, z, t), m)
 
 
-def _quotients(x, y, z, cxy, cxz, cyz, lzx, lzy, t1=None, q=None, t3=None):
-    """t1, q = c(., z)[x, y] and t3 on floats or arrays: the generic quotients
-    unless a limit is passed in.  Only the z-pairs divide t1."""
-    if t1 is None:
-        t1 = (cxy - z * cxz * cyz) / ((x - z) * (y - z) * cxz * cyz)
-    if q is None:
-        q = (cxz - cyz) / (x - y)
-    if t3 is None:
-        t3 = z * (lzx - lzy) / (x - y)
+def _quotients(x, y, z, cxy, cxz, cyz, lzx, lzy):
+    """The generic t1, q = c(., z)[x, y] and t3 on arrays.  Only the z-pairs divide t1."""
+    t1 = (cxy - z * cxz * cyz) / ((x - z) * (y - z) * cxz * cyz)
+    q = (cxz - cyz) / (x - y)
+    t3 = z * (lzx - lzy) / (x - y)
     return t1, q, t3
 
 
@@ -129,35 +123,47 @@ def _terms(x, y, z, cxy, cxz, cyz, lzx, lzy, t1, q, t3) -> AuxTerms:
     return AuxTerms(t1, t2, t3, t4, t1 - 0.5 * t2 + 2.0 * t3 - t4)
 
 
-def _aux_terms(entry: MonotoneFunctionEntry, x: float, y: float, z: float,
-               cxy: float, cxz: float, cyz: float, lzx: float, lzy: float) -> AuxTerms:
-    """The auxiliary terms of one triple from its five kernel values; the
-    near-coincidence limits call the kernel again."""
-    near_xz, near_yz = _near(x, z, T1_GAP_RTOL), _near(y, z, T1_GAP_RTOL)
-    t1 = q = t3 = None
-    if near_xz and near_yz or (near_xz or near_yz) and _near(x, y, T1_GAP_RTOL):
-        t1 = _t1_cluster(entry, x, y, z, cxy)
-    elif near_xz:
-        t1 = _t1_newton(entry, x, y, z, cxy, cxz, cyz, float(entry.c(y, y)))
-    elif near_yz:  # t1 is symmetric in (x, y)
-        t1 = _t1_newton(entry, y, x, z, cxy, cyz, cxz, float(entry.c(x, x)))
-    if _near(x, y, T23_GAP_RTOL):
-        q, t3 = _pair_limits(entry, x, y, z)
-    kv = x, y, z, cxy, cxz, cyz, lzx, lzy
-    return _terms(*kv, *_quotients(*kv, t1, q, t3))
+def _triple_grid(entry: MonotoneFunctionEntry, w: np.ndarray) -> AuxTerms:
+    """The auxiliary terms of every triple (w_i, w_j, w_k) as (n, n, n) grids,
+    routed as in the module docstring; the coincident (i, i, i) entries are 0/0."""
+    c = kernel_grid(entry.c, w, w)
+    lcp = kernel_grid(entry.dc_dx, w, w) / c  # (log c)'(w_i, w_j)
+    n, d = len(w), range(len(w))
+    near1, near23 = (np.abs(w[:, None] - w) <= r * np.maximum(w[:, None], w)
+                     for r in (T1_GAP_RTOL, T23_GAP_RTOL))
+    xz, yz, xy = near1[:, None, :], near1[None, :, :], near1[:, :, None]  # broadcast (i, j, k)
+    cluster = xz & yz | (xz | yz) & xy
+    newton, pair = (xz | yz) & ~cluster, np.repeat(near23[:, :, None], n, axis=2)
+    cluster[d, d, d] = pair[d, d, d] = False  # the coincident triples take no route
+    kv = (w[:, None, None], w[None, :, None], w, c[:, :, None], c[:, None, :], c[None, :, :],
+          lcp.T[:, None, :], lcp.T[None, :, :])  # x, y, z and the five kernel values
+    with np.errstate(all="ignore"):  # near triples divide by zero; rerouted below
+        t1, q, t3 = _quotients(*kv)
+    if newton.any():  # z near exactly one of x and y: Newton's recursion from u, the near one
+        a, b, z = np.nonzero(newton)
+        u, v = np.where(near1[b, z], b, a), np.where(near1[b, z], a, b)
+        t1[a, b, z] = _t1_newton(entry, w[u], w[v], w[z], c[u, v], c[u, z], c[v, z], c[v, v])
+    if pair.any():  # x near y: t2 and t3 at the pair midpoint, cluster triples included
+        a, b, z = np.nonzero(pair)
+        q[a, b, z], t3[a, b, z] = _pair_limits(entry, w[a], w[b], w[z])
+    if cluster.any():  # only the cluster t1 goes per triple
+        wl, cl = w.tolist(), c.tolist()
+        for i, j, k in np.argwhere(cluster).tolist():
+            t1[i, j, k] = _t1_cluster(entry, wl[i], wl[j], wl[k], cl[i][j])
+    with np.errstate(all="ignore"):  # the coincident triples are 0/0
+        return _terms(*kv, t1, q, t3)
 
 
 def scal_aux_terms(entry: MonotoneFunctionEntry, x: float, y: float, z: float) -> AuxTerms:
-    """The four auxiliary terms and their combination for one triple."""
+    """The four auxiliary terms and their combination for one triple: entry
+    (0, 1, 2) of the grid on the eigenvalues (x, y, z)."""
     if entry.c is None or entry.dc_dx is None:
         raise InvariantViolation("kernel-defined", f"'{entry.id}' lacks c or dc_dx")
     if not np.isfinite((x, y, z)).all():
         raise InvariantViolation("finite", f"triple ({x}, {y}, {z})")
     if min(x, y, z) <= 0.0:
         raise InvariantViolation("strict-positivity", f"triple ({x}, {y}, {z})")
-    cxy, cxz, cyz = float(entry.c(x, y)), float(entry.c(x, z)), float(entry.c(y, z))
-    lzx, lzy = _log_c_prime(entry, z, x), _log_c_prime(entry, z, y)
-    return _aux_terms(entry, x, y, z, cxy, cxz, cyz, lzx, lzy)
+    return AuxTerms(*(float(g[0, 1, 2]) for g in _triple_grid(entry, np.array([x, y, z]))))
 
 
 def scal1_shift(n: int) -> float:
@@ -192,33 +198,7 @@ def scalar_curvature(entry: MonotoneFunctionEntry, rho) -> CurvatureReport:
     w = spectral_decompose(rho).eigenvalues
     if (w <= 0.0).any():
         raise InvariantViolation("strict-positivity", f"rho smallest eigenvalue {w[0]:.3e}")
-    c = kernel_grid(entry.c, w, w)
-    lcp = kernel_grid(entry.dc_dx, w, w) / c  # (log c)'(w_i, w_j)
-    n, d = len(w), range(len(w))
-    near1, near23 = (np.abs(w[:, None] - w) <= r * np.maximum(w[:, None], w)
-                     for r in (T1_GAP_RTOL, T23_GAP_RTOL))
-    xz, yz, xy = near1[:, None, :], near1[None, :, :], near1[:, :, None]  # broadcast (i, j, k)
-    cluster = xz & yz | (xz | yz) & xy
-    newton, pair = (xz | yz) & ~cluster, np.repeat(near23[:, :, None], n, axis=2)
-    cluster[d, d, d] = pair[d, d, d] = False  # the coincident triples, left out of the sum
-    kv = (w[:, None, None], w[None, :, None], w, c[:, :, None], c[:, None, :], c[None, :, :],
-          lcp.T[:, None, :], lcp.T[None, :, :])  # x, y, z and the five kernel values
-    with np.errstate(all="ignore"):  # near triples divide by zero; rerouted below
-        t1, q, t3 = _quotients(*kv)
-    if newton.any():  # z near exactly one of x and y: Newton's recursion from u, the near one
-        a, b, z = np.nonzero(newton)
-        u, v = np.where(near1[b, z], b, a), np.where(near1[b, z], a, b)
-        t1[a, b, z] = _t1_newton(entry, w[u], w[v], w[z], c[u, v], c[u, z], c[v, z], c[v, v])
-    if pair.any():  # x near y: t2 and t3 at the pair midpoint, cluster triples included
-        a, b, z = np.nonzero(pair)
-        q[a, b, z], t3[a, b, z] = _pair_limits(entry, w[a], w[b], w[z])
-    wl = w.tolist()
-    if cluster.any():  # only the cluster t1 goes per triple
-        cl = c.tolist()
-        for i, j, k in np.argwhere(cluster).tolist():
-            t1[i, j, k] = _t1_cluster(entry, wl[i], wl[j], wl[k], cl[i][j])
-    with np.errstate(all="ignore"):  # the coincident triples are 0/0; zeroed below
-        vals = _terms(*kv, t1, q, t3).combined
-    vals[d, d, d] = 0.0
+    vals, n = _triple_grid(entry, w).combined, len(w)
+    vals[range(n), range(n), range(n)] = 0.0
     scal = float(np.sum(vals))
-    return CurvatureReport(entry.id, n, scal, scal + scal1_shift(n), wl)
+    return CurvatureReport(entry.id, n, scal, scal + scal1_shift(n), w.tolist())

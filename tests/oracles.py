@@ -9,8 +9,10 @@ monotonicity, pullback, skew-identity, hessian and classical suites must
 reproduce likewise, each trial read alone at its stream counter
 (`trials_alone`), the per-trial loop that grouped a suite's trials into
 blocks (`trial_plan_per_trial`), and the per-term curvature auxiliaries
-(`scal_aux_terms`, one helper per term) that the shared-kernel-value engine
-must reproduce bit for bit.  Trial t of a suite runs at n_values[t % len].
+(`scal_aux_terms`, one helper per term, on Python scalars) that the grid
+engine must reproduce: bit for bit per triple except where its complex step
+runs on numpy arrays (a few ulps, wy and sld at x = y), and within 1e-12 of
+scal1 in the sum.  Trial t of a suite runs at n_values[t % len].
 Operator monotonicity is sampled here, one random pair 0 <= A <= B at a
 time (`sampled_monotonicity_per_trial`): the reference that the library's
 deterministic Loewner margin and the dual-pair verdicts built on it are
